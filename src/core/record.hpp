@@ -4,6 +4,7 @@
 
 #include <cstdint>
 
+#include "common/intrusive_list.hpp"
 #include "core/ctx.hpp"
 #include "core/taskfn.hpp"
 #include "sched/task.hpp"
@@ -26,6 +27,9 @@ struct TaskRecord {
   TaskState state = TaskState::kReady;
   Ctx ctx;  ///< Persistent context; the engine rebinds proc on each dispatch.
   Mutex* reacquire = nullptr;  ///< Condition-wait: mutex to re-take on signal.
+  /// Links the record into its engine's list of live records (spawned, not
+  /// yet completed), which frees what a failed run leaves behind.
+  util::ListHook live_hook;
 
   TaskRecord() { desc.owner = this; }
   TaskRecord(const TaskRecord&) = delete;

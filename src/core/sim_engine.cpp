@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <functional>
 
 #include "adaptive/engine.hpp"
 #include "analysis/invariants.hpp"
@@ -34,6 +35,7 @@ SimEngine::SimEngine(const topo::MachineConfig& machine,
              }),
       procs_(machine_.n_procs),
       util_(machine_.n_procs) {
+  runq_.reserve(machine_.n_procs);
   if (trace_enabled) {
     trace_ = std::make_unique<obs::TraceCollector>(machine_.n_procs,
                                                    trace_capacity);
@@ -68,7 +70,7 @@ void SimEngine::attach_request_trace(obs::RequestTraceRecorder* rt) {
 }
 
 SimEngine::~SimEngine() {
-  for (TaskRecord* rec : live_recs_) destroy_record(rec);
+  while (TaskRecord* rec = live_recs_.pop_front()) destroy_record(rec);
 }
 
 void SimEngine::destroy_record(TaskRecord* rec) {
@@ -78,21 +80,25 @@ void SimEngine::destroy_record(TaskRecord* rec) {
 }
 
 void SimEngine::reinsert(topo::ProcId p) {
-  runq_.insert({procs_[p].clock, p});
+  runq_.emplace_back(procs_[p].clock, p);
+  std::push_heap(runq_.begin(), runq_.end(), std::greater<>{});
 }
 
 void SimEngine::park(topo::ProcId p) {
   procs_[p].parked = true;
+  ++n_parked_;
   obs_parks_.add(p);
 }
 
 void SimEngine::wake_parked() {
+  if (n_parked_ == 0) return;
   for (std::uint32_t p = 0; p < machine_.n_procs; ++p) {
     if (procs_[p].parked) {
       procs_[p].parked = false;
       reinsert(p);
     }
   }
+  n_parked_ = 0;
 }
 
 // --- Engine interface -------------------------------------------------------
@@ -165,7 +171,7 @@ void SimEngine::spawn_record(TaskRecord* rec, Ctx* spawner) {
   } else {
     rec->desc.ready_time = 0;
   }
-  live_recs_.insert(rec);
+  live_recs_.push_back(rec);
   ++live_;
   const topo::ProcId server = sched_.place(&rec->desc, from);
   // Reservation decisions land in the trace. Reading the descriptor after
@@ -371,6 +377,13 @@ void SimEngine::run(TaskFn&& root) {
   COOL_CHECK(!running_, "SimEngine::run is not reentrant");
   COOL_CHECK(root.valid(), "run of empty TaskFn");
   running_ = true;
+  // Start from an empty frontier even if the previous run threw mid-step.
+  runq_.clear();
+  for (Proc& pr : procs_) {
+    pr.current = nullptr;
+    pr.parked = false;
+  }
+  n_parked_ = 0;
 
   std::uint64_t clocks_at_entry = 0;
   for (const Proc& pr : procs_) clocks_at_entry += pr.clock;
@@ -380,10 +393,7 @@ void SimEngine::run(TaskFn&& root) {
   rec->desc.aff = Affinity::none();
   spawn_record(rec, nullptr);
 
-  for (std::uint32_t p = 0; p < machine_.n_procs; ++p) {
-    procs_[p].parked = false;
-    reinsert(p);
-  }
+  for (std::uint32_t p = 0; p < machine_.n_procs; ++p) reinsert(p);
 
   while (live_ > 0 && !err_) {
     if (runq_.empty()) {
@@ -391,9 +401,10 @@ void SimEngine::run(TaskFn&& root) {
       throw util::Error(
           "deadlock: tasks remain blocked but no processor can make progress");
     }
-    const auto [t, p] = *runq_.begin();
-    runq_.erase(runq_.begin());
-    step(static_cast<topo::ProcId>(p));
+    std::pop_heap(runq_.begin(), runq_.end(), std::greater<>{});
+    const topo::ProcId p = runq_.back().second;
+    runq_.pop_back();
+    step(p);
   }
 
   // Quiesce point: every worker has stopped, so cross-queue invariants
@@ -410,11 +421,6 @@ void SimEngine::run(TaskFn&& root) {
   }
   g_total_sim_cycles.fetch_add(clocks_at_exit - clocks_at_entry,
                                std::memory_order_relaxed);
-  runq_.clear();
-  for (auto& pr : procs_) {
-    pr.current = nullptr;
-    pr.parked = false;
-  }
   running_ = false;
   if (err_) {
     auto e = err_;

@@ -12,8 +12,7 @@
 #include <cstdint>
 #include <exception>
 #include <memory>
-#include <set>
-#include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "core/costs.hpp"
@@ -159,10 +158,13 @@ class SimEngine final : public Engine {
   mem::MemorySystem mem_;
   sched::Scheduler sched_;
   std::vector<Proc> procs_;
+  std::uint32_t n_parked_ = 0;  ///< Processors with `parked` set.
   std::vector<ProcUtil> util_;
-  /// Runnable processors ordered by (clock, id): the simulation frontier.
-  std::set<std::pair<std::uint64_t, std::uint32_t>> runq_;
-  std::unordered_set<TaskRecord*> live_recs_;
+  /// Runnable processors as a binary min-heap on (clock, id): the simulation
+  /// frontier. A processor is queued at most once, so keys are unique and
+  /// pops come out in (clock, id) order.
+  std::vector<std::pair<std::uint64_t, std::uint32_t>> runq_;
+  util::IntrusiveList<TaskRecord, &TaskRecord::live_hook> live_recs_;
   std::uint64_t live_ = 0;
   std::uint64_t seq_ = 0;
   std::uint64_t finish_time_ = 0;

@@ -19,7 +19,7 @@ ThreadEngine::ThreadEngine(const topo::MachineConfig& machine,
                // Placement runs outside any scheduler lock, so the resolver
                // guards the page map itself (home_of first-touch mutates it).
                util::MutexLock g(big_);
-               return pages_.home_of(addr, toucher);
+               return pages_.home_of(addr - addr_base_, toucher);
              }),
       disp_(machine_.n_procs, Disposition::kNone),
       // cool-lint: allow(determinism): kThreads trace timebase is wall-clock
@@ -35,8 +35,7 @@ ThreadEngine::~ThreadEngine() {
   // Workers joined in run(); the lock satisfies big_'s discipline (and costs
   // nothing) rather than special-casing the destructor.
   util::MutexLock g(big_);
-  // cool-lint: allow(determinism): destruction frees leftovers in any order.
-  for (TaskRecord* rec : live_recs_) {
+  while (TaskRecord* rec = live_recs_.pop_front()) {
     if (rec->handle) rec->handle.destroy();
     delete rec;
   }
@@ -45,19 +44,19 @@ ThreadEngine::~ThreadEngine() {
 std::uint64_t ThreadEngine::migrate(Ctx&, std::uint64_t addr,
                                     std::uint64_t bytes, topo::ProcId target) {
   util::MutexLock g(big_);
-  pages_.bind_range(addr, bytes, target);
+  pages_.bind_range(addr - addr_base_, bytes, target);
   return 0;
 }
 
 topo::ProcId ThreadEngine::home(std::uint64_t addr, topo::ProcId toucher) {
   util::MutexLock g(big_);
-  return pages_.home_of(addr, toucher);
+  return pages_.home_of(addr - addr_base_, toucher);
 }
 
 void ThreadEngine::bind_range(std::uint64_t addr, std::uint64_t bytes,
                               topo::ProcId home_proc) {
   util::MutexLock g(big_);
-  pages_.bind_range(addr, bytes, home_proc);
+  pages_.bind_range(addr - addr_base_, bytes, home_proc);
 }
 
 void ThreadEngine::spawn_record(TaskRecord* rec, Ctx* spawner) {
@@ -66,7 +65,7 @@ void ThreadEngine::spawn_record(TaskRecord* rec, Ctx* spawner) {
   live_.fetch_add(1);
   {
     util::MutexLock g(big_);
-    live_recs_.insert(rec);
+    live_recs_.push_back(rec);
   }
   // place() enqueues and wakes an idle worker; the task may start (and even
   // finish) on another thread before place returns, so `rec` is off-limits

@@ -26,7 +26,6 @@
 #include <exception>
 #include <memory>
 #include <thread>
-#include <unordered_set>
 #include <vector>
 
 #include "common/thread_annotations.hpp"
@@ -109,7 +108,8 @@ class ThreadEngine final : public Engine {
   sched::Scheduler sched_;
   /// Records spawned but not yet completed; walked at destruction (workers
   /// joined) to free tasks a failed run left blocked.
-  std::unordered_set<TaskRecord*> live_recs_ COOL_GUARDED_BY(big_);
+  util::IntrusiveList<TaskRecord, &TaskRecord::live_hook> live_recs_
+      COOL_GUARDED_BY(big_);
   std::atomic<bool> stop_{false};
 
   util::Mutex done_m_;  ///< Pairs with done_cv_ for run()'s completion wait.
@@ -126,6 +126,7 @@ class ThreadEngine final : public Engine {
   // cool-lint: allow(determinism): kThreads trace timebase is wall-clock
   std::chrono::steady_clock::time_point trace_t0_;
   obs::LocalityProfiler* prof_ = nullptr;  ///< Null unless profiling.
+  /// Arena base: pages_ is keyed by arena offset, as SimEngine's is.
   std::uint64_t addr_base_ = 0;
 
   /// Microseconds since engine construction (the trace timebase).

@@ -1,5 +1,7 @@
 #include "memsim/cache.hpp"
 
+#include <algorithm>
+
 namespace cool::mem {
 
 Cache::Cache(std::uint32_t capacity_bytes, std::uint32_t assoc,
@@ -12,69 +14,62 @@ Cache::Cache(std::uint32_t capacity_bytes, std::uint32_t assoc,
              "capacity must be a multiple of line * assoc");
   n_sets_ = capacity_bytes / (line_bytes * assoc);
   COOL_CHECK(util::is_pow2(n_sets_), "set count must be a power of two");
-  ways_.resize(static_cast<std::size_t>(n_sets_) * assoc_);
+  const std::size_t ways = static_cast<std::size_t>(n_sets_) * assoc_;
+  tags_.assign(ways, kEmpty);
+  if (assoc_ > 1) lru_.assign(ways, 0);
 }
 
-Cache::Way* Cache::find(LineAddr line) noexcept {
-  Way* set = &ways_[static_cast<std::size_t>(set_index(line)) * assoc_];
-  for (std::uint32_t w = 0; w < assoc_; ++w) {
-    if (set[w].lru != 0 && set[w].tag == line) return &set[w];
+std::size_t Cache::find(LineAddr line) const noexcept {
+  const std::size_t base = set_index(line) * assoc_;
+  for (std::size_t w = base; w < base + assoc_; ++w) {
+    if (tags_[w] == line) return w;
   }
-  return nullptr;
+  return kNoWay;
 }
 
-const Cache::Way* Cache::find(LineAddr line) const noexcept {
-  return const_cast<Cache*>(this)->find(line);
-}
-
-bool Cache::access(LineAddr line) {
-  Way* w = find(line);
-  if (w == nullptr) return false;
-  w->lru = ++stamp_;
+bool Cache::access_lru(LineAddr line) {
+  const std::size_t w = find(line);
+  if (w == kNoWay) return false;
+  lru_[w] = ++stamp_;
   return true;
 }
 
-bool Cache::contains(LineAddr line) const { return find(line) != nullptr; }
-
-std::optional<LineAddr> Cache::insert(LineAddr line) {
-  Way* set = &ways_[static_cast<std::size_t>(set_index(line)) * assoc_];
-  for (std::uint32_t w = 0; w < assoc_; ++w) {
-    if (set[w].lru != 0 && set[w].tag == line) {
-      set[w].lru = ++stamp_;  // Already present: refresh only.
+std::optional<LineAddr> Cache::insert_lru(LineAddr line) {
+  const std::size_t base = set_index(line) * assoc_;
+  const std::size_t end = base + assoc_;
+  std::size_t victim = kNoWay;
+  for (std::size_t w = base; w < end; ++w) {
+    if (tags_[w] == line) {
+      lru_[w] = ++stamp_;  // Already present: refresh only.
       return std::nullopt;
     }
-  }
-  Way* victim = nullptr;
-  for (std::uint32_t w = 0; w < assoc_ && victim == nullptr; ++w) {
-    if (set[w].lru == 0) victim = &set[w];  // Prefer an empty way.
-  }
-  if (victim == nullptr) {
-    victim = &set[0];
-    for (std::uint32_t w = 1; w < assoc_; ++w) {
-      if (set[w].lru < victim->lru) victim = &set[w];
-    }
+    if (victim == kNoWay && tags_[w] == kEmpty) victim = w;  // First empty way.
   }
   std::optional<LineAddr> evicted;
-  if (victim->lru != 0) {
-    evicted = victim->tag;
+  if (victim == kNoWay) {
+    victim = static_cast<std::size_t>(
+        std::min_element(lru_.begin() + static_cast<std::ptrdiff_t>(base),
+                         lru_.begin() + static_cast<std::ptrdiff_t>(end)) -
+        lru_.begin());
+    evicted = tags_[victim];
   } else {
     ++occupied_;
   }
-  victim->tag = line;
-  victim->lru = ++stamp_;
+  tags_[victim] = line;
+  lru_[victim] = ++stamp_;
   return evicted;
 }
 
 bool Cache::invalidate(LineAddr line) {
-  Way* w = find(line);
-  if (w == nullptr) return false;
-  w->lru = 0;
+  const std::size_t w = find(line);
+  if (w == kNoWay) return false;
+  tags_[w] = kEmpty;
   --occupied_;
   return true;
 }
 
 void Cache::clear() {
-  for (Way& w : ways_) w.lru = 0;
+  std::fill(tags_.begin(), tags_.end(), kEmpty);
   occupied_ = 0;
 }
 

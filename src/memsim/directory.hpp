@@ -5,11 +5,20 @@
 // updates this state to classify where each miss is serviced (local memory,
 // remote memory, or another processor's cache) and to count invalidations —
 // the quantities the paper's DASH hardware performance monitor reports.
+//
+// Lines are arena-relative, so the table is indexed by line number: states
+// live in chunks of 256 lines (one DASH page of 16-byte lines), each
+// allocated on first use and found through a vector indexed by line / 256.
+// A lookup is two array loads, and memory grows with the pages the program
+// touches rather than with the span of addresses between them.
 #pragma once
 
+#include <array>
 #include <bit>
 #include <cstdint>
-#include <unordered_map>
+#include <memory>
+#include <utility>
+#include <vector>
 
 #include "common/error.hpp"
 #include "memsim/cache.hpp"
@@ -35,49 +44,91 @@ struct LineState {
 
 class Directory {
  public:
-  /// State for a line; creates an uncached entry on demand.
-  LineState& entry(LineAddr line) { return map_[line]; }
+  /// Lines at or past this index are rejected with util::Error: the table is
+  /// indexed by line, so a stray address must not size it.
+  static constexpr LineAddr kMaxLines = LineAddr{1} << 32;
 
   /// Read-only view; returns a default (uncached) state if absent.
-  [[nodiscard]] LineState peek(LineAddr line) const {
-    const auto it = map_.find(line);
-    return it == map_.end() ? LineState{} : it->second;
+  [[nodiscard]] LineState peek(LineAddr line) const noexcept {
+    const LineState* s = find(line);
+    return s == nullptr ? LineState{} : *s;
   }
 
   void add_sharer(LineAddr line, topo::ProcId p) {
-    entry(line).sharers |= (1ull << p);
+    LineState& s = entry(line);
+    if (s.sharers == 0) ++n_entries_;
+    s.sharers |= (1ull << p);
   }
 
-  void remove_sharer(LineAddr line, topo::ProcId p) {
-    auto it = map_.find(line);
-    if (it == map_.end()) return;
-    it->second.sharers &= ~(1ull << p);
-    if (it->second.dirty_owner == p) it->second.dirty_owner = kNoOwner;
-    if (it->second.sharers == 0) map_.erase(it);
+  void remove_sharer(LineAddr line, topo::ProcId p) noexcept {
+    LineState* s = find(line);
+    if (s == nullptr || s->sharers == 0) return;
+    s->sharers &= ~(1ull << p);
+    if (s->dirty_owner == p) s->dirty_owner = kNoOwner;
+    if (s->sharers == 0) {
+      *s = LineState{};
+      --n_entries_;
+    }
   }
 
   void set_dirty(LineAddr line, topo::ProcId owner) {
     LineState& s = entry(line);
+    if (s.sharers == 0) ++n_entries_;
     s.sharers = (1ull << owner);
     s.dirty_owner = owner;
   }
 
-  void clear_dirty(LineAddr line) {
-    auto it = map_.find(line);
-    if (it != map_.end()) it->second.dirty_owner = kNoOwner;
+  void clear_dirty(LineAddr line) noexcept {
+    if (LineState* s = find(line)) s->dirty_owner = kNoOwner;
   }
 
-  [[nodiscard]] std::size_t n_entries() const noexcept { return map_.size(); }
+  /// Number of cached lines (lines with at least one sharer).
+  [[nodiscard]] std::size_t n_entries() const noexcept { return n_entries_; }
 
-  void clear() { map_.clear(); }
+  void clear() noexcept {
+    chunks_.clear();
+    n_entries_ = 0;
+  }
 
-  /// Iterate entries (tests and migration flushes).
-  [[nodiscard]] const std::unordered_map<LineAddr, LineState>& entries() const {
-    return map_;
+  /// Call fn(line, state) for every cached line, in ascending line order
+  /// (tests and diagnostics).
+  template <typename Fn>
+  void for_each_entry(Fn&& fn) const {
+    for (std::size_t c = 0; c < chunks_.size(); ++c) {
+      if (chunks_[c] == nullptr) continue;
+      for (std::size_t i = 0; i < kChunkLines; ++i) {
+        const LineState& s = (*chunks_[c])[i];
+        if (s.is_cached()) fn(LineAddr{(c << kChunkShift) + i}, s);
+      }
+    }
   }
 
  private:
-  std::unordered_map<LineAddr, LineState> map_;
+  static constexpr unsigned kChunkShift = 8;
+  static constexpr std::size_t kChunkLines = std::size_t{1} << kChunkShift;
+  using Chunk = std::array<LineState, kChunkLines>;
+
+  [[nodiscard]] const LineState* find(LineAddr line) const noexcept {
+    const LineAddr c = line >> kChunkShift;
+    if (c >= chunks_.size() || chunks_[c] == nullptr) return nullptr;
+    return &(*chunks_[c])[line & (kChunkLines - 1)];
+  }
+  LineState* find(LineAddr line) noexcept {
+    return const_cast<LineState*>(std::as_const(*this).find(line));
+  }
+
+  /// State for a line; allocates its chunk on first use.
+  LineState& entry(LineAddr line) {
+    if (LineState* s = find(line)) return *s;
+    COOL_CHECK(line < kMaxLines, "directory: line address past the table cap");
+    const auto c = static_cast<std::size_t>(line >> kChunkShift);
+    if (c >= chunks_.size()) chunks_.resize(c + 1);
+    chunks_[c] = std::make_unique<Chunk>();
+    return (*chunks_[c])[line & (kChunkLines - 1)];
+  }
+
+  std::vector<std::unique_ptr<Chunk>> chunks_;
+  std::size_t n_entries_ = 0;
 };
 
 }  // namespace cool::mem

@@ -1,12 +1,16 @@
 #include "memsim/memsystem.hpp"
 
 #include <algorithm>
+#include <bit>
 
 namespace cool::mem {
 
 MemorySystem::MemorySystem(const topo::MachineConfig& machine,
                            const ChannelConfig& chan)
-    : machine_(machine), pages_(machine_), mon_(machine.n_procs),
+    : machine_(machine),
+      line_shift_(util::log2_exact(machine.line_bytes)),
+      pages_(machine_),
+      mon_(machine.n_procs),
       backend_(make_channel_backend(machine, chan)) {
   machine_.validate();
   l1_.reserve(machine_.n_procs);
@@ -21,10 +25,11 @@ MemorySystem::InvalResult MemorySystem::invalidate_sharers(
     LineAddr line, topo::ProcId requester, topo::ProcId keeper,
     bool count_as_sharing) {
   InvalResult res;
-  const LineState st = dir_.peek(line);
-  if (!st.is_cached()) return res;
-  for (std::uint32_t q = 0; q < machine_.n_procs; ++q) {
-    if (q == keeper || !st.has_sharer(q)) continue;
+  std::uint64_t victims = dir_.peek(line).sharers;
+  if (keeper != kNoOwner) victims &= ~(1ull << keeper);
+  // Ascending processor order, visiting only the sharers.
+  for (; victims != 0; victims &= victims - 1) {
+    const auto q = static_cast<topo::ProcId>(std::countr_zero(victims));
     l1_[q].invalidate(line);
     l2_[q].invalidate(line);
     dir_.remove_sharer(line, q);
@@ -61,7 +66,7 @@ std::uint64_t MemorySystem::access_line(topo::ProcId proc, LineAddr line,
     service = Service::kL1Hit;
     lat += machine_.lat.l1_hit;
     // (presence in L1 implies presence in L2 by inclusion)
-    l2_[proc].access(line);  // keep L2 LRU warm
+    l2_[proc].access(line);  // keep L2 LRU warm (no-op when direct mapped)
   } else if (l2_[proc].access(line)) {
     service = Service::kL2Hit;
     lat += machine_.lat.l2_hit;
@@ -88,7 +93,7 @@ std::uint64_t MemorySystem::access_line(topo::ProcId proc, LineAddr line,
       service = home_local ? Service::kLocalMem : Service::kRemoteMem;
       lat += home_local ? machine_.lat.local_mem : machine_.lat.remote_mem;
       const std::uint64_t wait = backend_->demand_fill(
-          machine_.cluster_of(home), line * machine_.line_bytes, now + lat);
+          machine_.cluster_of(home), addr, now + lat);
       lat += wait;
       c.contention_cycles += wait;
     }
@@ -135,11 +140,11 @@ std::uint64_t MemorySystem::access(topo::ProcId proc, std::uint64_t addr,
                                    std::uint64_t now) {
   COOL_CHECK(proc < machine_.n_procs, "access: processor id out of range");
   COOL_CHECK(bytes > 0, "access: empty range");
-  const LineAddr first = machine_.line_of(addr);
-  const LineAddr last = machine_.line_of(addr + bytes - 1);
+  const LineAddr first = addr >> line_shift_;
+  const LineAddr last = (addr + bytes - 1) >> line_shift_;
   std::uint64_t total = 0;
   for (LineAddr line = first; line <= last; ++line) {
-    const std::uint64_t line_start = line * machine_.line_bytes;
+    const std::uint64_t line_start = line << line_shift_;
     // The byte sub-range of this line the program actually touched: byte
     // precision lets the race detector distinguish true sharing from false
     // sharing within one line.
@@ -183,19 +188,19 @@ std::uint64_t MemorySystem::prefetch(topo::ProcId proc, std::uint64_t addr,
                                      std::uint64_t bytes, std::uint64_t now) {
   COOL_CHECK(proc < machine_.n_procs, "prefetch: processor id out of range");
   COOL_CHECK(bytes > 0, "prefetch: empty range");
-  const LineAddr first = machine_.line_of(addr);
-  const LineAddr last = machine_.line_of(addr + bytes - 1);
+  const LineAddr first = addr >> line_shift_;
+  const LineAddr last = (addr + bytes - 1) >> line_shift_;
   std::uint64_t brought = 0;
   for (LineAddr line = first; line <= last; ++line) {
     if (l2_[proc].contains(line)) continue;
     const LineState st = dir_.peek(line);
     if (st.is_dirty()) continue;  // leave dirty lines to demand misses
-    const topo::ProcId home = pages_.home_of(line * machine_.line_bytes, proc);
+    const std::uint64_t line_addr = line << line_shift_;
+    const topo::ProcId home = pages_.home_of(line_addr, proc);
     // Prefetches overlap execution but still consume memory bandwidth: they
     // add service backlog at the home controller (delaying demand misses)
     // without making this processor wait.
-    backend_->post_fill(machine_.cluster_of(home), line * machine_.line_bytes,
-                        now);
+    backend_->post_fill(machine_.cluster_of(home), line_addr, now);
     if (auto victim = l2_[proc].insert(line)) evict_line(proc, *victim);
     l1_[proc].insert(line);
     dir_.add_sharer(line, proc);

@@ -69,6 +69,7 @@ class MemorySystem {
   PerfMonitor& monitor() noexcept { return mon_; }
   [[nodiscard]] const PerfMonitor& monitor() const noexcept { return mon_; }
   Directory& directory() noexcept { return dir_; }
+  [[nodiscard]] const Directory& directory() const noexcept { return dir_; }
   [[nodiscard]] const topo::MachineConfig& machine() const noexcept {
     return machine_;
   }
@@ -94,12 +95,9 @@ class MemorySystem {
     std::erase(observers_, obs);
   }
 
-  /// Legacy single-observer hook: detach everything, then attach `obs`
-  /// (nullptr = detach all).
-  void set_observer(AccessObserver* obs) {
-    observers_.clear();
-    add_observer(obs);
-  }
+  /// `proc`'s first- and second-level caches (coherence checks in tests).
+  [[nodiscard]] const Cache& l1(topo::ProcId proc) const { return l1_[proc]; }
+  [[nodiscard]] const Cache& l2(topo::ProcId proc) const { return l2_[proc]; }
 
  private:
   std::uint64_t access_line(topo::ProcId proc, LineAddr line,
@@ -120,6 +118,7 @@ class MemorySystem {
                                  bool count_as_sharing = true);
 
   topo::MachineConfig machine_;
+  unsigned line_shift_;  ///< log2(line_bytes)
   std::vector<Cache> l1_;
   std::vector<Cache> l2_;
   Directory dir_;

@@ -12,8 +12,8 @@ Scheduler::Scheduler(const topo::MachineConfig& machine, Policy policy,
     : machine_(machine),
       policy_(policy),
       home_(std::move(home)),
-      stats_(machine.n_procs),
       cmd_scratch_(machine.n_procs),
+      stats_(machine.n_procs),
       run_track_(machine.n_procs) {
   COOL_CHECK(home_ != nullptr, "scheduler needs a home resolver");
   COOL_CHECK(policy_.affinity_array_size >= 1, "affinity array size must be >= 1");

@@ -143,6 +143,28 @@ TEST(SimEngine, ProcessorAffinityModulo) {
   EXPECT_EQ(ran_on, 3u);
 }
 
+// Processors whose clocks are equal resume in id order. The root runs first
+// (proc 0) and pins one task to each other processor in descending id order;
+// those processors all still sit at clock 0, so their tasks must start in
+// ascending id order regardless of spawn order.
+TEST(SimEngine, EqualClocksResumeInIdOrder) {
+  Runtime rt(sim_cfg(8));
+  std::vector<topo::ProcId> order;
+  rt.run([](std::vector<topo::ProcId>* out) -> TaskFn {
+    auto& c = co_await self();
+    TaskGroup waitfor;
+    for (std::int64_t p = 7; p >= 1; --p) {
+      c.spawn(Affinity::processor(p), waitfor,
+              [](std::vector<topo::ProcId>* o) -> TaskFn {
+                auto& cc = co_await self();
+                o->push_back(cc.proc());
+              }(out));
+    }
+    co_await c.wait(waitfor);
+  }(&order));
+  EXPECT_EQ(order, (std::vector<topo::ProcId>{1, 2, 3, 4, 5, 6, 7}));
+}
+
 TEST(SimEngine, NestedSpawnsComplete) {
   Runtime rt(sim_cfg(4));
   std::vector<int> hits(64, 0);

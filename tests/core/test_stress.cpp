@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <type_traits>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -99,12 +100,18 @@ TaskFn root(Shared* s) {
   co_await c.wait(s->group);
 }
 
+// gtest names each instantiation after the raw bytes of its Params, so the
+// struct must hold no indeterminate padding: `reserved` fills the hole
+// after `nodes` and stays zero, keeping the test names stable across runs.
 struct Params {
   int nodes;
+  std::uint32_t reserved = 0;
   std::uint64_t seed;
   std::uint32_t procs;
   SystemConfig::Mode mode;
 };
+static_assert(std::has_unique_object_representations_v<Params>,
+              "Params must have no padding bytes");
 
 class DagStress : public ::testing::TestWithParam<Params> {};
 
@@ -133,13 +140,20 @@ TEST_P(DagStress, EveryNodeRunsExactlyOnce) {
 
 INSTANTIATE_TEST_SUITE_P(
     Sweep, DagStress,
-    ::testing::Values(Params{50, 1, 4, SystemConfig::Mode::kSim},
-                      Params{200, 2, 8, SystemConfig::Mode::kSim},
-                      Params{500, 3, 32, SystemConfig::Mode::kSim},
-                      Params{1000, 4, 16, SystemConfig::Mode::kSim},
-                      Params{50, 5, 4, SystemConfig::Mode::kThreads},
-                      Params{200, 6, 8, SystemConfig::Mode::kThreads},
-                      Params{500, 7, 16, SystemConfig::Mode::kThreads}));
+    ::testing::Values(Params{.nodes = 50, .seed = 1, .procs = 4,
+                             .mode = SystemConfig::Mode::kSim},
+                      Params{.nodes = 200, .seed = 2, .procs = 8,
+                             .mode = SystemConfig::Mode::kSim},
+                      Params{.nodes = 500, .seed = 3, .procs = 32,
+                             .mode = SystemConfig::Mode::kSim},
+                      Params{.nodes = 1000, .seed = 4, .procs = 16,
+                             .mode = SystemConfig::Mode::kSim},
+                      Params{.nodes = 50, .seed = 5, .procs = 4,
+                             .mode = SystemConfig::Mode::kThreads},
+                      Params{.nodes = 200, .seed = 6, .procs = 8,
+                             .mode = SystemConfig::Mode::kThreads},
+                      Params{.nodes = 500, .seed = 7, .procs = 16,
+                             .mode = SystemConfig::Mode::kThreads}));
 
 // Failure injection: one node throws; the error must surface, and the engine
 // must stay reusable afterwards (no leaked state corrupting the next run).

@@ -46,6 +46,27 @@ TEST(Cache, LruVictimSelection) {
   EXPECT_TRUE(c.contains(4));
 }
 
+TEST(Cache, DirectMappedOccupancyTracksValidSets) {
+  Cache c(64, 1, 16);  // 4 sets, direct mapped
+  for (LineAddr l = 0; l < 4; ++l) EXPECT_EQ(c.insert(l), std::nullopt);
+  EXPECT_EQ(c.occupancy(), 4u);
+  // Conflict evictions replace a line: occupancy stays at capacity.
+  for (LineAddr l = 4; l < 12; ++l) EXPECT_EQ(c.insert(l), l - 4);
+  EXPECT_EQ(c.occupancy(), 4u);
+  EXPECT_TRUE(c.access(9));
+  EXPECT_FALSE(c.access(5));
+  EXPECT_TRUE(c.invalidate(9));
+  EXPECT_FALSE(c.invalidate(5));  // evicted earlier: not present
+  EXPECT_EQ(c.occupancy(), 3u);
+  EXPECT_EQ(c.insert(13), std::nullopt);  // refills the invalidated set
+  EXPECT_EQ(c.occupancy(), 4u);
+  c.clear();
+  EXPECT_EQ(c.occupancy(), 0u);
+  for (LineAddr l = 8; l < 14; ++l) EXPECT_FALSE(c.contains(l)) << l;
+  EXPECT_EQ(c.insert(8), std::nullopt);
+  EXPECT_EQ(c.occupancy(), 1u);
+}
+
 TEST(Cache, InvalidateFreesWay) {
   Cache c(64, 1, 16);
   c.insert(3);

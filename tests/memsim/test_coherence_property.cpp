@@ -3,11 +3,67 @@
 // operation, independent of the workload.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+
 #include "common/rng.hpp"
 #include "memsim/memsystem.hpp"
 
 namespace cool::mem {
 namespace {
+
+/// Checks the per-line coherence invariants for every processor: the sharer
+/// bit is set exactly when the line is in that processor's L2, L1 ⊆ L2, and a
+/// dirty line's owner is its only sharer. Returns "" or the first violation.
+std::string line_violation(const MemorySystem& ms, LineAddr line) {
+  const LineState st = ms.directory().peek(line);
+  const auto where = [line](topo::ProcId q) {
+    return "line " + std::to_string(line) + ", proc " + std::to_string(q);
+  };
+  for (topo::ProcId q = 0; q < ms.machine().n_procs; ++q) {
+    const bool in_l2 = ms.l2(q).contains(line);
+    if (st.has_sharer(q) != in_l2) {
+      return where(q) + (in_l2 ? ": in L2 without a sharer bit"
+                               : ": sharer bit without an L2 copy");
+    }
+    if (ms.l1(q).contains(line) && !in_l2) return where(q) + ": in L1, not L2";
+  }
+  if (st.is_dirty() &&
+      (!st.has_sharer(st.dirty_owner) || st.sharer_count() != 1)) {
+    return where(st.dirty_owner) + ": dirty owner is not the only sharer";
+  }
+  return {};
+}
+
+/// The lines an operation on [addr, addr+bytes) can change inside the test's
+/// window [lo, hi): for an access or prefetch, every line sharing a cache set
+/// with a referenced line (a fill's victim lives there); for a migration, all
+/// lines of the pages it flushes.
+std::string op_violation(const MemorySystem& ms, std::uint64_t addr,
+                         std::uint64_t bytes, bool migrated, LineAddr lo,
+                         LineAddr hi) {
+  const topo::MachineConfig& m = ms.machine();
+  if (migrated) {
+    const std::uint64_t lines_per_page = m.page_bytes / m.line_bytes;
+    const LineAddr first = m.page_of(addr) * lines_per_page;
+    const LineAddr last = (m.page_of(addr + bytes - 1) + 1) * lines_per_page;
+    for (LineAddr l = first; l < last; ++l) {
+      std::string v = line_violation(ms, l);
+      if (!v.empty()) return v;
+    }
+    return {};
+  }
+  // L2 set bits include L1's (both powers of two, L2 the larger), so lines
+  // sharing the smaller set count's index cover both caches' victims.
+  const LineAddr sets = std::min(ms.l1(0).n_sets(), ms.l2(0).n_sets());
+  for (LineAddr t = m.line_of(addr); t <= m.line_of(addr + bytes - 1); ++t) {
+    for (LineAddr l = lo + ((t - lo) & (sets - 1)); l < hi; l += sets) {
+      std::string v = line_violation(ms, l);
+      if (!v.empty()) return v;
+    }
+  }
+  return {};
+}
 
 struct Params {
   std::uint32_t procs;
@@ -29,6 +85,11 @@ TEST_P(CoherenceProperty, InvariantsHoldUnderRandomTraffic) {
                   static_cast<topo::ProcId>(i % prm.procs));
   }
 
+  // Every address the test touches lies in this window of lines (the top
+  // access may spill 56 bytes, i.e. 4 lines, past 64 KiB).
+  const LineAddr lo = machine.line_of(0x100000);
+  const LineAddr hi = machine.line_of(0x100000 + 64 * 1024) + 4;
+
   util::Rng rng(prm.seed);
   std::uint64_t now = 0;
   for (int op = 0; op < prm.ops; ++op) {
@@ -37,26 +98,31 @@ TEST_P(CoherenceProperty, InvariantsHoldUnderRandomTraffic) {
         0x100000 + (rng.next_below(64 * 1024) & ~7ull);
     const bool write = rng.next_below(3) == 0;
     const std::uint64_t bytes = 8ull << rng.next_below(4);  // 8..64 bytes
+    bool migrated = false;
     if (rng.next_below(20) == 0) {
       ms.prefetch(p, addr, bytes, now);
     } else if (rng.next_below(50) == 0) {
       ms.migrate(p, addr, bytes,
                  static_cast<topo::ProcId>(rng.next_below(prm.procs)));
+      migrated = true;
     } else {
       ms.access(p, addr, bytes, write, now);
     }
     now += rng.next_below(40);
+    // Invariant 1, after every operation, on every line it could change.
+    ASSERT_EQ(op_violation(ms, addr, bytes, migrated, lo, hi), "")
+        << "after op " << op;
   }
 
-  // Invariant 1: every directory entry has at least one sharer, and a dirty
-  // entry's owner is one of its sharers (and the only one).
-  for (const auto& [line, st] : ms.directory().entries()) {
+  // Invariant 1 again over the whole directory: every entry has at least one
+  // sharer, and a dirty entry's owner is its only sharer.
+  std::size_t entries = 0;
+  ms.directory().for_each_entry([&](LineAddr line, const LineState& st) {
+    ++entries;
     EXPECT_TRUE(st.is_cached()) << line;
-    if (st.is_dirty()) {
-      EXPECT_TRUE(st.has_sharer(st.dirty_owner)) << line;
-      EXPECT_EQ(st.sharer_count(), 1) << line;
-    }
-  }
+    EXPECT_EQ(line_violation(ms, line), "");
+  });
+  EXPECT_EQ(entries, ms.directory().n_entries());
 
   // Invariant 2: the service classification is exhaustive.
   const ProcCounters t = ms.monitor().total();

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
+#include "common/error.hpp"
+
 namespace cool::mem {
 namespace {
 
@@ -84,6 +88,65 @@ TEST(Directory, ClearDropsEverything) {
   for (LineAddr l = 0; l < 100; ++l) d.add_sharer(l, static_cast<topo::ProcId>(l % 8));
   EXPECT_EQ(d.n_entries(), 100u);
   d.clear();
+  EXPECT_EQ(d.n_entries(), 0u);
+}
+
+// Lines 255/256 and 511/512 sit on either side of the table's chunk
+// boundaries; each must keep its own state, and the entry count must follow
+// every transition between cached and uncached.
+TEST(Directory, ChunkBoundaryLinesAreIndependent) {
+  Directory d;
+  const LineAddr lines[] = {255, 256, 511, 512};
+  for (const LineAddr l : lines) d.add_sharer(l, static_cast<topo::ProcId>(l % 7));
+  EXPECT_EQ(d.n_entries(), 4u);
+  d.add_sharer(256, 1);  // second sharer: same entry
+  EXPECT_EQ(d.n_entries(), 4u);
+  d.set_dirty(255, 4);
+  EXPECT_EQ(d.n_entries(), 4u);
+  EXPECT_TRUE(d.peek(255).is_dirty());
+  EXPECT_FALSE(d.peek(256).is_dirty());
+  EXPECT_EQ(d.peek(256).sharer_count(), 2);
+  d.remove_sharer(255, 4);
+  EXPECT_EQ(d.n_entries(), 3u);
+  EXPECT_FALSE(d.peek(255).is_cached());
+  EXPECT_FALSE(d.peek(255).is_dirty());
+  d.set_dirty(254, 0);  // new entry in an existing chunk
+  EXPECT_EQ(d.n_entries(), 4u);
+  d.remove_sharer(256, 1);
+  EXPECT_EQ(d.n_entries(), 4u);
+  d.remove_sharer(256, 256 % 7);
+  EXPECT_EQ(d.n_entries(), 3u);
+  d.remove_sharer(256, 3);  // absent sharer of an uncached line: no-op
+  EXPECT_EQ(d.n_entries(), 3u);
+  d.clear();
+  EXPECT_EQ(d.n_entries(), 0u);
+  for (const LineAddr l : lines) EXPECT_FALSE(d.peek(l).is_cached()) << l;
+}
+
+TEST(Directory, ForEachEntryVisitsCachedLinesInOrder) {
+  Directory d;
+  d.add_sharer(70000, 1);
+  d.add_sharer(3, 2);
+  d.add_sharer(256, 3);
+  d.add_sharer(9, 4);
+  d.remove_sharer(9, 4);
+  std::vector<LineAddr> seen;
+  d.for_each_entry([&](LineAddr l, const LineState& st) {
+    EXPECT_TRUE(st.is_cached());
+    seen.push_back(l);
+  });
+  EXPECT_EQ(seen, (std::vector<LineAddr>{3, 256, 70000}));
+}
+
+TEST(Directory, LinePastTheCapThrows) {
+  Directory d;
+  EXPECT_THROW(d.add_sharer(Directory::kMaxLines, 0), util::Error);
+  EXPECT_THROW(d.set_dirty(~LineAddr{0} >> 1, 0), util::Error);
+  EXPECT_EQ(d.n_entries(), 0u);
+  // Reads and removals of such lines touch nothing.
+  EXPECT_FALSE(d.peek(Directory::kMaxLines).is_cached());
+  d.remove_sharer(Directory::kMaxLines, 0);
+  d.clear_dirty(Directory::kMaxLines);
   EXPECT_EQ(d.n_entries(), 0u);
 }
 

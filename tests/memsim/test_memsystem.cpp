@@ -173,6 +173,17 @@ TEST_F(MemSystemTest, BadArgsThrow) {
   EXPECT_THROW(ms_.migrate(99, kLocalAddr, 4096, 0), util::Error);
 }
 
+// Simulated addresses are arena offsets, so an address past the tables' cap
+// is a stray pointer: it must fail cleanly, not grow a table to gigabytes.
+TEST_F(MemSystemTest, AccessPastTheAddressCapThrows) {
+  const std::uint64_t stray = std::uint64_t{1} << 47;
+  EXPECT_THROW(ms_.access(0, stray, 8, false, 0), util::Error);
+  EXPECT_THROW(ms_.prefetch(0, stray, 8, 0), util::Error);
+  EXPECT_THROW(ms_.migrate(0, stray, 8, 1), util::Error);
+  EXPECT_EQ(ms_.directory().n_entries(), 0u);
+  EXPECT_EQ(ms_.pages().n_bound_pages(), 3u);
+}
+
 TEST_F(MemSystemTest, FlushAllCachesForcesMisses) {
   ms_.access(0, kLocalAddr, 8, false, 0);
   ms_.flush_all_caches();

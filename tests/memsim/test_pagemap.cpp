@@ -90,5 +90,32 @@ TEST_F(PageMapTest, RoundRobinEvenSpread) {
   for (std::uint32_t p = 0; p < machine_.n_procs; ++p) EXPECT_EQ(counts[p], per);
 }
 
+// Pages far apart: the table spans the gap, but only bound pages count.
+TEST_F(PageMapTest, FarApartPagesCountOnlyBoundOnes) {
+  const std::uint64_t far = (std::uint64_t{1} << 20) * 4096;
+  pm_.bind_range(0, 4096, 3);
+  EXPECT_EQ(pm_.home_of(far, 7), 7u);  // first touch
+  EXPECT_EQ(pm_.n_bound_pages(), 2u);
+  EXPECT_EQ(pm_.first_touch_count(), 1u);
+  EXPECT_FALSE(pm_.is_bound(far / 2));
+  const auto counts = pm_.pages_per_proc();
+  for (std::uint32_t p = 0; p < machine_.n_procs; ++p) {
+    EXPECT_EQ(counts[p], p == 3 || p == 7 ? 1u : 0u) << p;
+  }
+  pm_.bind_range(far, 4096, 3);  // rebinding does not add a page
+  EXPECT_EQ(pm_.n_bound_pages(), 2u);
+  EXPECT_EQ(pm_.pages_per_proc()[3], 2u);
+}
+
+TEST_F(PageMapTest, AddressPastTheCapThrows) {
+  const std::uint64_t cap = PageMap::kMaxPages * 4096;
+  EXPECT_THROW(pm_.home_of(cap, 0), util::Error);
+  EXPECT_THROW(pm_.bind_range(cap - 4096, 2 * 4096, 0), util::Error);
+  EXPECT_EQ(pm_.n_bound_pages(), 0u);
+  EXPECT_EQ(pm_.first_touch_count(), 0u);
+  EXPECT_FALSE(pm_.is_bound(cap));
+  EXPECT_THROW((void)pm_.home_of_bound(cap), util::Error);
+}
+
 }  // namespace
 }  // namespace cool::mem
