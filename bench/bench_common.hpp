@@ -12,6 +12,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -63,25 +64,27 @@ inline mem::ChannelConfig parse_mem_backend(const std::string& spec) {
              "--mem-backend: " + path + ": " + err);
   COOL_CHECK(v.is_object(), "--mem-backend: " + path + ": not a JSON object");
   for (const auto& [k, val] : v.obj) {
-    COOL_CHECK(val.is_number(),
-               "--mem-backend: " + path + ": '" + k + "' must be a number");
-    const auto u32 = static_cast<std::uint32_t>(val.num);
+    const auto u32 = [&] {
+      return static_cast<std::uint32_t>(obs::json::as_uint(
+          val, k, std::numeric_limits<std::uint32_t>::max()));
+    };
     if (k == "channels_per_cluster") {
-      cfg.channels_per_cluster = u32;
+      cfg.channels_per_cluster = u32();
     } else if (k == "banks_per_channel") {
-      cfg.banks_per_channel = u32;
+      cfg.banks_per_channel = u32();
     } else if (k == "queue_depth") {
-      cfg.queue_depth = u32;
+      cfg.queue_depth = u32();
     } else if (k == "row_bytes") {
-      cfg.row_bytes = static_cast<std::uint64_t>(val.num);
+      cfg.row_bytes = obs::json::as_uint(
+          val, k, std::numeric_limits<std::uint64_t>::max());
     } else if (k == "t_rcd") {
-      cfg.timing.t_rcd = u32;
+      cfg.timing.t_rcd = u32();
     } else if (k == "t_cas") {
-      cfg.timing.t_cas = u32;
+      cfg.timing.t_cas = u32();
     } else if (k == "t_rp") {
-      cfg.timing.t_rp = u32;
+      cfg.timing.t_rp = u32();
     } else if (k == "t_burst") {
-      cfg.timing.t_burst = u32;
+      cfg.timing.t_burst = u32();
     } else {
       COOL_CHECK(false, "--mem-backend: " + path + ": unknown key '" + k + "'");
     }

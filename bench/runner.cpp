@@ -1,12 +1,14 @@
 // bench/runner — drive the benchmark fleet and manage its JSON records.
 //
 // Three modes:
-//   runner [--quick] [--out=DIR] [--only=SUBSTR]
+//   runner [--quick] [--out=DIR]
 //       Execute every bench binary with --json (quick mode shrinks the
 //       problem sizes so the whole fleet finishes in seconds), validate each
 //       record against the cool-bench/1 schema, and write BENCH_<name>.json
-//       files into DIR. Exits non-zero if any bench fails or emits an
-//       invalid record.
+//       files into DIR. Quick mode then gates the records: each simulated
+//       bench is re-run with kPassiveFlags added and must reproduce its
+//       series, shape, adaptation log and obs counters, and every row of
+//       kClaims must hold. Exits non-zero if any bench or check fails.
 //   runner --list
 //       Print the fleet with the args each mode would use.
 //   runner --compare OLD NEW [--threshold=PCT]
@@ -25,13 +27,18 @@
 //
 // The bench binaries are expected next to the runner (the build drops
 // everything into build/bench/), overridable with --bin-dir.
+#include <sys/wait.h>
+
 #include <algorithm>
 #include <array>
+#include <cerrno>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
+#include <map>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -76,77 +83,104 @@ constexpr std::array<Bench, 21> kFleet{{
     {"micro_sched_throughput", "--max-threads=4 --tasks=20000 --warmup=0", ""},
 }};
 
-/// Run `cmd`, capturing stdout. Returns the child's exit status (-1 on popen
-/// failure).
-int capture(const std::string& cmd, std::string& out) {
+/// Observers that must not move a simulated number. The passive re-run adds
+/// each one whose option the bench's args do not already set. micro_*
+/// benches time real threads, so they are not re-run.
+constexpr const char* kPassiveFlags[] = {"--req-trace", "--mem-backend=flat",
+                                         "--profile"};
+
+/// A claim operand: a constant, a number in the record's `shape` or
+/// `obs.values`, or a count of the entries of its `adaptation` log or
+/// `series` rows whose `key` field starts with `match` (and, if `nonzero`
+/// is set, whose `nonzero` field is not 0).
+struct Ref {
+  enum Kind : std::uint8_t { kConst, kValue, kCount } kind;
+  const char* in = "";  ///< "shape" or "obs"; "adaptation" or "series"
+  const char* key = "";
+  const char* match = "";
+  const char* nonzero = "";
+  double num = 0.0;
+};
+constexpr Ref num(double v) { return {Ref::kConst, "", "", "", "", v}; }
+constexpr Ref shape(const char* key) { return {Ref::kValue, "shape", key}; }
+constexpr Ref obs(const char* key) { return {Ref::kValue, "obs", key}; }
+constexpr Ref count(const char* in, const char* key, const char* match,
+                    const char* nonzero = "") {
+  return {Ref::kCount, in, key, match, nonzero};
+}
+
+struct Claim {
+  const char* bench;
+  Ref value;
+  const char* op;  ///< ">", ">=", "<", "<=" or "=="
+  Ref bound;
+};
+
+// The reproduction's headline results, checked on every --quick run. Bounds
+// are the ones each result was accepted with. To add a claim, add a row.
+constexpr Claim kClaims[] = {
+    // Adaptation closes the loop and beats the unhinted run on both apps.
+    {"abl_adaptive", count("adaptation", "rule", ""), ">", num(0)},
+    {"abl_adaptive", shape("gauss_decisions"), ">", num(0)},
+    {"abl_adaptive", shape("ocean_decisions"), ">", num(0)},
+    {"abl_adaptive", shape("gauss_recovered_frac"), ">=", num(0.25)},
+    {"abl_adaptive", shape("ocean_recovered_frac"), ">", num(0)},
+    // Reserve reserves on ocean (the profiler feed is live) and wins locality.
+    {"abl_balancer", shape("ocean_reserve_decisions"), ">=", num(1)},
+    {"abl_balancer", shape("ocean_reserve_local_frac"), ">",
+     shape("ocean_stealing_local_frac")},
+    {"abl_balancer", obs("sched.balance.commands"), ">", num(0)},
+    {"abl_balancer", obs("sched.balance.reserve_hits"), ">=", num(1)},
+    // The open-loop hockey stick: past saturation p99 blows up, service lags.
+    {"srv_txn_latency", shape("p99_frac85"), ">", num(0)},
+    {"srv_txn_latency", shape("p99_blowup_ratio"), ">", num(2)},
+    {"srv_txn_latency", shape("served_ratio_past_sat"), "<", num(0.9)},
+    // The latency objective recovers the skew tail; the memory-stall-bound
+    // blind case routes to migration first.
+    {"abl_srv_skew", count("adaptation", "rule", ""), ">", num(0)},
+    {"abl_srv_skew", count("adaptation", "rule", "latency-target"), ">",
+     num(0)},
+    {"abl_srv_skew", shape("p99_hot_stealing"), ">", shape("p99_uniform")},
+    {"abl_srv_skew", shape("adapt_recovered_frac"), ">=", num(0.5)},
+    {"abl_srv_skew", shape("p99_hot_adapt"), "<", shape("p99_hot_stealing")},
+    {"abl_srv_skew", shape("blind_first_decision_migration"), "==", num(1)},
+    {"abl_srv_skew", shape("blind_rehomes"), ">=", num(1)},
+    {"abl_srv_skew", shape("p99_blind_adapt"), "<=", shape("p99_blind")},
+    // The ddr model contends, flat exports no channel gauges, and the
+    // bandwidth-bound blind case escalates to distribute.
+    {"abl_mem_channel", shape("ddr_peak_saturation_knee"), ">", num(0)},
+    {"abl_mem_channel", shape("tail_divergence_knee"), ">=", num(2)},
+    {"abl_mem_channel", count("series", "mem", "flat"), ">", num(0)},
+    {"abl_mem_channel", count("series", "mem", "flat", "peak-chan%"), "==",
+     num(0)},
+    {"abl_mem_channel", count("series", "mem", "ddr", "qfull"), ">", num(0)},
+    {"abl_mem_channel", shape("bandwidth_decisions"), ">=", num(1)},
+    {"abl_mem_channel", shape("first_decision_bandwidth"), "==", num(1)},
+    {"abl_mem_channel", count("adaptation", "action", "escalate=distribute"),
+     ">", num(0)},
+};
+
+/// Run `cmd`, capturing stdout. Returns "" when it exits 0, else how it
+/// ended ("exit status 1", "killed by signal 11 (Segmentation fault)").
+std::string capture(const std::string& cmd, std::string& out) {
   out.clear();
-  std::FILE* p = ::popen(cmd.c_str(), "r");
-  if (p == nullptr) return -1;
+  // exec: the shell must not outlive the child and report a fatal signal
+  // as its own exit status 128+N.
+  std::FILE* p = ::popen(("exec " + cmd).c_str(), "r");
+  if (p == nullptr) return std::string("popen: ") + std::strerror(errno);
   char buf[4096];
   std::size_t n = 0;
   while ((n = std::fread(buf, 1, sizeof buf, p)) > 0) out.append(buf, n);
-  return ::pclose(p);
-}
-
-int run_fleet(const std::string& bin_dir, const std::string& out_dir,
-              bool quick, const std::string& only) {
-  std::error_code ec;
-  fs::create_directories(out_dir, ec);
-  if (ec) {
-    std::fprintf(stderr, "runner: cannot create %s: %s\n", out_dir.c_str(),
-                 ec.message().c_str());
-    return 2;
+  const int status = ::pclose(p);
+  if (status == -1) return std::string("pclose: ") + std::strerror(errno);
+  if (WIFSIGNALED(status)) {
+    return "killed by signal " + std::to_string(WTERMSIG(status)) + " (" +
+           ::strsignal(WTERMSIG(status)) + ")";
   }
-  int failures = 0;
-  int ran = 0;
-  for (const Bench& b : kFleet) {
-    if (!only.empty() && std::string(b.name).find(only) == std::string::npos) {
-      continue;
-    }
-    const std::string exe = bin_dir + "/" + b.name;
-    if (!fs::exists(exe)) {
-      std::fprintf(stderr, "runner: SKIP %s (binary not found at %s)\n",
-                   b.name, exe.c_str());
-      ++failures;
-      continue;
-    }
-    const char* args = quick ? b.quick_args : b.full_args;
-    std::string cmd = exe + " --json";
-    if (args[0] != '\0') cmd += std::string(" ") + args;
-    std::printf("runner: %s\n", cmd.c_str());
-    std::fflush(stdout);
-    std::string text;
-    const int status = capture(cmd, text);
-    if (status != 0) {
-      std::fprintf(stderr, "runner: FAIL %s (exit status %d)\n", b.name,
-                   status);
-      ++failures;
-      continue;
-    }
-    const std::string err = cool::obs::validate_bench_json(text);
-    if (!err.empty()) {
-      std::fprintf(stderr, "runner: FAIL %s (invalid record: %s)\n", b.name,
-                   err.c_str());
-      ++failures;
-      continue;
-    }
-    const std::string path =
-        out_dir + "/BENCH_" + std::string(b.name) + ".json";
-    std::FILE* f = std::fopen(path.c_str(), "w");
-    if (f == nullptr ||
-        std::fwrite(text.data(), 1, text.size(), f) != text.size()) {
-      std::fprintf(stderr, "runner: FAIL %s (cannot write %s)\n", b.name,
-                   path.c_str());
-      if (f != nullptr) std::fclose(f);
-      ++failures;
-      continue;
-    }
-    std::fclose(f);
-    ++ran;
+  if (WEXITSTATUS(status) != 0) {
+    return "exit status " + std::to_string(WEXITSTATUS(status));
   }
-  std::printf("runner: %d record(s) written to %s, %d failure(s)\n", ran,
-              out_dir.c_str(), failures);
-  return failures == 0 && ran > 0 ? 0 : 1;
+  return "";
 }
 
 bool load_record(const fs::path& path, Value& v) {
@@ -258,6 +292,198 @@ bool obs_metrics(const Value& rec,
   return true;
 }
 
+/// Deep equality of two parsed JSON values.
+bool same(const Value& a, const Value& b) {
+  return a.kind == b.kind && a.boolean == b.boolean && a.num == b.num &&
+         a.str == b.str &&
+         std::equal(a.arr.begin(), a.arr.end(), b.arr.begin(), b.arr.end(),
+                    same) &&
+         std::equal(a.obj.begin(), a.obj.end(), b.obj.begin(), b.obj.end(),
+                    [](const auto& x, const auto& y) {
+                      return x.first == y.first && same(x.second, y.second);
+                    });
+}
+
+/// The number `r` names in `rec`; NaN (which fails every claim) when the
+/// record lacks it.
+double eval(const Ref& r, const Value& rec) {
+  if (r.kind == Ref::kConst) return r.num;
+  const double missing = std::nan("");
+  const Value* in = rec.find(r.in);
+  if (in != nullptr && r.in == std::string_view("obs")) in = in->find("values");
+  if (in == nullptr) return missing;
+  if (r.kind == Ref::kValue) {
+    const Value* v = in->find(r.key);
+    return v != nullptr && v->is_number() ? v->num : missing;
+  }
+  double n = 0.0;
+  for (const Value& e : in->arr) {
+    const Value* f = e.find(r.key);
+    if (f == nullptr || !f->is_string() || !f->str.starts_with(r.match)) {
+      continue;
+    }
+    if (*r.nonzero != '\0') {
+      const Value* z = e.find(r.nonzero);
+      if (z == nullptr || !z->is_number()) return missing;
+      if (z->num == 0.0) continue;
+    }
+    n += 1.0;
+  }
+  return n;
+}
+
+bool holds(double a, std::string_view op, double b) {
+  return op == ">"    ? a > b
+         : op == ">=" ? a >= b
+         : op == "<"  ? a < b
+         : op == "<=" ? a <= b
+                      : op == "==" && a == b;
+}
+
+/// An operand as a failing claim prints it, e.g. "0.25",
+/// "shape.gauss_recovered_frac = 0.5884" or
+/// "count(series.mem=flat*, peak-chan% != 0) = 2".
+std::string describe(const Ref& r, double v) {
+  char buf[32];
+  std::snprintf(buf, sizeof buf, "%.4g", v);
+  if (r.kind == Ref::kConst) return buf;
+  std::string s = std::string(r.in) + "." + r.key;
+  if (r.kind == Ref::kCount) {
+    s = "count(" + s + "=" + r.match + "*" +
+        (*r.nonzero != '\0' ? std::string(", ") + r.nonzero + " != 0" : "") +
+        ")";
+  }
+  return s + " = " + (std::isnan(v) ? "missing" : buf);
+}
+
+/// Check every claim against its bench's record, printing each one that
+/// fails (all of a bench's claims fail when it left no record). Returns the
+/// number that failed.
+int check_claims(const std::map<std::string, Value, std::less<>>& records) {
+  static const Value kNone;
+  int failed = 0;
+  for (const Claim& c : kClaims) {
+    const auto it = records.find(c.bench);
+    const Value& rec = it != records.end() ? it->second : kNone;
+    const double a = eval(c.value, rec);
+    const double b = eval(c.bound, rec);
+    if (holds(a, c.op, b)) continue;
+    ++failed;
+    std::fprintf(stderr, "runner: FAIL %s claim: %s, want %s %s\n", c.bench,
+                 describe(c.value, a).c_str(), c.op,
+                 describe(c.bound, b).c_str());
+  }
+  return failed;
+}
+
+/// The part of a record its passive re-run changed, or nullptr.
+const char* rerun_diff(const Value& a, const Value& b) {
+  for (const char* key : {"series", "shape", "adaptation"}) {
+    const Value* va = a.find(key);
+    const Value* vb = b.find(key);
+    if (va != vb && (va == nullptr || vb == nullptr || !same(*va, *vb))) {
+      return key;
+    }
+  }
+  std::vector<std::pair<std::string, double>> ma;
+  std::vector<std::pair<std::string, double>> mb;
+  obs_metrics(a, ma);
+  obs_metrics(b, mb);
+  return ma == mb ? nullptr : "obs counters";
+}
+
+/// Run one bench with --json and `args` into `text` and `rec`. Returns why
+/// it failed, or "".
+std::string run_bench(const std::string& exe, const std::string& args,
+                      std::string& text, Value& rec) {
+  std::string cmd = exe + " --json";
+  if (!args.empty()) cmd += " " + args;
+  std::printf("runner: %s\n", cmd.c_str());
+  std::fflush(stdout);
+  const std::string why = capture(cmd, text);
+  if (!why.empty()) return why;
+  const std::string err = cool::obs::validate_bench_json(text);
+  if (!err.empty()) return "invalid record: " + err;
+  cool::obs::json::parse(text, rec);
+  return "";
+}
+
+int run_fleet(const std::string& bin_dir, const std::string& out_dir,
+              bool quick) {
+  std::error_code ec;
+  fs::create_directories(out_dir, ec);
+  if (ec) {
+    std::fprintf(stderr, "runner: cannot create %s: %s\n", out_dir.c_str(),
+                 ec.message().c_str());
+    return 2;
+  }
+  int failures = 0;
+  int ran = 0;
+  int reruns = 0;
+  std::map<std::string, Value, std::less<>> records;
+  for (const Bench& b : kFleet) {
+    const std::string exe = bin_dir + "/" + b.name;
+    if (!fs::exists(exe)) {
+      std::fprintf(stderr, "runner: SKIP %s (binary not found at %s)\n",
+                   b.name, exe.c_str());
+      ++failures;
+      continue;
+    }
+    std::string args = quick ? b.quick_args : b.full_args;
+    std::string text;
+    Value rec;
+    std::string why = run_bench(exe, args, text, rec);
+    if (!why.empty()) {
+      std::fprintf(stderr, "runner: FAIL %s (%s)\n", b.name, why.c_str());
+      ++failures;
+      continue;
+    }
+    const std::string path =
+        out_dir + "/BENCH_" + std::string(b.name) + ".json";
+    std::FILE* f = std::fopen(path.c_str(), "w");
+    if (f == nullptr ||
+        std::fwrite(text.data(), 1, text.size(), f) != text.size()) {
+      std::fprintf(stderr, "runner: FAIL %s (cannot write %s)\n", b.name,
+                   path.c_str());
+      if (f != nullptr) std::fclose(f);
+      ++failures;
+      continue;
+    }
+    std::fclose(f);
+    ++ran;
+    if (!quick) continue;
+    if (!std::string_view(b.name).starts_with("micro_")) {
+      for (const char* flag : kPassiveFlags) {
+        const std::string option(flag, std::strcspn(flag, "="));
+        if (args.find(option) == std::string::npos) {
+          args += std::string(" ") + flag;
+        }
+      }
+      Value again;
+      why = run_bench(exe, args, text, again);
+      const char* part = why.empty() ? rerun_diff(rec, again) : nullptr;
+      if (part != nullptr) why = std::string(part) + " changed";
+      if (why.empty()) {
+        ++reruns;
+      } else {
+        std::fprintf(stderr, "runner: FAIL %s re-run with %s (%s)\n", b.name,
+                     args.c_str(), why.c_str());
+        ++failures;
+      }
+    }
+    records.emplace(b.name, std::move(rec));
+  }
+  const int broken = quick ? check_claims(records) : 0;
+  failures += broken;
+  std::printf("runner: %d record(s) written to %s", ran, out_dir.c_str());
+  if (quick) {
+    std::printf(", %d identical passive re-run(s), %d claim(s) hold", reruns,
+                static_cast<int>(std::size(kClaims)) - broken);
+  }
+  std::printf(", %d failure(s)\n", failures);
+  return failures == 0 && ran > 0 ? 0 : 1;
+}
+
 int compare_runs(const std::string& old_dir, const std::string& new_dir,
                  double threshold, double fail_pct) {
   int compared = 0;
@@ -314,10 +540,7 @@ int compare_runs(const std::string& old_dir, const std::string& new_dir,
     }
     for (const auto& [k, va] : ca->obj) {
       const Value* vb = cb->find(k);
-      const bool same =
-          vb != nullptr && va.kind == vb->kind && va.num == vb->num &&
-          va.str == vb->str && va.boolean == vb->boolean;
-      if (!same) {
+      if (vb == nullptr || !same(va, *vb)) {
         std::printf("%-28s config.%s differs between runs\n", bench.c_str(),
                     k.c_str());
       }
@@ -431,18 +654,17 @@ int compare_runs(const std::string& old_dir, const std::string& new_dir,
 int main(int argc, char** argv) {
   cool::util::Options opt(
       "runner", "execute the bench fleet, validate/collect/diff its records");
-  opt.add_flag("quick", "shrunk problem sizes (CI smoke: seconds, not hours)");
+  opt.add_flag("quick",
+               "shrunk problem sizes; then check the claims table and a "
+               "passive re-run of every simulated bench");
   opt.add_flag("list", "print the fleet and per-mode arguments");
   opt.add_flag("compare", "diff two record directories (args: OLD NEW)");
   opt.add_string("out", ".", "directory for the BENCH_*.json records");
-  opt.add_string("only", "", "run only benches whose name contains this");
   opt.add_string("bin-dir", "", "bench binary directory (default: argv[0]'s)");
   opt.add_double("threshold", 5.0, "compare: flag shape changes beyond this %");
   opt.add_double("fail-on-regression", -1.0,
                  "compare: exit non-zero only for direction-aware regressions "
                  "beyond this % (negative disables)");
-  opt.add_string("old", "", "compare: baseline record directory");
-  opt.add_string("new", "", "compare: candidate record directory");
 
   // Allow the two positional directories of --compare before parse() sees
   // them (Options rejects non-option arguments).
@@ -466,15 +688,12 @@ int main(int argc, char** argv) {
   }
 
   if (opt.flag("compare")) {
-    std::string old_dir = opt.get_string("old");
-    std::string new_dir = opt.get_string("new");
-    if (old_dir.empty() && positional.size() >= 1) old_dir = positional[0];
-    if (new_dir.empty() && positional.size() >= 2) new_dir = positional[1];
-    if (old_dir.empty() || new_dir.empty()) {
+    if (positional.size() != 2) {
       std::fprintf(stderr, "runner: --compare needs OLD and NEW directories\n");
       return 2;
     }
-    return compare_runs(old_dir, new_dir, opt.get_double("threshold"),
+    return compare_runs(positional[0], positional[1],
+                        opt.get_double("threshold"),
                         opt.get_double("fail-on-regression"));
   }
 
@@ -483,6 +702,5 @@ int main(int argc, char** argv) {
     bin_dir = fs::path(argv[0]).parent_path().string();
     if (bin_dir.empty()) bin_dir = ".";
   }
-  return run_fleet(bin_dir, opt.get_string("out"), opt.flag("quick"),
-                   opt.get_string("only"));
+  return run_fleet(bin_dir, opt.get_string("out"), opt.flag("quick"));
 }

@@ -1,6 +1,7 @@
 #include "adaptive/policy.hpp"
 
 #include <fstream>
+#include <limits>
 #include <sstream>
 
 #include "common/error.hpp"
@@ -43,11 +44,13 @@ std::string AdaptPolicy::to_json() const {
 
 namespace {
 
-std::uint64_t as_uint(const obs::json::Value& v, const std::string& key) {
-  if (!v.is_number() || v.num < 0) {
-    throw util::Error("adapt policy: '" + key + "' must be a non-negative number");
-  }
-  return static_cast<std::uint64_t>(v.num);
+std::uint32_t as_u32(const obs::json::Value& v, const std::string& key) {
+  return static_cast<std::uint32_t>(
+      obs::json::as_uint(v, key, std::numeric_limits<std::uint32_t>::max()));
+}
+
+std::uint64_t as_u64(const obs::json::Value& v, const std::string& key) {
+  return obs::json::as_uint(v, key, std::numeric_limits<std::uint64_t>::max());
 }
 
 double as_double(const obs::json::Value& v, const std::string& key) {
@@ -67,12 +70,12 @@ bool as_bool(const obs::json::Value& v, const std::string& key) {
 void apply_rules(const obs::json::Value& r, obs::AdvisorConfig& rules) {
   if (!r.is_object()) throw util::Error("adapt policy: 'rules' must be an object");
   for (const auto& [key, v] : r.obj) {
-    if (key == "min_misses") rules.min_misses = as_uint(v, key);
+    if (key == "min_misses") rules.min_misses = as_u64(v, key);
     else if (key == "dominant_frac") rules.dominant_frac = as_double(v, key);
     else if (key == "remote_frac") rules.remote_frac = as_double(v, key);
-    else if (key == "min_set_tasks") rules.min_set_tasks = as_uint(v, key);
+    else if (key == "min_set_tasks") rules.min_set_tasks = as_u64(v, key);
     else if (key == "steal_fail_ratio") rules.steal_fail_ratio = as_double(v, key);
-    else if (key == "min_failed_scans") rules.min_failed_scans = as_uint(v, key);
+    else if (key == "min_failed_scans") rules.min_failed_scans = as_u64(v, key);
     else if (key == "idle_frac") rules.idle_frac = as_double(v, key);
     else if (key == "bandwidth_sat_frac") rules.bandwidth_sat_frac = as_double(v, key);
     else throw util::Error("adapt policy: unknown rules key '" + key + "'");
@@ -92,31 +95,31 @@ AdaptPolicy parse_adapt_policy(const std::string& json_text) {
   }
   AdaptPolicy p;
   for (const auto& [key, v] : root.obj) {
-    if (key == "epoch_tasks") p.epoch_tasks = as_uint(v, key);
-    else if (key == "epoch_cycles") p.epoch_cycles = as_uint(v, key);
+    if (key == "epoch_tasks") p.epoch_tasks = as_u64(v, key);
+    else if (key == "epoch_cycles") p.epoch_cycles = as_u64(v, key);
     else if (key == "confirm_epochs") {
-      p.confirm_epochs = static_cast<std::uint32_t>(as_uint(v, key));
+      p.confirm_epochs = as_u32(v, key);
     } else if (key == "cooldown_epochs") {
-      p.cooldown_epochs = static_cast<std::uint32_t>(as_uint(v, key));
+      p.cooldown_epochs = as_u32(v, key);
     } else if (key == "max_actions_per_epoch") {
-      p.max_actions_per_epoch = static_cast<std::uint32_t>(as_uint(v, key));
+      p.max_actions_per_epoch = as_u32(v, key);
     } else if (key == "epoch_cost_cycles") {
-      p.epoch_cost_cycles = as_uint(v, key);
+      p.epoch_cost_cycles = as_u64(v, key);
     } else if (key == "enable_migrate") p.enable_migrate = as_bool(v, key);
     else if (key == "enable_distribute") p.enable_distribute = as_bool(v, key);
     else if (key == "enable_hints") p.enable_hints = as_bool(v, key);
     else if (key == "enable_steal_policy") p.enable_steal_policy = as_bool(v, key);
     else if (key == "enable_balancer") p.enable_balancer = as_bool(v, key);
     else if (key == "latency_target_cycles") {
-      p.latency_target_cycles = as_uint(v, key);
+      p.latency_target_cycles = as_u64(v, key);
     } else if (key == "latency_min_samples") {
-      p.latency_min_samples = as_uint(v, key);
+      p.latency_min_samples = as_u64(v, key);
     } else if (key == "bandwidth_saturation_frac") {
       p.bandwidth_saturation_frac = as_double(v, key);
     } else if (key == "balancer_dwell_epochs") {
-      p.balancer_dwell_epochs = static_cast<std::uint32_t>(as_uint(v, key));
+      p.balancer_dwell_epochs = as_u32(v, key);
     } else if (key == "balancer_max_switches") {
-      p.balancer_max_switches = static_cast<std::uint32_t>(as_uint(v, key));
+      p.balancer_max_switches = as_u32(v, key);
     } else if (key == "rules") apply_rules(v, p.rules);
     else throw util::Error("adapt policy: unknown key '" + key + "'");
   }

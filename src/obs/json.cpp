@@ -5,6 +5,8 @@
 #include <cstdio>
 #include <cstdlib>
 
+#include "common/error.hpp"
+
 namespace cool::obs::json {
 
 std::string escape(const std::string& s) {
@@ -333,6 +335,16 @@ bool parse(const std::string& text, Value& out, std::string* err) {
     return false;
   }
   return true;
+}
+
+std::uint64_t as_uint(const Value& v, const std::string& key,
+                      std::uint64_t max) {
+  if (!v.is_number() || !(v.num >= 0.0) || v.num != std::floor(v.num) ||
+      v.num >= 0x1p64 || static_cast<std::uint64_t>(v.num) > max) {
+    throw util::Error("'" + key + "' must be an integer in [0, " +
+                      std::to_string(max) + "]");
+  }
+  return static_cast<std::uint64_t>(v.num);
 }
 
 }  // namespace cool::obs::json

@@ -91,4 +91,11 @@ class Value {
 /// offset of the problem.
 bool parse(const std::string& text, Value& out, std::string* err = nullptr);
 
+/// `v` as an unsigned integer no larger than `max`, for config fields read
+/// from JSON. Throws util::Error naming `key` when `v` is not a number or is
+/// negative, fractional or above `max`, which a cast would silently wrap,
+/// truncate or (from 2^64 up) make undefined.
+std::uint64_t as_uint(const Value& v, const std::string& key,
+                      std::uint64_t max);
+
 }  // namespace cool::obs::json

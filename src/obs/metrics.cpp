@@ -1,6 +1,8 @@
 #include "obs/metrics.hpp"
 
+#include <algorithm>
 #include <bit>
+#include <cmath>
 
 #include "common/error.hpp"
 #include "obs/json.hpp"
@@ -77,14 +79,14 @@ void Histogram::observe(std::size_t shard, std::uint64_t v) const noexcept {
 
 std::uint64_t HistData::quantile(double q) const noexcept {
   if (count == 0) return 0;
-  if (q < 0.0) q = 0.0;
-  if (q > 1.0) q = 1.0;
-  const auto target = static_cast<std::uint64_t>(
-      q * static_cast<double>(count));
+  q = std::clamp(q, 0.0, 1.0);
+  // Nearest rank, as in LatencyHist::quantile: the ceil(q*n)-th sample.
+  const auto rank = std::max<std::uint64_t>(
+      1, static_cast<std::uint64_t>(std::ceil(q * static_cast<double>(count))));
   std::uint64_t seen = 0;
   for (std::size_t b = 0; b < kHistBuckets; ++b) {
     seen += buckets[b];
-    if (seen >= target && seen > 0) {
+    if (seen >= rank) {
       return b == 0 ? 0 : (1ull << (b < 64 ? b : 63));
     }
   }

@@ -89,7 +89,8 @@ struct HistData {
     return count == 0 ? 0.0
                       : static_cast<double>(sum) / static_cast<double>(count);
   }
-  /// Upper edge (2^b) of the bucket below which fraction `q` of samples fall.
+  /// Upper edge (2^b) of the bucket holding the ceil(q*count)-th smallest
+  /// sample (nearest rank).
   [[nodiscard]] std::uint64_t quantile(double q) const noexcept;
 
   HistData& operator-=(const HistData& o) noexcept;

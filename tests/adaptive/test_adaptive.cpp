@@ -288,6 +288,22 @@ TEST(AdaptPolicyJson, MalformedJsonThrows) {
   EXPECT_THROW(parse_adapt_policy("{\"epoch_tasks\": }"), util::Error);
 }
 
+TEST(AdaptPolicyJson, UnsignedFieldsRejectWhatTheyCannotHold) {
+  // A cast would wrap 2^32 + 1 to 1, truncate 2.9 to 2, and is undefined
+  // from 2^64 (1e30) up.
+  for (const std::string bad :
+       {"-3", "2.7", "2.9", "1e30", "4294967296", "4294967297"}) {
+    EXPECT_THROW(parse_adapt_policy(R"({"cooldown_epochs": )" + bad + "}"),
+                 util::Error)
+        << bad;
+  }
+  for (const std::string bad : {"-3", "2.7", "1e30", "18446744073709551616"}) {
+    EXPECT_THROW(parse_adapt_policy(R"({"epoch_tasks": )" + bad + "}"),
+                 util::Error)
+        << bad;
+  }
+}
+
 TEST(AdaptPolicyJson, MissingFileThrows) {
   EXPECT_THROW(load_adapt_policy("/nonexistent/adapt.json"), util::Error);
 }

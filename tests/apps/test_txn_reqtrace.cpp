@@ -5,8 +5,11 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <set>
+#include <string>
 
 #include "apps/txn/txn.hpp"
+#include "obs/json.hpp"
 #include "obs/request_trace.hpp"
 
 namespace cool::apps::txn {
@@ -81,6 +84,59 @@ TEST(TxnReqTrace, SkewedServingCapturesStealHops) {
   // The Chrome export parses as JSON elsewhere (obs tests); here just check
   // it is non-trivial for a real run.
   EXPECT_GT(rec->exemplar_chrome_json().size(), 2u * ex.size());
+}
+
+// The headline point (1.5x probed capacity) of `srv_txn_latency --procs=8
+// --quick --req-trace=<path> --latency-target=3000`: every exported
+// exemplar carries the exact decomposition, flows pair up, and one is a
+// steal hop.
+TEST(TxnReqTrace, LatencyTargetHeadlineExportsExactExemplars) {
+  Config cfg;
+  cfg.warehouses = 7;
+  cfg.arrivals.n_requests = 384;
+  Config probe = cfg;
+  probe.arrivals.rate_per_kcycle = 1e6;  // all at once: pure service rate
+  Runtime prt = make_rt(8, probe, false);
+  const double capacity = 1000.0 * static_cast<double>(cfg.arrivals.n_requests) /
+                          static_cast<double>(run(prt, probe).run.sim_cycles);
+  cfg.arrivals.rate_per_kcycle = 1.5 * capacity;
+  SystemConfig sc;
+  sc.machine = topo::MachineConfig::dash(8);
+  sc.policy = policy_for(cfg);
+  sc.req_trace = true;
+  sc.adapt = true;
+  sc.adapt_policy.latency_target_cycles = 3000;
+  Runtime rt(sc);
+  run(rt, cfg);
+  const obs::RequestTraceRecorder* rec = rt.request_trace();
+  ASSERT_NE(rec, nullptr);
+  EXPECT_GT(rec->summary().count, 0u);
+  EXPECT_EQ(rec->total_dropped(), 0u);
+
+  obs::json::Value v;
+  ASSERT_TRUE(obs::json::parse(rec->exemplar_chrome_json(), v));
+  int admits = 0;
+  std::set<double> starts;
+  std::set<double> finishes;
+  bool steal = false;
+  for (const obs::json::Value& e : v.find("traceEvents")->arr) {
+    const std::string& ph = e.find("ph")->str;
+    const std::string& name = e.find("name")->str;
+    if (ph == "s" || ph == "f") {
+      (ph == "s" ? starts : finishes).insert(e.find("id")->num);
+    }
+    steal = steal || (ph == "s" && name == "steal");
+    if (ph != "X" || !name.ends_with("wait-admit")) continue;
+    ++admits;
+    const auto at = [&](const char* k) { return e.find("args")->find(k)->num; };
+    EXPECT_EQ(at("queue_wait") + at("service") + at("steal_penalty"),
+              at("total"))
+        << name;
+    EXPECT_EQ(at("compute") + at("memory_stall"), at("service")) << name;
+  }
+  EXPECT_GT(admits, 0);
+  EXPECT_EQ(starts, finishes);
+  EXPECT_TRUE(steal);
 }
 
 TEST(TxnReqTrace, OffByDefaultAndAbsentFromResults) {

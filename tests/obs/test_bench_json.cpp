@@ -7,6 +7,8 @@
 #include <sstream>
 #include <string>
 
+#include "bench_common.hpp"
+#include "common/error.hpp"
 #include "common/table.hpp"
 #include "obs/json.hpp"
 #include "obs/metrics.hpp"
@@ -33,6 +35,21 @@ BenchRecord demo_record() {
   rec.add_series(t);
   rec.add_shape("best_speedup", 5.43);
   return rec;
+}
+
+TEST(Json, MemBackendRejectsNumbersAFieldCannotHold) {
+  const std::string path = ::testing::TempDir() + "mem_backend.json";
+  const auto rejects = [&](const std::string& json) {
+    std::ofstream(path) << json;
+    EXPECT_THROW(bench::parse_mem_backend("ddr:" + path), util::Error) << json;
+  };
+  for (const std::string bad :
+       {"-3", "2.7", "2.9", "1e30", "4294967296", "4294967297"}) {
+    rejects(R"({"channels_per_cluster": )" + bad + "}");
+  }
+  for (const std::string bad : {"-3", "2.7", "1e30", "18446744073709551616"}) {
+    rejects(R"({"row_bytes": )" + bad + "}");
+  }
 }
 
 TEST(Json, NumberFormatting) {

@@ -101,6 +101,19 @@ TEST(Histogram, QuantileReturnsBucketUpperEdge) {
   EXPECT_EQ(d.quantile(1.0), 128u);
 }
 
+TEST(Histogram, QuantileTakesNearestRank) {
+  // The ceil(q*n)-th sample, as LatencyHist does: p50 of {1, 100, 100} is a
+  // 100, and p95 of nine 3s and one 1000 is the 1000.
+  Registry reg(1);
+  Histogram h = reg.histogram("lat");
+  for (const std::uint64_t v : {1, 100, 100}) h.observe(0, v);
+  EXPECT_EQ(reg.snapshot().hists.at("lat").quantile(0.50), 128u);
+  Histogram g = reg.histogram("tail");
+  for (int i = 0; i < 9; ++i) g.observe(0, 3);
+  g.observe(0, 1000);
+  EXPECT_EQ(reg.snapshot().hists.at("tail").quantile(0.95), 1024u);
+}
+
 TEST(Snapshot, DiffSubtractsAndSaturates) {
   Snapshot before;
   before.values["a"] = 10;
