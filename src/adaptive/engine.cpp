@@ -4,7 +4,6 @@
 #include <cinttypes>
 #include <cstdarg>
 #include <cstdio>
-#include <unordered_map>
 #include <utility>
 
 #include "obs/json.hpp"
@@ -19,24 +18,6 @@ std::string fmt(const char* format, ...) {
   std::vsnprintf(buf, sizeof buf, format, ap);
   va_end(ap);
   return buf;
-}
-
-void sub_stats(obs::AccessStats& a, const obs::AccessStats& b) {
-  const auto sub = [](std::uint64_t& x, std::uint64_t y) {
-    x = x >= y ? x - y : 0;
-  };
-  sub(a.reads, b.reads);
-  sub(a.writes, b.writes);
-  for (int i = 0; i < mem::kNumServices; ++i) sub(a.serviced[i], b.serviced[i]);
-  sub(a.invals, b.invals);
-  sub(a.stall_cycles, b.stall_cycles);
-  sub(a.remote_stall_cycles, b.remote_stall_cycles);
-}
-
-void sub_vec(std::vector<std::uint64_t>& a,
-             const std::vector<std::uint64_t>& b) {
-  const std::size_t n = a.size() < b.size() ? a.size() : b.size();
-  for (std::size_t i = 0; i < n; ++i) a[i] = a[i] >= b[i] ? a[i] - b[i] : 0;
 }
 
 }  // namespace
@@ -67,59 +48,23 @@ std::uint64_t AdaptiveEngine::on_task_dispatch(topo::ProcId proc,
 
 std::uint64_t AdaptiveEngine::run_epoch(topo::ProcId proc, std::uint64_t now) {
   ++epoch_;
-  obs::ProfileSnapshot cur = hooks_.profile ? hooks_.profile()
-                                            : obs::ProfileSnapshot{};
-  obs::Snapshot met = hooks_.metrics ? hooks_.metrics() : obs::Snapshot{};
-
-  // Per-epoch deltas: subtract the previous cumulative snapshots so the
-  // rules judge this epoch's behaviour, not the run's whole history. The
-  // set `procs` lists stay cumulative (a set that ever spread has lost its
-  // reuse; there is no meaningful per-epoch subtraction of a set of ids).
-  obs::ProfileSnapshot delta = cur;
-  {
-    std::unordered_map<std::uint64_t, const obs::ProfileSnapshot::ObjectRow*>
-        prev_obj;
-    for (const auto& o : prev_profile_.objects) prev_obj[o.addr] = &o;
-    for (auto& o : delta.objects) {
-      auto it = prev_obj.find(o.addr);
-      if (it == prev_obj.end()) continue;
-      sub_stats(o.s, it->second->s);
-      sub_vec(o.miss_from_cluster, it->second->miss_from_cluster);
-      sub_vec(o.miss_home_cluster, it->second->miss_home_cluster);
-    }
-    std::unordered_map<std::uint64_t, const obs::ProfileSnapshot::SetRow*>
-        prev_set;
-    for (const auto& s : prev_profile_.sets) prev_set[s.key] = &s;
-    for (auto& s : delta.sets) {
-      auto it = prev_set.find(s.key);
-      if (it == prev_set.end()) continue;
-      sub_stats(s.s, it->second->s);
-      s.tasks = s.tasks >= it->second->tasks ? s.tasks - it->second->tasks : 0;
-      s.stolen =
-          s.stolen >= it->second->stolen ? s.stolen - it->second->stolen : 0;
-    }
-    sub_stats(delta.total, prev_profile_.total);
-  }
-  obs::Snapshot dm = met.diff(prev_metrics_);
-  // Queue depths and the channel count are gauges, not counters: subtracting
-  // the previous instantaneous value is meaningless, so carry them through.
-  for (const char* g :
-       {"sched.queue.now", "sched.queue.max_now", "mem.chan.count"}) {
-    auto it = met.values.find(g);
-    if (it != met.values.end()) dm.values[it->first] = it->second;
-  }
-  prev_profile_ = std::move(cur);
-  prev_metrics_ = std::move(met);
+  // The epoch's own activity: the profiler lists only what was touched since
+  // its previous read, and the cumulative counters diff field by field.
+  if (hooks_.profile) hooks_.profile(profile_, pol_.rules.min_set_tasks == 0);
+  obs::advisor::Signals cur =
+      hooks_.signals ? hooks_.signals() : obs::advisor::Signals{};
+  const obs::advisor::Signals sig = cur.since(last_signals_);
+  last_signals_ = std::move(cur);
 
   const std::vector<obs::advisor::Finding> findings =
-      obs::advisor::evaluate(delta, dm, pol_.rules);
+      obs::advisor::evaluate(profile_, sig, pol_.rules);
 
   std::uint64_t cost = pol_.epoch_cost_cycles;
   std::uint32_t actions = 0;
   const std::uint64_t rehomes_before = rehomes_since_enable_;
   // The latency objective runs before the throughput findings so a serving
   // workload's tail-latency relief is first in line for the action budget.
-  latency_objective(dm, now + cost, actions);
+  latency_objective(sig, now + cost, actions);
   for (const obs::advisor::Finding& f : findings) {
     if (actions >= pol_.max_actions_per_epoch) break;
     const std::size_t before = log_.size();
@@ -137,10 +82,7 @@ std::uint64_t AdaptiveEngine::run_epoch(topo::ProcId proc, std::uint64_t now) {
   // while a deep queue still sits on the old home. The shared governor key
   // keeps enable/revert at least one cooldown apart; if imbalance returns,
   // the storm rule re-enables.
-  std::uint64_t queued_max = 0;
-  if (auto it = dm.values.find("sched.queue.max_now"); it != dm.values.end()) {
-    queued_max = it->second;
-  }
+  const std::uint64_t queued_max = sig.queue_max_now;
   if (pol_.enable_steal_policy && enabled_steal_object_ &&
       rehomes_since_enable_ > 0 &&
       rehomes_since_enable_ == rehomes_before &&
@@ -183,53 +125,44 @@ std::uint64_t AdaptiveEngine::run_epoch(topo::ProcId proc, std::uint64_t now) {
   return cost;
 }
 
-void AdaptiveEngine::latency_objective(const obs::Snapshot& dm,
+void AdaptiveEngine::latency_objective(const obs::advisor::Signals& sig,
                                        std::uint64_t now,
                                        std::uint32_t& actions) {
-  if (pol_.latency_target_cycles == 0 || !latency_sensor_) return;
+  if (pol_.latency_target_cycles == 0 || latency_sensor_ == nullptr) return;
   if (!hooks_.mutate_policy || !hooks_.policy) return;
-  const obs::LatencyHist cur = latency_sensor_();
-  const obs::LatencyHist delta = cur.diff(prev_latency_);
-  prev_latency_ = cur;
-  // Decomposition sensor: diff the component histograms every epoch the
-  // objective runs (consecutive snapshots must pair up, so this happens
-  // before any early return below) and judge which component built this
-  // epoch's latency mass.
+  const obs::LatencyHist::Interval epoch =
+      latency_sensor_->since(prev_latency_, 0.99);
+  prev_latency_ = *latency_sensor_;
+  // Decomposition sensor: read the component sums every epoch the objective
+  // runs (consecutive readings must pair up, so this happens before any
+  // early return below) and judge which component built this epoch's
+  // latency mass.
   bool have_breakdown = false;
   bool mem_dominated = false;
   if (breakdown_sensor_) {
-    obs::BreakdownSample bcur = breakdown_sensor_();
-    const obs::LatencyHist d_queue =
-        bcur.queue_wait.diff(prev_breakdown_.queue_wait);
-    const obs::LatencyHist d_mem =
-        bcur.memory_stall.diff(prev_breakdown_.memory_stall);
-    prev_breakdown_ = std::move(bcur);
+    const obs::StallSums cur = breakdown_sensor_();
+    const auto grew = [](std::uint64_t now_sum, std::uint64_t then) {
+      return now_sum > then ? now_sum - then : 0;
+    };
+    mem_dominated = grew(cur.memory_stall, last_stall_.memory_stall) >
+                    grew(cur.queue_wait, last_stall_.queue_wait);
+    last_stall_ = cur;
     have_breakdown = true;
-    mem_dominated = d_mem.sum() > d_queue.sum();
   }
   // Channel-saturation sensor (needs a channel backend; the flat model
-  // exports no mem.chan.* gauges and leaves this false). Peak per-channel
-  // busy share of this epoch: the hottest channel's busy-cycle delta over
-  // the cycles the epoch covered. Peak, not mean — a skewed workload
-  // saturates the hot cluster's channels while the other fourteen idle, and
-  // it is the hot channel the tail queues behind. Distinguishes *why*
-  // memory stalls dominate: latency (remote distance — migrate toward the
-  // user) vs bandwidth (saturated channel — only spreading across more
-  // channels helps).
+  // reports no channels and leaves this false). Peak per-channel busy share
+  // of this epoch: the hottest channel's busy-cycle delta over the cycles
+  // the epoch covered. Peak, not mean — a skewed workload saturates the hot
+  // cluster's channels while the other fourteen idle, and it is the hot
+  // channel the tail queues behind. Distinguishes *why* memory stalls
+  // dominate: latency (remote distance — migrate toward the user) vs
+  // bandwidth (saturated channel — only spreading across more channels
+  // helps).
   bool bandwidth_bound = false;
   std::uint64_t saturation_pct = 0;
-  if (last_epoch_elapsed_ > 0 &&
-      dm.values.find("mem.chan.count") != dm.values.end()) {
-    std::uint64_t peak = 0;
-    for (const auto& [key, v] : dm.values) {
-      // Per-channel counters are "mem.chan.<i>.busy_cycles"; the aggregate
-      // ("mem.chan.busy_cycles") and other families don't match.
-      if (key.size() > 21 && key.compare(0, 9, "mem.chan.") == 0 &&
-          key.compare(key.size() - 12, 12, ".busy_cycles") == 0 &&
-          key != "mem.chan.busy_cycles") {
-        peak = std::max(peak, v);
-      }
-    }
+  if (last_epoch_elapsed_ > 0 && !sig.chan_busy.empty()) {
+    const std::uint64_t peak =
+        *std::max_element(sig.chan_busy.begin(), sig.chan_busy.end());
     // The channel services requests on its own arrival-time clock, which can
     // run slightly ahead of the dispatch high-water clock; clamp so the
     // logged share reads as a fraction of the epoch.
@@ -241,16 +174,14 @@ void AdaptiveEngine::latency_objective(const obs::Snapshot& dm,
   // Too few completions to trust a tail estimate: an epoch that completed
   // almost nothing while requests pile up will trip the ladder next epoch,
   // when the queued requests complete with their queueing delay on record.
-  if (delta.count() < pol_.latency_min_samples) return;
-  const std::uint64_t p99 = delta.quantile(0.99);
+  if (epoch.count < pol_.latency_min_samples) return;
+  const std::uint64_t p99 = epoch.quantile;
   const std::uint64_t target = pol_.latency_target_cycles;
 
   obs::advisor::Finding f;
   f.kind = obs::AdviceKind::kLatencyTarget;
   f.subject = "requests";
-  if (auto it = dm.values.find("sched.queue.max_now"); it != dm.values.end()) {
-    f.queued_max = it->second;
-  }
+  f.queued_max = sig.queue_max_now;
 
   if (p99 > target) {
     if (actions >= pol_.max_actions_per_epoch) return;

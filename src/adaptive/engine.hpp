@@ -23,17 +23,23 @@
 //      epoch boundary; a dedicated BalancerGovernor (dwell + lifetime cap)
 //      paces them because a swap is the most disruptive actuator.
 //
-// Epochs are task-count (or sim-cycle) driven; each epoch diffs the profiler
-// and metric snapshots against the previous epoch so rules judge *recent*
-// behaviour, not the whole past. Every actuator firing passes the hysteresis
-// governor and is appended to a decision log that benches export (JSON +
-// Chrome trace). Under the sim engine all of this is called from the single
-// simulation thread, so decisions are deterministic: two runs of the same
-// program produce identical logs.
+// Epochs are task-count (or sim-cycle) driven, and the rules judge each
+// epoch's own activity, not the whole past. Sensing costs what changed in
+// the epoch: the profiler hands over only the objects and sets touched
+// since its previous read (LocalityProfiler::read_epoch), the scheduler and
+// channel counters arrive as a typed Signals struct diffed field by field,
+// and the latency objective reads the epoch's count and p99 straight off
+// the request histogram against the previous epoch's copy. No snapshot is
+// rebuilt or diffed, no name formatted and no map built per epoch. Every
+// actuator firing passes the hysteresis governor and is appended to a
+// decision log that benches export (JSON + Chrome trace). Under the sim
+// engine all of this is called from the single simulation thread, so
+// decisions are deterministic: two runs of the same program produce
+// identical logs.
 //
 // The engine talks to the runtime through `Hooks` (plain std::functions), so
 // it depends on no concrete engine type and unit tests can drive it with
-// synthetic snapshots.
+// synthetic epoch activity.
 #pragma once
 
 #include <cstdint>
@@ -46,9 +52,8 @@
 #include "adaptive/policy.hpp"
 #include "obs/advisor_rules.hpp"
 #include "obs/latency_hist.hpp"
-#include "obs/request_trace.hpp"
-#include "obs/metrics.hpp"
 #include "obs/profiler.hpp"
+#include "obs/request_trace.hpp"
 #include "sched/scheduler.hpp"
 #include "topology/machine.hpp"
 
@@ -68,8 +73,16 @@ struct Decision {
 /// Runtime services the engine needs, as callables so the engine stays
 /// independent of the concrete runtime/engine types.
 struct Hooks {
-  std::function<obs::ProfileSnapshot()> profile;  ///< Cumulative profile.
-  std::function<obs::Snapshot()> metrics;         ///< Cumulative metrics.
+  /// Fill `out` with the profile activity since the previous call, one row
+  /// per touched object and set (LocalityProfiler::read_epoch). `all_sets`
+  /// asks for the untouched sets too, with zero counts; the engine sets it
+  /// when its rules judge sets that ran no task in the epoch
+  /// (min_set_tasks == 0). Called exactly once per epoch, always with the
+  /// same `out`, whose views live until the next call.
+  std::function<void(obs::ProfileDelta& out, bool all_sets)> profile;
+  /// Cumulative scheduler and memory-channel counters
+  /// (Runtime::advisor_signals); the engine diffs consecutive readings.
+  std::function<obs::advisor::Signals()> signals;
   /// Migrate [addr, addr+bytes) (profiler address space) to new_home;
   /// returns the cycles to charge to `caller`. `now` is the caller's clock
   /// (for trace timestamps).
@@ -97,24 +110,24 @@ class AdaptiveEngine {
   std::uint64_t on_task_dispatch(topo::ProcId proc, std::uint64_t now);
 
   /// Attach (or detach, with nullptr) the latency sensor feeding the
-  /// AdaptPolicy::latency_target_cycles objective: a snapshot of the
-  /// serving layer's *cumulative* per-request latency histogram (the
-  /// load::Driver's). Each epoch diffs consecutive snapshots, so the engine
-  /// judges the epoch's own p99, not the run-so-far's. Sim-thread only.
-  void set_latency_sensor(std::function<obs::LatencyHist()> sensor) {
-    latency_sensor_ = std::move(sensor);
+  /// AdaptPolicy::latency_target_cycles objective: the serving layer's
+  /// *cumulative* per-request latency histogram (the load::Driver's), which
+  /// must outlive the attachment. Each epoch reads the samples recorded
+  /// since the previous epoch (LatencyHist::since), so the engine judges the
+  /// epoch's own p99, not the run-so-far's. Sim-thread only.
+  void set_latency_sensor(const obs::LatencyHist* hist) {
+    latency_sensor_ = hist;
   }
 
-  /// Attach (or detach) the latency *decomposition* sensor: cumulative
-  /// per-component histograms (queue_wait / service / memory_stall /
-  /// steal_penalty) from the request-trace recorder, diffed per epoch like
-  /// the latency sensor. With it attached, the latency objective escalates
-  /// by *dominant component*: a queue-wait-dominated overshoot climbs the
-  /// balancer ladder as before, but a memory-stall-dominated one routes to
-  /// the migration actuators instead — moving requests around cannot fix
-  /// remote data, rehoming the data can. Without it, the fixed ladder of
-  /// PR 7 is unchanged.
-  void set_breakdown_sensor(std::function<obs::BreakdownSample()> sensor) {
+  /// Attach (or detach) the latency *decomposition* sensor: the cumulative
+  /// queue-wait and memory-stall sums of the request-trace recorder
+  /// (RequestTraceRecorder::stall_sums), compared per epoch. With it
+  /// attached, the latency objective escalates by *dominant component*: a
+  /// queue-wait-dominated overshoot climbs the balancer ladder as before,
+  /// but a memory-stall-dominated one routes to the migration actuators
+  /// instead — moving requests around cannot fix remote data, rehoming the
+  /// data can. Without it, every overshoot climbs the fixed ladder.
+  void set_breakdown_sensor(std::function<obs::StallSums()> sensor) {
     breakdown_sensor_ = std::move(sensor);
   }
 
@@ -135,7 +148,7 @@ class AdaptiveEngine {
   /// The latency-target objective: compare this epoch's p99 against the
   /// policy target and climb/descend the relief ladder. Shares the per-epoch
   /// action budget via `actions`.
-  void latency_objective(const obs::Snapshot& dm, std::uint64_t now,
+  void latency_objective(const obs::advisor::Signals& sig, std::uint64_t now,
                          std::uint32_t& actions);
   /// Apply one finding through its actuator; returns cycles charged and
   /// appends to log_ iff it acted.
@@ -177,20 +190,22 @@ class AdaptiveEngine {
   /// per subject, so a cold-cache echo of the rule can't thrash the object
   /// back and forth.
   std::set<std::string> done_;
-  obs::ProfileSnapshot prev_profile_;
-  obs::Snapshot prev_metrics_;
+  /// The epoch's profile activity; refilled every epoch, keeping its storage.
+  obs::ProfileDelta profile_;
+  /// The previous epoch's signals reading, to diff the counters against.
+  obs::advisor::Signals last_signals_;
   /// Latency-target objective state: the sensor (cumulative request
-  /// histogram), the previous epoch's snapshot for deltas, and whether the
-  /// steal relief currently on was ours (so only we revert it).
-  std::function<obs::LatencyHist()> latency_sensor_;
+  /// histogram), its copy at the previous epoch, and whether the steal
+  /// relief currently on was ours (so only we revert it).
+  const obs::LatencyHist* latency_sensor_ = nullptr;
   obs::LatencyHist prev_latency_;
   bool latency_relief_on_ = false;
-  /// Breakdown-sensor state: previous cumulative component histograms, and
-  /// whether the current epoch's overshoot is memory-stall-dominated — the
-  /// flag that opens act()'s serving-mode stand-down for the migration
-  /// actuators (and only them).
-  std::function<obs::BreakdownSample()> breakdown_sensor_;
-  obs::BreakdownSample prev_breakdown_;
+  /// Breakdown-sensor state: the previous epoch's two sums, and whether the
+  /// current epoch's overshoot is memory-stall-dominated — the flag that
+  /// opens act()'s serving-mode stand-down for the migration actuators (and
+  /// only them).
+  std::function<obs::StallSums()> breakdown_sensor_;
+  obs::StallSums last_stall_;
   bool memory_escalation_ = false;
   /// Bandwidth-bound variant of the gate: the overshoot is memory-stall
   /// dominated AND the channel backend reports saturated channels, so

@@ -193,15 +193,16 @@ Result run(Runtime& rt, const Config& cfg) {
   obs::RequestTraceRecorder* rec = rt.request_trace();
   if (rec != nullptr) driver.set_trace(rec);
 
-  // First latency-objective feed: the adaptive engine snapshots the request
-  // histogram each epoch and reads p99 deltas against its target. With a
-  // recorder attached it also gets the decomposition sensor, so overshoots
-  // escalate by dominant component (queue wait vs memory stall).
+  // First latency-objective feed: the adaptive engine reads each epoch's
+  // requests off the driver's histogram and compares their p99 with its
+  // target. With a recorder attached it also gets the decomposition sensor,
+  // so overshoots escalate by dominant component (queue wait vs memory
+  // stall).
   adaptive::AdaptiveEngine* eng = rt.adaptive_engine();
   if (eng != nullptr) {
-    eng->set_latency_sensor([&driver] { return driver.latency(); });
+    eng->set_latency_sensor(&driver.latency());
     if (rec != nullptr) {
-      eng->set_breakdown_sensor([rec] { return rec->all(); });
+      eng->set_breakdown_sensor([rec] { return rec->stall_sums(); });
     }
   }
 

@@ -89,8 +89,10 @@ Runtime::Runtime(SystemConfig cfg) : cfg_(cfg) {
   eng_->set_addr_base(reinterpret_cast<std::uint64_t>(arena_));
   if (cfg_.adapt && sim_) {
     adaptive::Hooks h;
-    h.profile = [this] { return prof_->snapshot(); };
-    h.metrics = [this] { return obs_snapshot(); };
+    h.profile = [this](obs::ProfileDelta& out, bool all_sets) {
+      prof_->read_epoch(out, all_sets);
+    };
+    h.signals = [this] { return advisor_signals(); };
     h.migrate = [this](topo::ProcId caller, std::uint64_t addr,
                        std::uint64_t bytes, topo::ProcId target,
                        std::uint64_t now) {
@@ -359,6 +361,36 @@ obs::Snapshot Runtime::obs_snapshot() const {
       std::snprintf(key, sizeof key, "obs.reqtrace.dropped.p%u", p);
       s.values[key] = reqtrace_->dropped(static_cast<topo::ProcId>(p));
     }
+  }
+  return s;
+}
+
+obs::advisor::Signals Runtime::advisor_signals() const {
+  obs::advisor::Signals s;
+  const sched::SchedStats ss = sched_stats();
+  s.failed_steal_scans = ss.failed_steal_scans;
+  s.steals = ss.steals;
+  const sched::Scheduler& sch = sim_ ? sim_->scheduler() : thr_->scheduler();
+  for (std::uint32_t p = 0; p < cfg_.machine.n_procs; ++p) {
+    s.queue_max_now =
+        std::max<std::uint64_t>(s.queue_max_now, sch.queues(p).size());
+  }
+  if (!sim_) return s;
+  s.span = sim_time();
+  for (const ProcUtil& u : sim_->utilization()) {
+    s.busy_cycles += u.busy;
+    s.idle_cycles += u.idle;
+  }
+  const std::vector<mem::ChannelCounters> chans =
+      sim_->memsys().channel().stats();
+  s.chan_busy.reserve(chans.size());
+  for (const mem::ChannelCounters& cc : chans) {
+    s.chan_busy.push_back(cc.busy_cycles);
+    s.chan_busy_total += cc.busy_cycles;
+    s.chan_queue_full_stalls += cc.queue_full_stalls;
+    s.chan_row_hits += cc.row_hits;
+    s.chan_row_misses += cc.row_misses;
+    s.chan_row_conflicts += cc.row_conflicts;
   }
   return s;
 }

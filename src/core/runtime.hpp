@@ -156,6 +156,11 @@ class Runtime {
   /// tasks.completed, queue depths, trace drop counts) so one call captures
   /// the whole observable state of a run.
   [[nodiscard]] obs::Snapshot obs_snapshot() const;
+  /// The counters the advisor rules read, typed and built directly from
+  /// their sources (SchedStats, utilization(), the queues, the channel
+  /// backend): what advisor::signals_from(obs_snapshot()) returns, without
+  /// the string-keyed snapshot. The adaptive engine reads it every epoch.
+  [[nodiscard]] obs::advisor::Signals advisor_signals() const;
 
   // --- locality profiler (SystemConfig::profile) ---------------------------
   /// The attached profiler, or null when profiling is off.

@@ -123,8 +123,8 @@ Advice render(const advisor::Finding& f) {
 
 std::vector<Advice> advise(const ProfileSnapshot& p, const Snapshot& metrics,
                            const AdvisorConfig& cfg) {
-  const std::vector<advisor::Finding> findings =
-      advisor::evaluate(p, metrics, cfg);
+  const std::vector<advisor::Finding> findings = advisor::evaluate(
+      ProfileDelta::of(p), advisor::signals_from(metrics), cfg);
   std::vector<Advice> out;
   out.reserve(findings.size());
   for (const advisor::Finding& f : findings) out.push_back(render(f));

@@ -36,9 +36,9 @@ struct Advice {
 };
 
 /// Run every rule over the profile and the runtime metric snapshot
-/// (Runtime::obs_snapshot() names: sched.*, proc.*). Returns advice sorted by
-/// descending weight (ties broken by subject) — deterministic for a
-/// deterministic simulation.
+/// (Runtime::obs_snapshot() names: sched.*, proc.*, mem.chan.*), each read
+/// as one interval. Returns advice in advisor::evaluate()'s order:
+/// descending weight, ties broken by subject.
 std::vector<Advice> advise(const ProfileSnapshot& p, const Snapshot& metrics,
                            const AdvisorConfig& cfg = {});
 

@@ -1,6 +1,8 @@
 #include "obs/advisor_rules.hpp"
 
 #include <algorithm>
+#include <span>
+#include <string>
 
 namespace cool::obs {
 
@@ -36,7 +38,7 @@ struct Dominant {
   std::uint64_t total = 0;
 };
 
-Dominant dominant_of(const std::vector<std::uint64_t>& v) {
+Dominant dominant_of(std::span<const std::uint64_t> v) {
   Dominant d;
   for (std::size_t i = 0; i < v.size(); ++i) {
     d.total += v[i];
@@ -48,14 +50,14 @@ Dominant dominant_of(const std::vector<std::uint64_t>& v) {
   return d;
 }
 
-std::uint64_t value_of(const Snapshot& m, const char* name) {
+std::uint64_t value_of(const Snapshot& m, const std::string& name) {
   auto it = m.values.find(name);
   return it == m.values.end() ? 0 : it->second;
 }
 
-void object_rules(const ProfileSnapshot& p, const AdvisorConfig& cfg,
+void object_rules(const ProfileDelta& p, const AdvisorConfig& cfg,
                   std::vector<Finding>& out) {
-  for (const ProfileSnapshot::ObjectRow& o : p.objects) {
+  for (const ProfileDelta::Object& o : p.objects) {
     if (o.anonymous) continue;  // Can't hint what the app didn't name.
     const std::uint64_t misses = o.s.misses();
     if (misses < cfg.min_misses) continue;
@@ -90,9 +92,9 @@ void object_rules(const ProfileSnapshot& p, const AdvisorConfig& cfg,
   }
 }
 
-void set_rules(const ProfileSnapshot& p, const AdvisorConfig& cfg,
+void set_rules(const ProfileDelta& p, const AdvisorConfig& cfg,
                std::vector<Finding>& out) {
-  for (const ProfileSnapshot::SetRow& s : p.sets) {
+  for (const ProfileDelta::Set& s : p.sets) {
     if (s.tasks < cfg.min_set_tasks || s.procs.size() <= 1) continue;
     Finding f;
     f.kind = hint_has_task_affinity(s.hint) ? AdviceKind::kWholeSetStealing
@@ -109,10 +111,10 @@ void set_rules(const ProfileSnapshot& p, const AdvisorConfig& cfg,
   }
 }
 
-void sched_rules(const Snapshot& m, const AdvisorConfig& cfg,
+void sched_rules(const Signals& m, const AdvisorConfig& cfg,
                  std::vector<Finding>& out) {
-  const std::uint64_t failed = value_of(m, "sched.failed_steal_scans");
-  const std::uint64_t steals = value_of(m, "sched.steals");
+  const std::uint64_t failed = m.failed_steal_scans;
+  const std::uint64_t steals = m.steals;
   if (failed >= cfg.min_failed_scans &&
       static_cast<double>(failed) >=
           cfg.steal_fail_ratio * static_cast<double>(std::max<std::uint64_t>(
@@ -126,8 +128,8 @@ void sched_rules(const Snapshot& m, const AdvisorConfig& cfg,
     out.push_back(std::move(f));
   }
 
-  const std::uint64_t busy = value_of(m, "proc.busy_cycles");
-  const std::uint64_t idle = value_of(m, "proc.idle_cycles");
+  const std::uint64_t busy = m.busy_cycles;
+  const std::uint64_t idle = m.idle_cycles;
   const std::uint64_t span = busy + idle;
   if (span > 0) {
     const double idle_frac =
@@ -140,7 +142,7 @@ void sched_rules(const Snapshot& m, const AdvisorConfig& cfg,
       f.idle_frac = idle_frac;
       f.idle_cycles = idle;
       f.busy_cycles = busy;
-      f.queued_max = value_of(m, "sched.queue.max_now");
+      f.queued_max = m.queue_max_now;
       out.push_back(std::move(f));
     }
   }
@@ -149,37 +151,27 @@ void sched_rules(const Snapshot& m, const AdvisorConfig& cfg,
 /// Bandwidth-bound memory: the busiest channel's busy share of the span
 /// crosses the saturation threshold (peak, not mean — a skewed workload
 /// saturates the hot cluster's channels while the rest idle, and the peak
-/// channel is what the tail queues behind). Only a channel backend
-/// (mem.chan.* gauges present) can fire this; the flat model exports
-/// nothing and the rule stays silent.
-void channel_rules(const Snapshot& m, const AdvisorConfig& cfg,
+/// channel is what the tail queues behind). Only a channel backend can fire
+/// this; the flat model reports no channels and the rule stays silent.
+void channel_rules(const Signals& m, const AdvisorConfig& cfg,
                    std::vector<Finding>& out) {
-  const std::uint64_t nchan = value_of(m, "mem.chan.count");
-  const std::uint64_t span = value_of(m, "sim.time");
-  if (nchan == 0 || span == 0) return;
-  const std::uint64_t busy = value_of(m, "mem.chan.busy_cycles");
-  std::uint64_t peak = 0;
-  for (const auto& [key, v] : m.values) {
-    if (key.size() > 21 && key.compare(0, 9, "mem.chan.") == 0 &&
-        key.compare(key.size() - 12, 12, ".busy_cycles") == 0 &&
-        key != "mem.chan.busy_cycles") {
-      peak = std::max(peak, v);
-    }
-  }
+  if (m.chan_busy.empty() || m.span == 0) return;
+  const std::uint64_t peak =
+      *std::max_element(m.chan_busy.begin(), m.chan_busy.end());
   const double sat =
-      static_cast<double>(peak) / static_cast<double>(span);
+      static_cast<double>(peak) / static_cast<double>(m.span);
   if (sat < cfg.bandwidth_sat_frac) return;
   Finding f;
   f.kind = AdviceKind::kBandwidthBound;
   f.subject = "memory-channels";
-  f.weight = busy;
+  f.weight = m.chan_busy_total;
   f.saturation = sat;
-  f.chan_count = nchan;
-  f.chan_busy_cycles = busy;
-  f.queue_full_stalls = value_of(m, "mem.chan.queue_full_stalls");
-  const std::uint64_t hits = value_of(m, "mem.chan.row_hits");
-  const std::uint64_t rowtotal = hits + value_of(m, "mem.chan.row_misses") +
-                                 value_of(m, "mem.chan.row_conflicts");
+  f.chan_count = m.chan_busy.size();
+  f.chan_busy_cycles = m.chan_busy_total;
+  f.queue_full_stalls = m.chan_queue_full_stalls;
+  const std::uint64_t hits = m.chan_row_hits;
+  const std::uint64_t rowtotal =
+      hits + m.chan_row_misses + m.chan_row_conflicts;
   if (rowtotal > 0)
     f.row_hit_frac =
         static_cast<double>(hits) / static_cast<double>(rowtotal);
@@ -188,18 +180,64 @@ void channel_rules(const Snapshot& m, const AdvisorConfig& cfg,
 
 }  // namespace
 
-std::vector<Finding> evaluate(const ProfileSnapshot& p, const Snapshot& metrics,
+Signals Signals::since(const Signals& older) const {
+  const auto sub = [](std::uint64_t a, std::uint64_t b) {
+    return a >= b ? a - b : 0;
+  };
+  Signals d = *this;
+  d.failed_steal_scans = sub(failed_steal_scans, older.failed_steal_scans);
+  d.steals = sub(steals, older.steals);
+  d.busy_cycles = sub(busy_cycles, older.busy_cycles);
+  d.idle_cycles = sub(idle_cycles, older.idle_cycles);
+  d.span = sub(span, older.span);
+  const std::size_t n = std::min(chan_busy.size(), older.chan_busy.size());
+  for (std::size_t i = 0; i < n; ++i) {
+    d.chan_busy[i] = sub(chan_busy[i], older.chan_busy[i]);
+  }
+  d.chan_busy_total = sub(chan_busy_total, older.chan_busy_total);
+  d.chan_queue_full_stalls =
+      sub(chan_queue_full_stalls, older.chan_queue_full_stalls);
+  d.chan_row_hits = sub(chan_row_hits, older.chan_row_hits);
+  d.chan_row_misses = sub(chan_row_misses, older.chan_row_misses);
+  d.chan_row_conflicts = sub(chan_row_conflicts, older.chan_row_conflicts);
+  return d;
+}
+
+Signals signals_from(const Snapshot& m) {
+  Signals s;
+  s.failed_steal_scans = value_of(m, "sched.failed_steal_scans");
+  s.steals = value_of(m, "sched.steals");
+  s.busy_cycles = value_of(m, "proc.busy_cycles");
+  s.idle_cycles = value_of(m, "proc.idle_cycles");
+  s.queue_max_now = value_of(m, "sched.queue.max_now");
+  s.span = value_of(m, "sim.time");
+  s.chan_busy.resize(value_of(m, "mem.chan.count"));
+  for (std::size_t i = 0; i < s.chan_busy.size(); ++i) {
+    s.chan_busy[i] =
+        value_of(m, "mem.chan." + std::to_string(i) + ".busy_cycles");
+  }
+  s.chan_busy_total = value_of(m, "mem.chan.busy_cycles");
+  s.chan_queue_full_stalls = value_of(m, "mem.chan.queue_full_stalls");
+  s.chan_row_hits = value_of(m, "mem.chan.row_hits");
+  s.chan_row_misses = value_of(m, "mem.chan.row_misses");
+  s.chan_row_conflicts = value_of(m, "mem.chan.row_conflicts");
+  return s;
+}
+
+std::vector<Finding> evaluate(const ProfileDelta& p, const Signals& s,
                               const AdvisorConfig& cfg) {
   std::vector<Finding> out;
   object_rules(p, cfg, out);
   set_rules(p, cfg, out);
-  sched_rules(metrics, cfg, out);
-  channel_rules(metrics, cfg, out);
-  std::stable_sort(out.begin(), out.end(),
-                   [](const Finding& a, const Finding& b) {
-                     if (a.weight != b.weight) return a.weight > b.weight;
-                     return a.subject < b.subject;
-                   });
+  sched_rules(s, cfg, out);
+  channel_rules(s, cfg, out);
+  std::sort(out.begin(), out.end(), [](const Finding& a, const Finding& b) {
+    if (a.weight != b.weight) return a.weight > b.weight;
+    if (a.subject != b.subject) return a.subject < b.subject;
+    if (a.kind != b.kind) return a.kind < b.kind;
+    if (a.obj_addr != b.obj_addr) return a.obj_addr < b.obj_addr;
+    return a.set_key < b.set_key;
+  });
   return out;
 }
 

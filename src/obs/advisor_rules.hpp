@@ -3,11 +3,14 @@
 // The PR 3 advisor turned a ProfileSnapshot plus a metrics Snapshot into
 // ranked prose advice. The adaptive runtime (src/adaptive) needs the same
 // diagnoses *online*, as data it can act on, every epoch. To keep one
-// implementation, the rules live here as a pure function of the snapshots:
-// `advisor::evaluate()` returns structured Findings carrying every number a
-// rule used to fire, and the offline advisor (obs/advisor.hpp) renders those
-// Findings into its unchanged prose report. Neither consumer re-implements a
-// threshold.
+// implementation, the rules live here as a pure function of typed inputs:
+// a ProfileDelta (one interval's per-object and per-set activity) and
+// Signals (scheduler and memory-channel counters). `advisor::evaluate()`
+// returns structured Findings carrying every number a rule used to fire.
+// The engine feeds it the profiler's epoch read and the runtime's live
+// signals; the offline advisor (obs/advisor.hpp) converts its snapshots
+// (ProfileDelta::of, signals_from) and renders the Findings into its
+// unchanged prose report. Neither consumer re-implements a threshold.
 #pragma once
 
 #include <cstdint>
@@ -49,6 +52,37 @@ struct AdvisorConfig {
 };
 
 namespace advisor {
+
+/// The scheduler and memory-channel counters the rules read, typed.
+/// Runtime::advisor_signals() fills it live; signals_from() reads the same
+/// fields out of a Runtime::obs_snapshot(). Counters are cumulative where
+/// they come from; since() turns two readings into one interval.
+struct Signals {
+  std::uint64_t failed_steal_scans = 0;  ///< sched.failed_steal_scans
+  std::uint64_t steals = 0;              ///< sched.steals
+  std::uint64_t busy_cycles = 0;         ///< proc.busy_cycles
+  std::uint64_t idle_cycles = 0;         ///< proc.idle_cycles
+  std::uint64_t queue_max_now = 0;  ///< sched.queue.max_now (a gauge).
+  std::uint64_t span = 0;           ///< sim.time: 0 until a run() ends.
+  /// Per-channel busy cycles (mem.chan.<i>.busy_cycles), one entry per
+  /// channel (mem.chan.count); empty without a channel backend.
+  std::vector<std::uint64_t> chan_busy;
+  std::uint64_t chan_busy_total = 0;         ///< mem.chan.busy_cycles
+  std::uint64_t chan_queue_full_stalls = 0;  ///< mem.chan.queue_full_stalls
+  std::uint64_t chan_row_hits = 0;           ///< mem.chan.row_hits
+  std::uint64_t chan_row_misses = 0;         ///< mem.chan.row_misses
+  std::uint64_t chan_row_conflicts = 0;      ///< mem.chan.row_conflicts
+
+  /// The activity between `older` and this reading, as Snapshot::diff
+  /// computes it: counters subtract (clamped at 0, and kept whole where
+  /// `older` lacks them); the queue gauge and the channel count carry
+  /// through.
+  [[nodiscard]] Signals since(const Signals& older) const;
+  bool operator==(const Signals&) const = default;
+};
+
+/// The Signals fields of a metrics snapshot (absent keys read as 0).
+Signals signals_from(const Snapshot& m);
 
 /// One rule firing, with every input the rule consulted. Which fields are
 /// meaningful depends on `kind`: object rules fill the obj_*/cluster fields,
@@ -92,11 +126,11 @@ struct Finding {
   std::uint64_t queue_full_stalls = 0;
 };
 
-/// Run every rule over the profile and the metric snapshot
-/// (Runtime::obs_snapshot() names: sched.*, proc.*). Returns findings sorted
-/// by descending weight (ties broken by subject) — deterministic for a
-/// deterministic simulation.
-std::vector<Finding> evaluate(const ProfileSnapshot& p, const Snapshot& metrics,
+/// Run every rule over one interval's profile activity and signals.
+/// Returns findings sorted by descending weight, ties broken by subject,
+/// then kind, then object address or set key: a total order, so the result
+/// does not depend on the order of the input rows.
+std::vector<Finding> evaluate(const ProfileDelta& p, const Signals& s,
                               const AdvisorConfig& cfg = {});
 
 }  // namespace advisor

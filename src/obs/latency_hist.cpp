@@ -54,18 +54,40 @@ LatencyHist LatencyHist::diff(const LatencyHist& earlier) const noexcept {
   return d;
 }
 
-std::uint64_t LatencyHist::quantile(double q) const noexcept {
-  if (count_ == 0) return 0;
+template <typename CountAt>
+std::uint64_t LatencyHist::walk(std::uint64_t count, double q,
+                                CountAt at) const noexcept {
+  if (count == 0) return 0;
   q = std::clamp(q, 0.0, 1.0);
   const auto rank = std::max<std::uint64_t>(
       1, static_cast<std::uint64_t>(
-             std::ceil(q * static_cast<double>(count_))));
+             std::ceil(q * static_cast<double>(count))));
   std::uint64_t seen = 0;
-  for (std::size_t b = 0; b < kBuckets; ++b) {
-    seen += counts_[b];
+  const std::size_t end = bucket_of(max_) + 1;  // Empty from here up.
+  for (std::size_t b = 0; b < end; ++b) {
+    seen += at(b);
     if (seen >= rank) return std::min(bucket_upper(b), max_);
   }
   return max_;
+}
+
+LatencyHist::Interval LatencyHist::since(const LatencyHist& earlier,
+                                         double q) const noexcept {
+  const auto at = [&](std::size_t b) {
+    return counts_[b] > earlier.counts_[b] ? counts_[b] - earlier.counts_[b]
+                                           : 0;
+  };
+  Interval out;
+  // No sample lies above max(): the buckets past its own are empty here,
+  // so their clamped differences are 0.
+  const std::size_t end = bucket_of(max_) + 1;
+  for (std::size_t b = 0; b < end; ++b) out.count += at(b);
+  out.quantile = walk(out.count, q, at);
+  return out;
+}
+
+std::uint64_t LatencyHist::quantile(double q) const noexcept {
+  return walk(count_, q, [this](std::size_t b) { return counts_[b]; });
 }
 
 }  // namespace cool::obs

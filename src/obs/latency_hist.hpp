@@ -9,10 +9,10 @@
 // <= 1/kSubBuckets (~3%) relative error. Values below kSubBuckets are exact.
 //
 // The class is a plain value type (fixed arrays, no allocation, copyable) so
-// the adaptive engine can snapshot it each epoch and diff two snapshots to
-// get the epoch's latency distribution. It is NOT thread-safe: recording
-// happens on the deterministic simulation path (one thread), snapshots are
-// taken between epochs on that same path.
+// the adaptive engine can keep the previous epoch's copy and read the
+// epoch's count and p99 against it (since()). It is NOT thread-safe:
+// recording happens on the deterministic simulation path (one thread), and
+// the engine reads it between epochs on that same path.
 #pragma once
 
 #include <array>
@@ -42,6 +42,17 @@ class LatencyHist {
   /// cumulative max (an upper bound for the interval, not the interval max).
   [[nodiscard]] LatencyHist diff(const LatencyHist& earlier) const noexcept;
 
+  /// Count and q-quantile of the samples recorded since `earlier`, exactly
+  /// as diff(earlier).count() and diff(earlier).quantile(q) report them
+  /// (same clamping, capped at this histogram's max()), without building
+  /// the diffed histogram.
+  struct Interval {
+    std::uint64_t count = 0;
+    std::uint64_t quantile = 0;
+  };
+  [[nodiscard]] Interval since(const LatencyHist& earlier,
+                               double q) const noexcept;
+
   [[nodiscard]] std::uint64_t count() const noexcept { return count_; }
   [[nodiscard]] std::uint64_t sum() const noexcept { return sum_; }
   [[nodiscard]] std::uint64_t max() const noexcept { return max_; }
@@ -66,6 +77,11 @@ class LatencyHist {
   [[nodiscard]] static std::uint64_t bucket_upper(std::size_t b) noexcept;
 
  private:
+  /// The quantile walk over bucket counts `at(b)` summing to `count`.
+  template <typename CountAt>
+  [[nodiscard]] std::uint64_t walk(std::uint64_t count, double q,
+                                   CountAt at) const noexcept;
+
   std::array<std::uint64_t, kBuckets> counts_{};
   std::uint64_t count_ = 0;
   std::uint64_t sum_ = 0;

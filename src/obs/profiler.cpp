@@ -36,38 +36,57 @@ LocalityProfiler::LocalityProfiler(const topo::MachineConfig& machine)
 bool LocalityProfiler::register_object(std::string name, std::uint64_t addr,
                                        std::uint64_t bytes,
                                        topo::ProcId home) {
-  return reg_.add(std::move(name), addr, bytes, home);
-}
-
-std::uint64_t LocalityProfiler::resolve(Shard& sh, std::uint64_t addr) const {
-  if (sh.last_obj < reg_.size()) {
-    const ObjectRegistry::Entry& r = reg_.entry(sh.last_obj);
-    if (addr >= r.start && addr < r.end) return sh.last_obj;
+  if (!reg_.add(std::move(name), addr, bytes, home)) return false;
+  // A set an earlier read listed may now fall inside the new object.
+  for (const auto& r : set_records_) r->label = reg_.label(r->key);
+  for (std::uint32_t p = 0; p < machine_.n_procs; ++p) {
+    shards_.shard(p).last = nullptr;
   }
-  const std::size_t idx = reg_.find(addr);
-  if (idx != ObjectRegistry::npos) {
-    sh.last_obj = idx;
-    return idx;
-  }
-  return kAnonBit | (addr >> kAnonShift);
+  return true;
 }
 
 LocalityProfiler::ObjStats& LocalityProfiler::obj_stats(Shard& sh,
                                                         std::uint64_t addr) {
-  return sh.objects[resolve(sh, addr)];
+  ObjStats* os = sh.last;
+  if (os == nullptr || addr < sh.last_start || addr >= sh.last_end) {
+    const std::size_t idx = reg_.find(addr);
+    const std::uint64_t id =
+        idx != ObjectRegistry::npos ? idx : kAnonBit | (addr >> kAnonShift);
+    os = &sh.objects[id];
+    os->id = id;
+    if (idx != ObjectRegistry::npos) {
+      sh.last = os;
+      sh.last_start = reg_.entry(idx).start;
+      sh.last_end = reg_.entry(idx).end;
+    }
+  }
+  if (os->touched != sh.gen) {
+    os->touched = sh.gen;
+    sh.touched_objects.push_back(os);
+  }
+  return *os;
+}
+
+void LocalityProfiler::touch(Shard& sh, SetShard& ss) {
+  if (ss.touched == sh.gen) return;
+  ss.touched = sh.gen;
+  sh.touched_sets.push_back(&ss);
 }
 
 void LocalityProfiler::on_task_dispatch(topo::ProcId proc, HintClass hint,
                                         std::uint64_t set_key, bool stolen) {
   Shard& sh = shards_.shard(proc);
   sh.cur_hint = hint;
-  sh.cur_set = set_key;
+  sh.cur_set = nullptr;
   sh.hints[static_cast<int>(hint)].tasks += 1;
   if (set_key != kNoSet) {
     SetShard& ss = sh.sets[set_key];
+    ss.key = set_key;
     ss.tasks += 1;
     ss.stolen += stolen ? 1 : 0;
     ss.hint = hint;
+    touch(sh, ss);
+    sh.cur_set = &ss;
   }
 }
 
@@ -95,7 +114,10 @@ void LocalityProfiler::on_access(const mem::AccessInfo& info) {
     }
     os.miss_home_cluster[machine_.cluster_of(info.home)] += 1;
   }
-  if (sh.cur_set != kNoSet) bump(sh.sets[sh.cur_set].s);
+  if (sh.cur_set != nullptr) {
+    touch(sh, *sh.cur_set);
+    bump(sh.cur_set->s);
+  }
   bump(sh.hints[static_cast<int>(sh.cur_hint)].s);
 }
 
@@ -104,7 +126,10 @@ void LocalityProfiler::on_inval(std::uint64_t addr, topo::ProcId requester,
   Shard& sh = shards_.shard(requester);
   const auto n = static_cast<std::uint64_t>(copies_killed);
   obj_stats(sh, addr).s.invals += n;
-  if (sh.cur_set != kNoSet) sh.sets[sh.cur_set].s.invals += n;
+  if (sh.cur_set != nullptr) {
+    touch(sh, *sh.cur_set);
+    sh.cur_set->s.invals += n;
+  }
   sh.hints[static_cast<int>(sh.cur_hint)].s.invals += n;
 }
 
@@ -199,6 +224,142 @@ ProfileSnapshot LocalityProfiler::snapshot() const {
     if (h.tasks > 0 || h.s.accesses() > 0) p.hints.push_back(h);
   }
   return p;
+}
+
+namespace {
+
+/// The record for `key` in `records` (kept sorted by key), added if new.
+template <typename Record>
+Record& find_or_add(std::vector<std::unique_ptr<Record>>& records,
+                    std::uint64_t key, bool& added) {
+  auto it = std::lower_bound(
+      records.begin(), records.end(), key,
+      [](const std::unique_ptr<Record>& r, std::uint64_t k) {
+        return r->key < k;
+      });
+  added = it == records.end() || (*it)->key != key;
+  if (added) {
+    it = records.insert(it, std::make_unique<Record>());
+    (*it)->key = key;
+  }
+  return **it;
+}
+
+}  // namespace
+
+void LocalityProfiler::read_epoch(ProfileDelta& out, bool all_sets) {
+  ++reads_;
+  out.objects.clear();
+  out.sets.clear();
+  out.cluster_counts.clear();
+  const std::size_t nc = machine_.n_clusters();
+  bool added = false;
+  const auto view = [](ProfileDelta::Set& row, const SetRecord& rec) {
+    row.key = rec.key;
+    row.label = rec.label;
+    row.hint = rec.hint;
+    row.procs = rec.procs;
+  };
+  // Each shard's touched entries, folded into one row per object and set.
+  // Shards go in processor order, so a set's entries arrive with ascending
+  // processors.
+  for (std::uint32_t proc = 0; proc < machine_.n_procs; ++proc) {
+    Shard& sh = shards_.shard(proc);
+    const auto p = static_cast<topo::ProcId>(proc);
+    const topo::ClusterId cluster = machine_.cluster_of(p);
+    for (ObjStats* os : sh.touched_objects) {
+      if (os->rec == nullptr) {
+        os->rec = &find_or_add(obj_records_, os->id, added);
+      }
+      ObjRecord& rec = *os->rec;
+      if (rec.read != reads_) {
+        rec.read = reads_;
+        rec.row = out.objects.size();
+        ProfileDelta::Object row;
+        if ((os->id & kAnonBit) != 0) {
+          row.addr = (os->id & ~kAnonBit) << kAnonShift;
+          row.bytes = 1ull << kAnonShift;
+          row.anonymous = true;
+        } else {
+          const ObjectRegistry::Entry& r = reg_.entry(os->id);
+          row.name = r.name;
+          row.addr = r.start;
+          row.bytes = r.end - r.start;
+        }
+        out.objects.push_back(row);
+        out.cluster_counts.resize(out.cluster_counts.size() + 2 * nc, 0);
+      }
+      AccessStats delta = os->s;
+      delta.sub(os->read_s);
+      os->read_s = os->s;
+      out.objects[rec.row].s.add(delta);
+      std::uint64_t* from = &out.cluster_counts[2 * nc * rec.row];
+      std::uint64_t* home = from + nc;
+      from[cluster] += delta.misses();
+      for (std::size_t c = 0; c < os->miss_home_cluster.size(); ++c) {
+        const std::uint64_t before =
+            c < os->read_home.size() ? os->read_home[c] : 0;
+        home[c] += os->miss_home_cluster[c] - before;
+      }
+      os->read_home = os->miss_home_cluster;
+    }
+    for (SetShard* ss : sh.touched_sets) {
+      if (ss->rec == nullptr) {
+        ss->rec = &find_or_add(set_records_, ss->key, added);
+        if (added) ss->rec->label = reg_.label(ss->key);  // Once per set.
+      }
+      SetRecord& rec = *ss->rec;
+      if (rec.read != reads_) {
+        rec.read = reads_;
+        rec.row = out.sets.size();
+        out.sets.emplace_back();
+      }
+      if (ss->read_tasks == 0) {  // First read since `p` joined the set.
+        rec.procs.insert(
+            std::upper_bound(rec.procs.begin(), rec.procs.end(), p), p);
+      }
+      if (p == rec.procs.back()) rec.hint = ss->hint;
+      ProfileDelta::Set& row = out.sets[rec.row];
+      row.tasks += ss->tasks - ss->read_tasks;
+      row.stolen += ss->stolen - ss->read_stolen;
+      AccessStats delta = ss->s;
+      delta.sub(ss->read_s);
+      row.s.add(delta);
+      ss->read_tasks = ss->tasks;
+      ss->read_stolen = ss->stolen;
+      ss->read_s = ss->s;
+      view(row, rec);
+    }
+    sh.touched_objects.clear();
+    sh.touched_sets.clear();
+    ++sh.gen;
+  }
+  // The cluster counts no longer move: point the rows at them.
+  for (std::size_t i = 0; i < out.objects.size(); ++i) {
+    const std::uint64_t* from = &out.cluster_counts[2 * nc * i];
+    out.objects[i].miss_from_cluster = {from, nc};
+    out.objects[i].miss_home_cluster = {from + nc, nc};
+  }
+  if (all_sets) {
+    for (const auto& r : set_records_) {
+      if (r->read == reads_) continue;
+      view(out.sets.emplace_back(), *r);
+    }
+  }
+}
+
+ProfileDelta ProfileDelta::of(const ProfileSnapshot& p) {
+  ProfileDelta d;
+  d.objects.reserve(p.objects.size());
+  for (const ProfileSnapshot::ObjectRow& o : p.objects) {
+    d.objects.push_back({o.name, o.addr, o.bytes, o.anonymous, o.s,
+                         o.miss_from_cluster, o.miss_home_cluster});
+  }
+  d.sets.reserve(p.sets.size());
+  for (const ProfileSnapshot::SetRow& s : p.sets) {
+    d.sets.push_back({s.key, s.label, s.hint, s.tasks, s.stolen, s.procs, s.s});
+  }
+  return d;
 }
 
 // --- snapshot rendering ------------------------------------------------------

@@ -15,16 +15,23 @@
 //
 // Counters accumulate in per-processor shards (each engine worker writes only
 // its own shard) and are merged into a ProfileSnapshot on demand. The
-// profiler is strictly passive: it charges zero simulated cycles, and with it
-// detached nothing in the runtime even branches on it.
+// adaptive engine reads the profile every epoch instead, through
+// read_epoch(): each shard queues the entries it touches, and a read folds
+// only those into a ProfileDelta of the interval's own activity. The
+// profiler is strictly passive: it charges zero simulated cycles, and with
+// it detached nothing in the runtime even branches on it.
 //
 // Thread-safety: register objects before run(); take snapshots only while no
-// run is in flight. During a run each shard has exactly one writer.
+// run is in flight, and read epochs only from the simulation thread between
+// dispatches. During a run each shard has exactly one writer.
 #pragma once
 
 #include <array>
 #include <cstdint>
+#include <memory>
+#include <span>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -93,6 +100,16 @@ struct AccessStats {
     stall_cycles += o.stall_cycles;
     remote_stall_cycles += o.remote_stall_cycles;
   }
+  /// Remove an earlier reading of the same counters (`o` <= *this).
+  void sub(const AccessStats& o) noexcept {
+    reads -= o.reads;
+    writes -= o.writes;
+    for (int i = 0; i < mem::kNumServices; ++i) serviced[i] -= o.serviced[i];
+    invals -= o.invals;
+    stall_cycles -= o.stall_cycles;
+    remote_stall_cycles -= o.remote_stall_cycles;
+  }
+  bool operator==(const AccessStats&) const = default;
 };
 
 /// Merged, quiescent view of everything the profiler attributed.
@@ -138,6 +155,48 @@ struct ProfileSnapshot {
   [[nodiscard]] std::string to_json() const;
 };
 
+/// The profile as the advisor rules read it: one interval's activity per
+/// object and per affinity set. LocalityProfiler::read_epoch() lists what
+/// changed since its previous read; of() views a whole snapshot as the
+/// interval since the run began. Names, labels, processor lists and cluster
+/// counts are views: into the profiler (valid until its next read or
+/// registration) and `cluster_counts`, or into the snapshot.
+struct ProfileDelta {
+  struct Object {
+    std::string_view name;  ///< Empty for an anonymous bucket read live.
+    std::uint64_t addr = 0;
+    std::uint64_t bytes = 0;
+    bool anonymous = false;
+    AccessStats s;
+    std::span<const std::uint64_t> miss_from_cluster;
+    std::span<const std::uint64_t> miss_home_cluster;
+  };
+
+  struct Set {
+    std::uint64_t key = 0;
+    std::string_view label;
+    HintClass hint = HintClass::kNone;
+    std::uint64_t tasks = 0;
+    std::uint64_t stolen = 0;
+    /// Every processor that ever ran the set's tasks, not just this
+    /// interval's: a set that ever spread has lost its reuse, and a set of
+    /// ids has no meaningful interval difference.
+    std::span<const topo::ProcId> procs;
+    AccessStats s;
+  };
+
+  /// Row order: snapshot order from of(); the order the read met them
+  /// from read_epoch(). advisor::evaluate() does not depend on it.
+  std::vector<Object> objects;
+  std::vector<Set> sets;
+  /// Backs the objects' cluster views when read_epoch() filled the delta;
+  /// a reused delta keeps all three vectors' capacity.
+  std::vector<std::uint64_t> cluster_counts;
+
+  /// The whole run `p` covers, as one interval.
+  static ProfileDelta of(const ProfileSnapshot& p);
+};
+
 /// Human-readable report: per-object miss breakdown, the hottest affinity
 /// sets, and the per-hint-class rollup, as fixed-width tables.
 std::string profile_report(const ProfileSnapshot& p);
@@ -171,6 +230,16 @@ class LocalityProfiler final : public mem::AccessObserver {
   /// Merge every shard. Call only while no run is in flight.
   [[nodiscard]] ProfileSnapshot snapshot() const;
 
+  /// Fill `out` with the activity since the previous read_epoch() (or since
+  /// construction): the difference of two snapshot()s paired by identity
+  /// (registered object, anonymous bucket, set key), listing only what was
+  /// touched in between. Visits only those entries, builds no map, and
+  /// formats a set's label once, when a read first lists the set; each set
+  /// carries its cumulative processor list. `all_sets` also lists every
+  /// untouched set, with zero counts, for rule floors that judge a set with
+  /// no tasks in the interval. Reusing `out` reuses its storage.
+  void read_epoch(ProfileDelta& out, bool all_sets = false);
+
   [[nodiscard]] std::size_t n_registered() const noexcept {
     return reg_.size();
   }
@@ -181,18 +250,54 @@ class LocalityProfiler final : public mem::AccessObserver {
   static constexpr std::uint64_t kAnonShift = 20;
   static constexpr std::uint64_t kAnonBit = 1ull << 63;
 
+  /// What read_epoch() keeps per object across reads: the read that last
+  /// listed the object and its row there.
+  struct ObjRecord {
+    std::uint64_t key = 0;  ///< Registered index, or kAnonBit | bucket.
+    std::uint64_t read = 0;
+    std::size_t row = 0;
+  };
+
+  /// The same per set, plus the cumulative view snapshot() would rebuild
+  /// from every shard.
+  struct SetRecord {
+    std::uint64_t key = 0;
+    std::uint64_t read = 0;
+    std::size_t row = 0;
+    std::string label;  ///< reg_.label(key), refreshed on registration.
+    HintClass hint = HintClass::kNone;  ///< The highest processor's, as
+                                        ///< snapshot() reports it.
+    std::vector<topo::ProcId> procs;    ///< Ascending.
+  };
+
   struct ObjStats {
+    std::uint64_t id = 0;  ///< Registered index, or kAnonBit | bucket.
     AccessStats s;
     /// Misses by servicing home cluster (sized on first miss). The issuing
     /// cluster needs no per-shard histogram: it is the shard's own cluster.
     std::vector<std::uint64_t> miss_home_cluster;
+    /// read_epoch() bookkeeping: the counts at the previous read, the read
+    /// generation in which the entry was last queued as touched, and the
+    /// object's record once a read has met the entry.
+    AccessStats read_s;
+    std::vector<std::uint64_t> read_home;
+    std::uint64_t touched = 0;
+    ObjRecord* rec = nullptr;
   };
 
   struct SetShard {
+    std::uint64_t key = 0;
     std::uint64_t tasks = 0;
     std::uint64_t stolen = 0;
     HintClass hint = HintClass::kNone;
     AccessStats s;
+    /// As in ObjStats; read_tasks == 0 means this processor is new to the
+    /// set since the previous read.
+    std::uint64_t read_tasks = 0;
+    std::uint64_t read_stolen = 0;
+    AccessStats read_s;
+    std::uint64_t touched = 0;
+    SetRecord* rec = nullptr;
   };
 
   struct HintShard {
@@ -200,24 +305,39 @@ class LocalityProfiler final : public mem::AccessObserver {
     AccessStats s;
   };
 
-  /// One processor's private slice; single writer during a run.
+  /// One processor's private slice; single writer during a run. Map nodes
+  /// never move, so the touched lists and cur_set may point into them.
   struct Shard {
     std::unordered_map<std::uint64_t, ObjStats> objects;  ///< By object id.
     std::unordered_map<std::uint64_t, SetShard> sets;     ///< By set key.
     std::array<HintShard, kNumHintClasses> hints{};
     HintClass cur_hint = HintClass::kNone;   ///< Running task's class.
-    std::uint64_t cur_set = kNoSet;          ///< Running task's set key.
-    std::size_t last_obj = SIZE_MAX;         ///< Resolution cache.
+    SetShard* cur_set = nullptr;             ///< Running task's set, if any.
+    /// Resolution cache: the registered object accessed last and its range
+    /// (never an anonymous bucket: registrations punch holes in those).
+    ObjStats* last = nullptr;
+    std::uint64_t last_start = 0;
+    std::uint64_t last_end = 0;
+    /// Entries touched since the last read_epoch(), each queued once per
+    /// read generation `gen`.
+    std::uint64_t gen = 1;
+    std::vector<ObjStats*> touched_objects;
+    std::vector<SetShard*> touched_sets;
   };
 
-  /// Object id for `addr`: the registered index, or an anonymous bucket id.
-  std::uint64_t resolve(Shard& sh, std::uint64_t addr) const;
-  /// Charge one observed line event to object/set/hint in `proc`'s shard.
+  /// The entry of the object at `addr` in `sh` (keyed by registered index,
+  /// or anonymous bucket id), queued as touched.
   ObjStats& obj_stats(Shard& sh, std::uint64_t addr);
+  static void touch(Shard& sh, SetShard& ss);
 
   topo::MachineConfig machine_;
   ObjectRegistry reg_;
   mutable util::Sharded<Shard> shards_;
+  /// Every object and set a read has met, by key. Heap nodes: shard entries
+  /// point at them, and a ProfileDelta views set labels and processors.
+  std::vector<std::unique_ptr<ObjRecord>> obj_records_;
+  std::vector<std::unique_ptr<SetRecord>> set_records_;
+  std::uint64_t reads_ = 0;
 };
 
 }  // namespace cool::obs

@@ -29,7 +29,7 @@ void RequestTraceRecorder::begin_run(const std::vector<std::uint64_t>& arrivals,
   measure_from_ = measure_from;
   completed_ = 0;
   measured_ = 0;
-  all_ = BreakdownSample{};
+  all_ = StallSums{};
   measured_sample_ = BreakdownSample{};
   for (SpanRing& r : rings_) {
     r.next = 0;
@@ -138,10 +138,8 @@ void RequestTraceRecorder::finalize(std::uint32_t req) {
   if (s.memory_stall > s.service) s.memory_stall = s.service;
   s.finalized = true;
   ++completed_;
-  all_.queue_wait.record(s.queue_wait);
-  all_.service.record(s.service);
-  all_.memory_stall.record(s.memory_stall);
-  all_.steal_penalty.record(s.steal_penalty);
+  all_.queue_wait += s.queue_wait;
+  all_.memory_stall += s.memory_stall;
   if (s.arrival >= measure_from_) {
     ++measured_;
     measured_sample_.queue_wait.record(s.queue_wait);

@@ -91,13 +91,20 @@ struct ReqStat {
   bool finalized = false;  ///< Breakdown recorded into the histograms.
 };
 
-/// The four cumulative component histograms, snapshotted as a value for the
-/// adaptive engine's per-epoch diffing (same pattern as the latency sensor).
+/// The four component histograms of a set of completed requests.
 struct BreakdownSample {
   LatencyHist queue_wait;
   LatencyHist service;
   LatencyHist memory_stall;
   LatencyHist steal_penalty;
+};
+
+/// Queue-wait and memory-stall sums over every completed request: all of
+/// the decomposition the adaptive engine's breakdown sensor reads (it
+/// compares the two components' growth per epoch).
+struct StallSums {
+  std::uint64_t queue_wait = 0;
+  std::uint64_t memory_stall = 0;
 };
 
 /// End-of-run breakdown over the measurement interval, for bench tables.
@@ -178,9 +185,9 @@ class RequestTraceRecorder final : public mem::AccessObserver {
   /// Accumulator for request `req` (tests; valid ids only).
   [[nodiscard]] const ReqStat& stat(std::uint32_t req) const;
 
-  /// Cumulative component histograms over ALL completed requests — the
-  /// adaptive engine's breakdown sensor (diffed per epoch).
-  [[nodiscard]] const BreakdownSample& all() const noexcept { return all_; }
+  /// Queue-wait and memory-stall sums over ALL completed requests — the
+  /// adaptive engine's breakdown sensor.
+  [[nodiscard]] StallSums stall_sums() const noexcept { return all_; }
   /// Component histograms over the measurement interval only.
   [[nodiscard]] const BreakdownSample& measured_sample() const noexcept {
     return measured_sample_;
@@ -237,7 +244,7 @@ class RequestTraceRecorder final : public mem::AccessObserver {
   std::uint64_t measure_from_ = 0;
   std::uint64_t completed_ = 0;
   std::uint64_t measured_ = 0;
-  BreakdownSample all_;
+  StallSums all_;
   BreakdownSample measured_sample_;
 };
 

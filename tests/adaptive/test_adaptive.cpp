@@ -24,7 +24,7 @@ namespace {
 struct SyntheticRig {
   topo::MachineConfig machine = topo::MachineConfig::dash(8);
   sched::Policy live;
-  obs::Snapshot metrics;  ///< Cumulative; tests bump counters between epochs.
+  obs::advisor::Signals signals;  ///< Cumulative; tests bump between epochs.
   int mutations = 0;
 
   AdaptPolicy policy() const {
@@ -38,8 +38,7 @@ struct SyntheticRig {
 
   Hooks hooks() {
     Hooks h;
-    h.profile = [] { return obs::ProfileSnapshot{}; };
-    h.metrics = [this] { return metrics; };
+    h.signals = [this] { return signals; };
     h.mutate_policy = [this](const std::function<void(sched::Policy&)>& fn) {
       fn(live);
       ++mutations;
@@ -54,7 +53,7 @@ TEST(AdaptiveEngineSynthetic, StealStormOpensObjectStealingOnce) {
   AdaptiveEngine eng(rig.machine, rig.policy(), rig.hooks());
   ASSERT_FALSE(rig.live.steal_object_tasks);
   for (std::uint64_t e = 1; e <= 10; ++e) {
-    rig.metrics.values["sched.failed_steal_scans"] += 100;
+    rig.signals.failed_steal_scans += 100;
     eng.on_task_dispatch(0, e * 1000);
   }
   EXPECT_TRUE(rig.live.steal_object_tasks);
@@ -71,9 +70,9 @@ TEST(AdaptiveEngineSynthetic, BarrierIdlenessAloneDoesNotFlipPolicy) {
   SyntheticRig rig;
   AdaptiveEngine eng(rig.machine, rig.policy(), rig.hooks());
   for (std::uint64_t e = 1; e <= 10; ++e) {
-    rig.metrics.values["proc.busy_cycles"] += 100;
-    rig.metrics.values["proc.idle_cycles"] += 900;
-    rig.metrics.values["sched.queue.max_now"] = 1;
+    rig.signals.busy_cycles += 100;
+    rig.signals.idle_cycles += 900;
+    rig.signals.queue_max_now = 1;
     eng.on_task_dispatch(0, e * 1000);
   }
   EXPECT_FALSE(rig.live.steal_object_tasks);
@@ -85,9 +84,9 @@ TEST(AdaptiveEngineSynthetic, IdlePileUpWithDeepQueueOpensStealing) {
   // the work exists and cannot spread — the actuator fires.
   SyntheticRig rig;
   AdaptiveEngine eng(rig.machine, rig.policy(), rig.hooks());
-  rig.metrics.values["proc.busy_cycles"] = 100;
-  rig.metrics.values["proc.idle_cycles"] = 900;
-  rig.metrics.values["sched.queue.max_now"] = rig.machine.n_procs / 2;
+  rig.signals.busy_cycles = 100;
+  rig.signals.idle_cycles = 900;
+  rig.signals.queue_max_now = rig.machine.n_procs / 2;
   eng.on_task_dispatch(0, 1000);
   EXPECT_TRUE(rig.live.steal_object_tasks);
   EXPECT_EQ(rig.mutations, 1);
@@ -99,7 +98,7 @@ TEST(AdaptiveEngineSynthetic, ActuatorsCanBeDisabledIndividually) {
   p.enable_steal_policy = false;
   AdaptiveEngine eng(rig.machine, p, rig.hooks());
   for (std::uint64_t e = 1; e <= 5; ++e) {
-    rig.metrics.values["sched.failed_steal_scans"] += 100;
+    rig.signals.failed_steal_scans += 100;
     eng.on_task_dispatch(0, e * 1000);
   }
   EXPECT_EQ(rig.mutations, 0);
@@ -115,9 +114,9 @@ TEST(AdaptiveEngineSynthetic, PersistentPileUpEscalatesToAverageBalancer) {
   // Epoch 1: the pile-up opens object stealing (the existing relief).
   // Epoch 2: the pile-up persists with the relief on — escalate the balancer.
   for (std::uint64_t e = 1; e <= 2; ++e) {
-    rig.metrics.values["proc.busy_cycles"] += 100;
-    rig.metrics.values["proc.idle_cycles"] += 900;
-    rig.metrics.values["sched.queue.max_now"] = rig.machine.n_procs / 2;
+    rig.signals.busy_cycles += 100;
+    rig.signals.idle_cycles += 900;
+    rig.signals.queue_max_now = rig.machine.n_procs / 2;
     eng.on_task_dispatch(0, e * 1000);
   }
   EXPECT_TRUE(rig.live.steal_object_tasks);
@@ -131,8 +130,8 @@ TEST(AdaptiveEngineSynthetic, PersistentPileUpEscalatesToAverageBalancer) {
   for (std::uint64_t e = 3; e <= 12 &&
                             rig.live.balancer != sched::BalancerKind::kStealing;
        ++e) {
-    rig.metrics.values["proc.busy_cycles"] += 1000;
-    rig.metrics.values["sched.queue.max_now"] = 0;
+    rig.signals.busy_cycles += 1000;
+    rig.signals.queue_max_now = 0;
     eng.on_task_dispatch(0, e * 1000);
   }
   EXPECT_EQ(rig.live.balancer, sched::BalancerKind::kStealing);
@@ -144,9 +143,9 @@ TEST(AdaptiveEngineSynthetic, BalancerActuatorIsOffByDefault) {
   SyntheticRig rig;
   AdaptiveEngine eng(rig.machine, rig.policy(), rig.hooks());
   for (std::uint64_t e = 1; e <= 10; ++e) {
-    rig.metrics.values["proc.busy_cycles"] += 100;
-    rig.metrics.values["proc.idle_cycles"] += 900;
-    rig.metrics.values["sched.queue.max_now"] = rig.machine.n_procs / 2;
+    rig.signals.busy_cycles += 100;
+    rig.signals.idle_cycles += 900;
+    rig.signals.queue_max_now = rig.machine.n_procs / 2;
     eng.on_task_dispatch(0, e * 1000);
   }
   EXPECT_TRUE(rig.live.steal_object_tasks);  // the relief still fires
@@ -162,8 +161,8 @@ TEST(AdaptiveEngineSynthetic, UserChosenBalancerIsNeverReverted) {
   AdaptiveEngine eng(rig.machine, p, rig.hooks());
   rig.live.steal_object_tasks = true;
   for (std::uint64_t e = 1; e <= 10; ++e) {
-    rig.metrics.values["proc.busy_cycles"] += 1000;
-    rig.metrics.values["sched.queue.max_now"] = 0;
+    rig.signals.busy_cycles += 1000;
+    rig.signals.queue_max_now = 0;
     eng.on_task_dispatch(0, e * 1000);
   }
   EXPECT_EQ(rig.live.balancer, sched::BalancerKind::kAverage);

@@ -8,6 +8,7 @@
 #include <cstdint>
 #include <functional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "adaptive/engine.hpp"
@@ -17,15 +18,16 @@
 namespace cool::adaptive {
 namespace {
 
-/// BreakdownRig (test_breakdown_routing.cpp) plus per-channel busy gauges in
-/// the metrics snapshot, so the saturation sensor has something to read.
+/// BreakdownRig (test_breakdown_routing.cpp) plus per-channel busy counters
+/// in the signals, so the saturation sensor has something to read.
 struct ChannelRig {
   topo::MachineConfig machine = topo::MachineConfig::dash(8);
   sched::Policy live;
-  obs::Snapshot metrics;
+  obs::advisor::Signals signals;
   obs::LatencyHist hist;
-  obs::BreakdownSample bd;
-  obs::ProfileSnapshot profile;
+  obs::StallSums sums;
+  obs::ProfileSnapshot profile;  ///< Activity the next epoch read returns.
+  obs::ProfileSnapshot handed;   ///< Backs the views of the last read.
   std::vector<topo::ProcId> migrate_targets;
 
   AdaptPolicy policy() const {
@@ -43,8 +45,11 @@ struct ChannelRig {
 
   Hooks hooks() {
     Hooks h;
-    h.profile = [this] { return profile; };
-    h.metrics = [this] { return metrics; };
+    h.profile = [this](obs::ProfileDelta& out, bool) {
+      handed = std::exchange(profile, {});
+      out = obs::ProfileDelta::of(handed);
+    };
+    h.signals = [this] { return signals; };
     h.mutate_policy = [this](const std::function<void(sched::Policy&)>& fn) {
       fn(live);
     };
@@ -61,23 +66,19 @@ struct ChannelRig {
   void overshoot_epoch(int n = 16) {
     for (int i = 0; i < n; ++i) {
       hist.record(4000);
-      bd.queue_wait.record(500);
-      bd.memory_stall.record(3500);
-      bd.service.record(3500);
-      bd.steal_penalty.record(0);
+      sums.queue_wait += 500;
+      sums.memory_stall += 3500;
     }
   }
 
-  /// Cumulative per-channel gauges. `busy` is channel 0's busy-cycle total;
-  /// the engine diffs snapshots, so calling this per epoch with a growing
-  /// total yields the per-epoch delta.
+  /// Cumulative per-channel counters. `busy` is channel 0's busy-cycle
+  /// total; the engine diffs readings, so calling this per epoch with a
+  /// growing total yields the per-epoch delta.
   void set_channel_gauges(std::uint64_t busy) {
-    metrics.values["mem.chan.count"] = 2;
-    metrics.values["mem.chan.0.busy_cycles"] = busy;
-    metrics.values["mem.chan.1.busy_cycles"] = busy / 10;
-    // The aggregate key must NOT feed the peak scan (it sums all channels
-    // and would read as >100% of the epoch).
-    metrics.values["mem.chan.busy_cycles"] = busy + busy / 10;
+    signals.chan_busy = {busy, busy / 10};
+    // The aggregate must NOT feed the peak (it sums all channels and would
+    // read as >100% of the epoch).
+    signals.chan_busy_total = busy + busy / 10;
   }
 
   /// A hot object with *scattered* users but a concentrated home: the
@@ -126,8 +127,8 @@ struct ChannelRig {
 
 AdaptiveEngine make_engine(ChannelRig& rig, AdaptPolicy p) {
   AdaptiveEngine eng(rig.machine, p, rig.hooks());
-  eng.set_latency_sensor([&rig] { return rig.hist; });
-  eng.set_breakdown_sensor([&rig] { return rig.bd; });
+  eng.set_latency_sensor(&rig.hist);
+  eng.set_breakdown_sensor([&rig] { return rig.sums; });
   return eng;
 }
 
@@ -157,7 +158,7 @@ TEST(BandwidthRouting, UnsaturatedChannelKeepsTheMigrateRoute) {
 TEST(BandwidthRouting, FlatBackendExportsNoGaugesSoMigrateRouteHolds) {
   ChannelRig rig;
   AdaptiveEngine eng = make_engine(rig, rig.policy());
-  rig.overshoot_epoch();  // no mem.chan.* keys at all
+  rig.overshoot_epoch();  // no channels at all
   eng.on_task_dispatch(0, 1000);
   ASSERT_EQ(eng.log().size(), 1u);
   EXPECT_EQ(eng.log()[0].action.rfind("escalate=migrate", 0), 0u);
@@ -192,12 +193,17 @@ TEST(BandwidthRouting, AggregateBusyKeyDoesNotFeedThePeakScan) {
   AdaptiveEngine eng = make_engine(rig, rig.policy());
   rig.overshoot_epoch();
   // Per-channel peaks are tiny, but the aggregate across 16 channels is
-  // large: only the per-channel keys may drive the decision.
-  rig.metrics.values["mem.chan.count"] = 16;
+  // large: the snapshot converter must keep the per-channel keys apart from
+  // the aggregate, and only they may drive the decision.
+  obs::Snapshot m;
+  m.values["mem.chan.count"] = 16;
   for (int i = 0; i < 16; ++i) {
-    rig.metrics.values["mem.chan." + std::to_string(i) + ".busy_cycles"] = 60;
+    m.values["mem.chan." + std::to_string(i) + ".busy_cycles"] = 60;
   }
-  rig.metrics.values["mem.chan.busy_cycles"] = 16 * 60;  // 96% if misread
+  m.values["mem.chan.busy_cycles"] = 16 * 60;  // 96% if misread
+  rig.signals = obs::advisor::signals_from(m);
+  EXPECT_EQ(rig.signals.chan_busy, std::vector<std::uint64_t>(16, 60));
+  EXPECT_EQ(rig.signals.chan_busy_total, 16u * 60u);
   eng.on_task_dispatch(0, 1000);
   ASSERT_EQ(eng.log().size(), 1u);
   EXPECT_EQ(eng.log()[0].action.rfind("escalate=migrate", 0), 0u);

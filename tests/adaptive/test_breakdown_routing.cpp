@@ -6,6 +6,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <utility>
 #include <vector>
 
 #include "adaptive/engine.hpp"
@@ -16,16 +17,17 @@
 namespace cool::adaptive {
 namespace {
 
-/// LatencyRig (test_latency_target.cpp) plus a hand-fed breakdown sample
-/// and a counting migrate hook, so the routing decision and the actuator it
+/// LatencyRig (test_latency_target.cpp) plus hand-fed breakdown sums and
+/// a counting migrate hook, so the routing decision and the actuator it
 /// opens are both observable.
 struct BreakdownRig {
   topo::MachineConfig machine = topo::MachineConfig::dash(8);
   sched::Policy live;
-  obs::Snapshot metrics;
+  obs::advisor::Signals signals;
   obs::LatencyHist hist;
-  obs::BreakdownSample bd;
-  obs::ProfileSnapshot profile;  ///< Returned cumulatively by the hook.
+  obs::StallSums sums;
+  obs::ProfileSnapshot profile;  ///< Activity the next epoch read returns.
+  obs::ProfileSnapshot handed;   ///< Backs the views of the last read.
   int mutations = 0;
   std::vector<topo::ProcId> migrate_targets;
 
@@ -44,8 +46,11 @@ struct BreakdownRig {
 
   Hooks hooks() {
     Hooks h;
-    h.profile = [this] { return profile; };
-    h.metrics = [this] { return metrics; };
+    h.profile = [this](obs::ProfileDelta& out, bool) {
+      handed = std::exchange(profile, {});
+      out = obs::ProfileDelta::of(handed);
+    };
+    h.signals = [this] { return signals; };
     h.mutate_policy = [this](const std::function<void(sched::Policy&)>& fn) {
       fn(live);
       ++mutations;
@@ -64,10 +69,8 @@ struct BreakdownRig {
   void epoch(std::uint64_t lat, std::uint64_t stall, int n = 16) {
     for (int i = 0; i < n; ++i) {
       hist.record(lat);
-      bd.queue_wait.record(lat - stall);
-      bd.memory_stall.record(stall);
-      bd.service.record(stall);
-      bd.steal_penalty.record(0);
+      sums.queue_wait += lat - stall;
+      sums.memory_stall += stall;
     }
   }
 
@@ -95,8 +98,8 @@ struct BreakdownRig {
 
 AdaptiveEngine make_engine(BreakdownRig& rig, AdaptPolicy p) {
   AdaptiveEngine eng(rig.machine, p, rig.hooks());
-  eng.set_latency_sensor([&rig] { return rig.hist; });
-  eng.set_breakdown_sensor([&rig] { return rig.bd; });
+  eng.set_latency_sensor(&rig.hist);
+  eng.set_breakdown_sensor([&rig] { return rig.sums; });
   return eng;
 }
 
@@ -129,7 +132,7 @@ TEST(BreakdownRouting, QueueDominatedOvershootClimbsTheLadderAsBefore) {
 TEST(BreakdownRouting, NoSensorKeepsTheFixedLadder) {
   BreakdownRig rig;
   AdaptiveEngine eng(rig.machine, rig.policy(), rig.hooks());
-  eng.set_latency_sensor([&rig] { return rig.hist; });
+  eng.set_latency_sensor(&rig.hist);
   // Memory-stall-shaped load, but without the breakdown sensor the engine
   // cannot see it: the ladder climbs exactly as in PR 7.
   rig.epoch(4000, 3500);
@@ -200,13 +203,13 @@ TEST(BreakdownRouting, GateIsStickyAcrossTheRehomeWave) {
 
 TEST(BreakdownRouting, LiveRecorderFeedsTheSensor) {
   // End-to-end over the real recorder type: the sensor closure returns
-  // rec.all() by value and the engine diffs it per epoch.
+  // rec.stall_sums() and the engine compares it per epoch.
   obs::RequestTraceRecorder rec(1, 64, 1);
   rec.begin_run({0, 0}, 0);
   BreakdownRig rig;
   AdaptiveEngine eng(rig.machine, rig.policy(), rig.hooks());
-  eng.set_latency_sensor([&rig] { return rig.hist; });
-  eng.set_breakdown_sensor([&rec] { return rec.all(); });
+  eng.set_latency_sensor(&rig.hist);
+  eng.set_breakdown_sensor([&rec] { return rec.stall_sums(); });
   // Requests whose latency is almost entirely memory stall.
   std::uint64_t t = 0;
   for (std::uint32_t r = 0; r < 2; ++r) {

@@ -15,12 +15,12 @@ namespace cool::adaptive {
 namespace {
 
 /// Engine over a hand-fed latency histogram: every on_task_dispatch call
-/// closes an epoch (epoch_tasks = 1), and the sensor returns the rig's
-/// cumulative histogram, exactly like a live load::Driver would.
+/// closes an epoch (epoch_tasks = 1), and the sensor is the rig's
+/// cumulative histogram, exactly like a live load::Driver's.
 struct LatencyRig {
   topo::MachineConfig machine = topo::MachineConfig::dash(8);
   sched::Policy live;
-  obs::Snapshot metrics;
+  obs::advisor::Signals signals;
   obs::LatencyHist hist;  ///< Cumulative; tests record between epochs.
   int mutations = 0;
 
@@ -39,8 +39,7 @@ struct LatencyRig {
 
   Hooks hooks() {
     Hooks h;
-    h.profile = [] { return obs::ProfileSnapshot{}; };
-    h.metrics = [this] { return metrics; };
+    h.signals = [this] { return signals; };
     h.mutate_policy = [this](const std::function<void(sched::Policy&)>& fn) {
       fn(live);
       ++mutations;
@@ -57,7 +56,7 @@ struct LatencyRig {
 
 AdaptiveEngine make_engine(LatencyRig& rig, AdaptPolicy p) {
   AdaptiveEngine eng(rig.machine, p, rig.hooks());
-  eng.set_latency_sensor([&rig] { return rig.hist; });
+  eng.set_latency_sensor(&rig.hist);
   return eng;
 }
 
@@ -159,9 +158,9 @@ TEST(LatencyTarget, ServingModeStandsDownTheIdlePileUpHeuristic) {
   // owns the knob, and pin-break stealing makes hot-key tails worse.
   LatencyRig rig;
   AdaptiveEngine eng = make_engine(rig, rig.policy());
-  rig.metrics.values["proc.busy_cycles"] = 100;
-  rig.metrics.values["proc.idle_cycles"] = 900;
-  rig.metrics.values["sched.queue.max_now"] = rig.machine.n_procs / 2;
+  rig.signals.busy_cycles = 100;
+  rig.signals.idle_cycles = 900;
+  rig.signals.queue_max_now = rig.machine.n_procs / 2;
   rig.epoch_completions(500);  // tail comfortably under target
   eng.on_task_dispatch(0, 1000);
   EXPECT_FALSE(rig.live.steal_object_tasks);

@@ -6,10 +6,16 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <functional>
+#include <map>
+#include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "adaptive/policy.hpp"
 #include "apps/ocean/ocean.hpp"
+#include "common/rng.hpp"
 #include "core/cool.hpp"
 #include "obs/advisor.hpp"
 
@@ -78,6 +84,275 @@ TEST(LocalityProfiler, AttributesAccessesAndAnonymousBuckets) {
   // The total row covers everything, anonymous traffic included.
   EXPECT_EQ(p.total.accesses(), 2u);
   EXPECT_EQ(p.total.stall_cycles, 101u);
+}
+
+// --- epoch reads -------------------------------------------------------------
+
+/// What read_epoch() must equal: `cur` minus `prev`, rows paired by identity
+/// (registered objects and anonymous buckets each by address, sets by key).
+/// Rows new in `cur` stay whole; set procs and hints stay `cur`'s.
+obs::ProfileSnapshot paired_diff(const obs::ProfileSnapshot& cur,
+                                 const obs::ProfileSnapshot& prev) {
+  obs::ProfileSnapshot d = cur;
+  std::map<std::pair<bool, std::uint64_t>,
+           const obs::ProfileSnapshot::ObjectRow*>
+      objects;
+  for (const auto& o : prev.objects) objects[{o.anonymous, o.addr}] = &o;
+  for (auto& o : d.objects) {
+    const auto it = objects.find({o.anonymous, o.addr});
+    if (it == objects.end()) continue;
+    o.s.sub(it->second->s);
+    for (std::size_t c = 0; c < o.miss_from_cluster.size(); ++c) {
+      o.miss_from_cluster[c] -= it->second->miss_from_cluster[c];
+      o.miss_home_cluster[c] -= it->second->miss_home_cluster[c];
+    }
+  }
+  std::map<std::uint64_t, const obs::ProfileSnapshot::SetRow*> sets;
+  for (const auto& set : prev.sets) sets[set.key] = &set;
+  for (auto& set : d.sets) {
+    const auto it = sets.find(set.key);
+    if (it == sets.end()) continue;
+    set.tasks -= it->second->tasks;
+    set.stolen -= it->second->stolen;
+    set.s.sub(it->second->s);
+  }
+  return d;
+}
+
+template <typename T>
+std::vector<T> as_vector(std::span<const T> v) {
+  return {v.begin(), v.end()};
+}
+
+bool all_zero(const std::vector<std::uint64_t>& v) {
+  for (std::uint64_t x : v) {
+    if (x != 0) return false;
+  }
+  return true;
+}
+
+/// `fast` lists every row of `ref` with activity, equal to it; a row it
+/// omits must be idle in `ref` (and with `all_sets`, no set may be omitted).
+void expect_same_activity(const obs::ProfileDelta& fast,
+                          const obs::ProfileSnapshot& ref, bool all_sets) {
+  std::map<std::pair<bool, std::uint64_t>, const obs::ProfileDelta::Object*>
+      objects;
+  for (const auto& o : fast.objects) {
+    EXPECT_TRUE(objects.emplace(std::make_pair(o.anonymous, o.addr), &o).second)
+        << "object listed twice: " << o.addr;
+  }
+  std::size_t matched = 0;
+  for (const auto& r : ref.objects) {
+    const auto it = objects.find({r.anonymous, r.addr});
+    if (it == objects.end()) {
+      EXPECT_EQ(r.s, obs::AccessStats{}) << r.name;
+      EXPECT_TRUE(all_zero(r.miss_from_cluster)) << r.name;
+      EXPECT_TRUE(all_zero(r.miss_home_cluster)) << r.name;
+      continue;
+    }
+    ++matched;
+    const obs::ProfileDelta::Object& o = *it->second;
+    if (!r.anonymous) {
+      EXPECT_EQ(o.name, r.name);
+    }
+    EXPECT_EQ(o.bytes, r.bytes) << r.name;
+    EXPECT_EQ(o.s, r.s) << r.name;
+    EXPECT_EQ(as_vector(o.miss_from_cluster), r.miss_from_cluster) << r.name;
+    EXPECT_EQ(as_vector(o.miss_home_cluster), r.miss_home_cluster) << r.name;
+  }
+  EXPECT_EQ(matched, fast.objects.size());
+
+  std::map<std::uint64_t, const obs::ProfileDelta::Set*> sets;
+  for (const auto& set : fast.sets) {
+    EXPECT_TRUE(sets.emplace(set.key, &set).second)
+        << "set listed twice: " << set.key;
+  }
+  matched = 0;
+  for (const auto& r : ref.sets) {
+    const auto it = sets.find(r.key);
+    if (it == sets.end()) {
+      EXPECT_FALSE(all_sets) << r.label;
+      EXPECT_EQ(r.tasks, 0u) << r.label;
+      EXPECT_EQ(r.stolen, 0u) << r.label;
+      EXPECT_EQ(r.s, obs::AccessStats{}) << r.label;
+      continue;
+    }
+    ++matched;
+    const obs::ProfileDelta::Set& set = *it->second;
+    EXPECT_EQ(set.label, r.label);
+    EXPECT_EQ(set.hint, r.hint) << r.label;
+    EXPECT_EQ(set.tasks, r.tasks) << r.label;
+    EXPECT_EQ(set.stolen, r.stolen) << r.label;
+    EXPECT_EQ(as_vector(set.procs), r.procs) << r.label;
+    EXPECT_EQ(set.s, r.s) << r.label;
+  }
+  EXPECT_EQ(matched, fast.sets.size());
+}
+
+/// One line per finding, every field a rule fills, for readable diffs.
+std::vector<std::string> describe(
+    const std::vector<obs::advisor::Finding>& findings) {
+  std::vector<std::string> out;
+  for (const auto& f : findings) {
+    char buf[256];
+    std::snprintf(buf, sizeof buf,
+                  "%s w=%llu addr=%llu user=%zu/%.6f home=%zu/%.6f "
+                  "remote=%.6f key=%llu hint=%d tasks=%llu stolen=%llu "
+                  "procs=%zu stall=%llu",
+                  obs::advice_kind_name(f.kind),
+                  static_cast<unsigned long long>(f.weight),
+                  static_cast<unsigned long long>(f.obj_addr), f.user_cluster,
+                  f.user_share, f.home_cluster, f.home_share, f.remote_frac,
+                  static_cast<unsigned long long>(f.set_key),
+                  static_cast<int>(f.hint),
+                  static_cast<unsigned long long>(f.set_tasks),
+                  static_cast<unsigned long long>(f.set_stolen), f.set_procs,
+                  static_cast<unsigned long long>(f.stall_cycles));
+    out.push_back(f.subject + ": " + buf);
+  }
+  return out;
+}
+
+// Identity pairing: an anonymous 1 MiB bucket starts at the same address as
+// a registered object inside it. Each must be diffed against its own
+// previous counts, not against the other's.
+TEST(LocalityProfiler, EpochReadPairsObjectsByIdentityNotAddress) {
+  const auto machine = topo::MachineConfig::dash(8);
+  obs::LocalityProfiler prof(machine);
+  ASSERT_TRUE(prof.register_object("obj", 0x100000, 0x100, 0));
+  const auto obj_miss = [&prof] {
+    prof.on_access(mem::AccessInfo{4, 0x100040, mem::Service::kRemoteMem,
+                                   false, 100, 0});
+  };
+  const auto anon_hit = [&prof] {
+    prof.on_access(
+        mem::AccessInfo{1, 0x100800, mem::Service::kL1Hit, false, 1, 0});
+  };
+
+  for (int i = 0; i < 5; ++i) obj_miss();
+  for (int i = 0; i < 20; ++i) anon_hit();
+  const obs::ProfileSnapshot s1 = prof.snapshot();
+  obs::ProfileDelta d;
+  prof.read_epoch(d);
+
+  for (int i = 0; i < 3; ++i) obj_miss();
+  for (int i = 0; i < 50; ++i) anon_hit();
+  const obs::ProfileSnapshot s2 = prof.snapshot();
+  prof.read_epoch(d);
+
+  ASSERT_EQ(s2.objects.size(), 2u);
+  EXPECT_EQ(s2.objects[1].name, "anon@0x100000");  // Same start as "obj".
+  ASSERT_EQ(d.objects.size(), 2u);
+  const bool anon_first = d.objects[0].anonymous;
+  const obs::ProfileDelta::Object& obj = d.objects[anon_first ? 1 : 0];
+  const obs::ProfileDelta::Object& anon = d.objects[anon_first ? 0 : 1];
+  EXPECT_EQ(obj.name, "obj");
+  EXPECT_EQ(obj.addr, 0x100000u);
+  EXPECT_EQ(obj.s.reads, 3u);
+  EXPECT_EQ(obj.s.remote_misses(), 3u);
+  EXPECT_EQ(as_vector(obj.miss_from_cluster),
+            (std::vector<std::uint64_t>{0, 3}));
+  EXPECT_EQ(as_vector(obj.miss_home_cluster),
+            (std::vector<std::uint64_t>{3, 0}));
+  EXPECT_FALSE(obj.anonymous);
+  EXPECT_TRUE(anon.anonymous);
+  EXPECT_EQ(anon.addr, 0x100000u);
+  EXPECT_EQ(anon.s.reads, 50u);
+  expect_same_activity(d, paired_diff(s2, s1), false);
+
+  // Nothing happened since: an empty read.
+  prof.read_epoch(d);
+  EXPECT_TRUE(d.objects.empty());
+  EXPECT_TRUE(d.sets.empty());
+}
+
+// The fast path equals the snapshot reference: a random stream of
+// dispatches, accesses and invalidations at P=8 over registered objects,
+// anonymous buckets (one colliding with a registration's start), several
+// set keys and hint classes. At every read the delta must equal the
+// identity-paired difference of consecutive snapshots, and the advisor must
+// find the same things in the same order from either.
+TEST(LocalityProfiler, EpochReadEqualsPairedSnapshotDiff) {
+  const auto machine = topo::MachineConfig::dash(8);
+  obs::LocalityProfiler prof(machine);
+  ASSERT_TRUE(prof.register_object("a", 0x1000, 0x800, 0));
+  ASSERT_TRUE(prof.register_object("b", 0x100000, 0x400, 4));  // 1 MiB start
+  ASSERT_TRUE(prof.register_object("c", 0x300040, 0x2000, 2));
+  const std::vector<std::uint64_t> addrs = {
+      0x1000,   0x1400,   0x17c0,     // a
+      0x100000, 0x1003c0,             // b
+      0x300040, 0x301000,             // c
+      0x100400, 0x180000,             // anon@0x100000, beside b
+      0x200000, 0x40000000};          // other anon buckets
+  const std::vector<std::uint64_t> keys = {
+      obs::LocalityProfiler::kNoSet, 0x1000, 0x1040, 0x100000, 0x5000,
+      0x300040};
+  const std::vector<obs::HintClass> hints = {
+      obs::HintClass::kNone, obs::HintClass::kObject, obs::HintClass::kTask,
+      obs::HintClass::kTaskObject};
+
+  obs::AdvisorConfig online = adaptive::AdaptPolicy::online_rules();
+  obs::AdvisorConfig zero_floor = online;
+  zero_floor.min_set_tasks = 0;
+  zero_floor.min_misses = 0;
+
+  util::Rng rng(12345);
+  const auto pick = [&rng](std::size_t n) {
+    return static_cast<std::size_t>(rng.next_below(n));
+  };
+  obs::ProfileSnapshot prev = prof.snapshot();
+  obs::ProfileDelta fast;
+  std::size_t online_findings = 0;
+  std::size_t idle_set_findings = 0;
+  for (int epoch = 0; epoch < 80; ++epoch) {
+    const std::size_t events = epoch % 10 == 9 ? 0 : 1 + pick(300);
+    for (std::size_t e = 0; e < events; ++e) {
+      const auto proc = static_cast<topo::ProcId>(pick(machine.n_procs));
+      const std::size_t what = pick(10);
+      if (what == 0) {
+        prof.on_task_dispatch(proc, hints[pick(hints.size())],
+                              keys[pick(keys.size())], pick(3) == 0);
+      } else if (what == 1) {
+        prof.on_inval(addrs[pick(addrs.size())], proc,
+                      static_cast<int>(pick(4)));
+      } else {
+        mem::AccessInfo info;
+        info.proc = proc;
+        info.addr = addrs[pick(addrs.size())];
+        info.service = static_cast<mem::Service>(pick(mem::kNumServices));
+        info.is_write = pick(2) == 0;
+        info.stall = static_cast<std::uint32_t>(pick(400));
+        info.home = static_cast<topo::ProcId>(pick(machine.n_procs));
+        prof.on_access(info);
+      }
+    }
+    const bool all_sets = epoch % 3 == 0;
+    prof.read_epoch(fast, all_sets);
+    const obs::ProfileSnapshot cur = prof.snapshot();
+    const obs::ProfileSnapshot ref = paired_diff(cur, prev);
+    SCOPED_TRACE("epoch " + std::to_string(epoch));
+    expect_same_activity(fast, ref, all_sets);
+
+    const obs::ProfileDelta whole = obs::ProfileDelta::of(ref);
+    const obs::advisor::Signals none;
+    const auto got = obs::advisor::evaluate(fast, none, online);
+    EXPECT_EQ(describe(got),
+              describe(obs::advisor::evaluate(whole, none, online)));
+    online_findings += got.size();
+    if (all_sets) {
+      // A set that once ran on two processors fires under a zero floor even
+      // in an epoch it ran nothing: the read must still list it.
+      const auto zero = obs::advisor::evaluate(fast, none, zero_floor);
+      EXPECT_EQ(describe(zero),
+                describe(obs::advisor::evaluate(whole, none, zero_floor)));
+      for (const auto& f : zero) {
+        if (f.set_procs > 1 && f.set_tasks == 0) ++idle_set_findings;
+      }
+    }
+    prev = cur;
+  }
+  EXPECT_GT(online_findings, 0u);
+  EXPECT_GT(idle_set_findings, 0u);
 }
 
 // The acceptance scenario: one mis-homed object plus one task-affinity set
@@ -336,6 +611,53 @@ TEST(ProfilerLive, TaskAffinitySetsAreAttributed) {
     }
   }
   EXPECT_TRUE(task_object_row);
+}
+
+// The engine's typed signals are built straight from their sources; the
+// offline advisor reads the same fields out of obs_snapshot(). They must
+// agree at every point of a run, channel counters included.
+TEST(AdvisorSignals, LiveSignalsEqualTheSnapshotConverter) {
+  SystemConfig cfg;
+  cfg.machine = topo::MachineConfig::dash(8);
+  cfg.mem_channel.kind = mem::ChannelConfig::Kind::kDdr;
+  Runtime rt(cfg);
+  const std::size_t n = 1 << 14;
+  double* arr = rt.alloc_array<double>(n, 0);
+
+  int checks = 0;
+  const std::function<void()> check = [&rt, &checks] {
+    EXPECT_EQ(rt.advisor_signals(),
+              obs::advisor::signals_from(rt.obs_snapshot()));
+    ++checks;
+  };
+  check();  // Before any run.
+  rt.run([](double* a, std::size_t total,
+            const std::function<void()>* chk) -> TaskFn {
+    auto& c = co_await self();
+    TaskGroup g;
+    const std::size_t slice = total / 16;
+    for (std::size_t t = 0; t < 16; ++t) {
+      // Every task's data lives on proc 0's memory, so the fills pile onto
+      // one cluster's channels while the tasks spread by stealing.
+      c.spawn(Affinity::object(a), g,
+              [](double* part, std::size_t len,
+                 const std::function<void()>* ck) -> TaskFn {
+                auto& cc = co_await self();
+                cc.update(part, len * sizeof(double));
+                (*ck)();  // Mid-run: sim.time is still 0.
+              }(a + t * slice, slice, chk));
+    }
+    co_await c.wait(g);
+    (*chk)();
+  }(arr, n, &check));
+  check();  // After the run: span = sim.time.
+
+  EXPECT_EQ(checks, 19);
+  const obs::advisor::Signals s = rt.advisor_signals();
+  EXPECT_GT(s.span, 0u);
+  EXPECT_FALSE(s.chan_busy.empty());
+  EXPECT_GT(s.chan_busy_total, 0u);
+  EXPECT_GT(s.busy_cycles, 0u);
 }
 
 TEST(ProfileSnapshot, ToJsonIsWellFormed) {

@@ -200,7 +200,11 @@ TEST(RequestTrace, MeasurementWindowFiltersSummaryNotTotals) {
   }
   EXPECT_EQ(rec.completed(), 2u);
   EXPECT_EQ(rec.measured(), 1u);
-  EXPECT_EQ(rec.all().queue_wait.count(), 2u);
+  // The sensor's sums cover both requests, the measured sample only one.
+  EXPECT_EQ(rec.stall_sums().queue_wait,
+            rec.stat(0).queue_wait + rec.stat(1).queue_wait);
+  EXPECT_GT(rec.stall_sums().queue_wait,
+            rec.measured_sample().queue_wait.sum());
   EXPECT_EQ(rec.measured_sample().queue_wait.count(), 1u);
   EXPECT_EQ(rec.summary().count, 1u);
 }
@@ -403,7 +407,7 @@ TEST(RequestTrace, BeginRunResetsEverything) {
   EXPECT_EQ(rec.completed(), 0u);
   EXPECT_EQ(rec.total_dropped(), 0u);
   EXPECT_EQ(rec.total_spans(), 0u);
-  EXPECT_EQ(rec.all().queue_wait.count(), 0u);
+  EXPECT_EQ(rec.stall_sums().queue_wait, 0u);
   EXPECT_EQ(rec.stat(0).arrival, 7u);
 }
 
