@@ -118,6 +118,9 @@ inline Runtime make_runtime(std::uint32_t procs, const sched::Policy& policy,
     sc.adapt_policy = adaptive::load_adapt_policy(pol_path);
   }
   const std::int64_t latency_target = opt.get_int("latency-target");
+  COOL_CHECK(latency_target >= 0,
+             "--latency-target: " + std::to_string(latency_target) +
+                 " is negative; give a p99 target in cycles, or 0 for off");
   if (latency_target > 0) {
     // --latency-target implies --adapt: the objective lives in the adaptive
     // engine. An explicit --adapt=policy.json still wins for every other

@@ -23,7 +23,9 @@
 //       --fail-on-regression=PCT the exit status instead tracks only
 //       direction-aware regressions (a speedup shrinking, cycles or steal
 //       counters growing) beyond PCT — drift in the good direction still
-//       prints but passes.
+//       prints but passes. In both modes a record whose adaptation log
+//       differs from the old one's, entry for entry, fails the comparison
+//       and prints the first differing entry from each side.
 //
 // The bench binaries are expected next to the runner (the build drops
 // everything into build/bench/), overridable with --bin-dir.
@@ -304,6 +306,20 @@ bool same(const Value& a, const Value& b) {
                     });
 }
 
+/// One decision-log entry as `key=value` pairs, or "(none)" past the end of
+/// its log.
+std::string entry_text(const std::vector<Value>& log, std::size_t i) {
+  if (i >= log.size()) return "(none)";
+  std::string out;
+  for (const auto& [k, v] : log[i].obj) {
+    char num[32];
+    std::snprintf(num, sizeof num, "%.17g", v.num);
+    if (!out.empty()) out += ' ';
+    out.append(k).append("=").append(v.is_string() ? v.str : num);
+  }
+  return out;
+}
+
 /// The number `r` names in `rec`; NaN (which fails every claim) when the
 /// record lacks it.
 double eval(const Ref& r, const Value& rec) {
@@ -489,6 +505,7 @@ int compare_runs(const std::string& old_dir, const std::string& new_dir,
   int compared = 0;
   int over = 0;
   int regressed = 0;
+  int changed_logs = 0;
   std::error_code ec;
   std::vector<fs::path> olds;
   for (const auto& e : fs::directory_iterator(old_dir, ec)) {
@@ -614,6 +631,26 @@ int compare_runs(const std::string& old_dir, const std::string& new_dir,
       std::printf("%-28s %-32s %28.4g  (new, info)\n", bench.c_str(),
                   k.c_str(), vb.num);
     }
+    // The adaptive engine's decision log must match entry for entry: a
+    // changed decision sequence can leave every shape metric inside the
+    // threshold. An absent log reads as empty.
+    {
+      static const std::vector<Value> kNoLog;
+      const Value* la = a.find("adaptation");
+      const Value* lb = b.find("adaptation");
+      const std::vector<Value>& da = la != nullptr ? la->arr : kNoLog;
+      const std::vector<Value>& db = lb != nullptr ? lb->arr : kNoLog;
+      std::size_t i = 0;
+      while (i < da.size() && i < db.size() && same(da[i], db[i])) ++i;
+      if (i < da.size() || i < db.size()) {
+        ++changed_logs;
+        std::printf("%-28s adaptation differs at entry %zu (%zu -> %zu "
+                    "entries)  DECISIONS CHANGED\n",
+                    bench.c_str(), i, da.size(), db.size());
+        std::printf("%-28s   old: %s\n", "", entry_text(da, i).c_str());
+        std::printf("%-28s   new: %s\n", "", entry_text(db, i).c_str());
+      }
+    }
     // Scheduler/locality counters from the obs snapshot: a bench can hold
     // its shape while quietly stealing more or servicing more misses
     // remotely, so diff these too (increase = regression).
@@ -639,14 +676,15 @@ int compare_runs(const std::string& old_dir, const std::string& new_dir,
   if (fail_pct >= 0.0) {
     std::printf(
         "runner: compared %d metric(s), %d past the %.1f%% threshold, "
-        "%d regression(s) past %.1f%%\n",
-        compared, over, threshold, regressed, fail_pct);
-    return regressed == 0 ? 0 : 1;
+        "%d regression(s) past %.1f%%, %d changed decision log(s)\n",
+        compared, over, threshold, regressed, fail_pct, changed_logs);
+    return regressed == 0 && changed_logs == 0 ? 0 : 1;
   }
   std::printf(
-      "runner: compared %d shape metric(s), %d past the %.1f%% threshold\n",
-      compared, over, threshold);
-  return over == 0 ? 0 : 1;
+      "runner: compared %d shape metric(s), %d past the %.1f%% threshold, "
+      "%d changed decision log(s)\n",
+      compared, over, threshold, changed_logs);
+  return over == 0 && changed_logs == 0 ? 0 : 1;
 }
 
 }  // namespace

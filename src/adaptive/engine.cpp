@@ -6,6 +6,7 @@
 #include <cstdio>
 #include <utility>
 
+#include "common/error.hpp"
 #include "obs/json.hpp"
 
 namespace cool::adaptive {
@@ -20,6 +21,19 @@ std::string fmt(const char* format, ...) {
   return buf;
 }
 
+constexpr auto kAverage =
+    static_cast<std::uint32_t>(sched::BalancerKind::kAverage);
+constexpr auto kStealing =
+    static_cast<std::uint32_t>(sched::BalancerKind::kStealing);
+
+/// The finding a revert is logged under: the rule whose move it takes back.
+obs::advisor::Finding scheduler_finding(obs::AdviceKind kind) {
+  obs::advisor::Finding f;
+  f.kind = kind;
+  f.subject = "scheduler";
+  return f;
+}
+
 }  // namespace
 
 AdaptiveEngine::AdaptiveEngine(const topo::MachineConfig& machine,
@@ -29,7 +43,10 @@ AdaptiveEngine::AdaptiveEngine(const topo::MachineConfig& machine,
       hooks_(std::move(hooks)),
       gov_(policy.confirm_epochs, policy.cooldown_epochs),
       bal_gov_(policy.confirm_epochs, policy.cooldown_epochs,
-               policy.balancer_dwell_epochs, policy.balancer_max_switches) {}
+               policy.balancer_dwell_epochs, policy.balancer_max_switches) {
+  COOL_CHECK(hooks_.mutate_policy && hooks_.policy,
+             "adaptive engine needs the mutate_policy and policy hooks");
+}
 
 std::uint64_t AdaptiveEngine::on_task_dispatch(topo::ProcId proc,
                                                std::uint64_t now) {
@@ -72,6 +89,10 @@ std::uint64_t AdaptiveEngine::run_epoch(topo::ProcId proc, std::uint64_t now) {
     if (log_.size() > before) ++actions;
   }
 
+  // The throughput-mode reverts. In serving mode the latency objective owns
+  // both knobs and takes its own relief back on p99 headroom alone.
+  if (pol_.latency_target_cycles != 0) return cost;
+  const bool drained = sig.queue_max_now * 2 < machine_.n_procs;
   // Revert the steal-storm relief once rehoming has spread the data: with
   // the hot objects now homed next to (or across) their users, OBJECT tasks
   // are placed on useful processors and stealing them only trades locality
@@ -82,45 +103,23 @@ std::uint64_t AdaptiveEngine::run_epoch(topo::ProcId proc, std::uint64_t now) {
   // while a deep queue still sits on the old home. The shared governor key
   // keeps enable/revert at least one cooldown apart; if imbalance returns,
   // the storm rule re-enables.
-  const std::uint64_t queued_max = sig.queue_max_now;
-  if (pol_.enable_steal_policy && enabled_steal_object_ &&
-      rehomes_since_enable_ > 0 &&
-      rehomes_since_enable_ == rehomes_before &&
-      queued_max * 2 < machine_.n_procs && hooks_.mutate_policy &&
-      gov_.admit("policy:steal_object_tasks", epoch_)) {
-    hooks_.mutate_policy(
-        [](sched::Policy& p) { p.steal_object_tasks = false; });
-    enabled_steal_object_ = false;
-    rehomes_since_enable_ = 0;
-    obs::advisor::Finding f;
-    f.kind = obs::AdviceKind::kStealStorm;
-    f.subject = "scheduler";
-    record(f, "steal_object_tasks=off (data spread)", now + cost, 0);
+  if (pol_.enable_steal_policy && steal_relief_ && rehomes_since_enable_ > 0 &&
+      rehomes_since_enable_ == rehomes_before && drained) {
+    move(scheduler_finding(obs::AdviceKind::kStealStorm),
+         Knob::kStealObjectTasks, false, "data spread", now + cost);
   }
-
   // Revert the balancer escalation once the pile-up has drained: the Average
   // balancer's periodic equalisation is pure overhead on a balanced machine,
   // and reverting restores the Stealing balancer's byte-identical default
   // probe order. The BalancerGovernor's dwell keeps the switch and its revert
   // at least one dwell window apart, and the revert consumes one of the
-  // lifetime switch slots like any other swap. In serving mode the latency
-  // objective owns the switch AND its revert: a shallow queue here just
-  // means the escalation is *working* — under sustained hot-key load the
-  // revert would reopen the very pile-up it is celebrating, so it defers to
-  // the ladder's p99-headroom revert instead.
-  if (pol_.latency_target_cycles == 0 && switched_balancer_ &&
-      queued_max * 2 < machine_.n_procs &&
-      hooks_.mutate_policy && hooks_.policy &&
-      hooks_.policy().balancer == sched::BalancerKind::kAverage &&
-      bal_gov_.admit("balancer:stealing", epoch_)) {
-    hooks_.mutate_policy([](sched::Policy& p) {
-      p.balancer = sched::BalancerKind::kStealing;
-    });
-    switched_balancer_ = false;
-    obs::advisor::Finding f;
-    f.kind = obs::AdviceKind::kIdleImbalance;
-    f.subject = "scheduler";
-    record(f, "balancer=stealing (pile-up drained)", now + cost, 0);
+  // lifetime switch slots like any other swap. (In serving mode a shallow
+  // queue just means the escalation is *working*: under sustained hot-key
+  // load the revert would reopen the very pile-up it is celebrating.)
+  if (switched_balancer_ && drained &&
+      hooks_.policy().balancer == sched::BalancerKind::kAverage) {
+    move(scheduler_finding(obs::AdviceKind::kIdleImbalance), Knob::kBalancer,
+         kStealing, "pile-up drained", now + cost);
   }
   return cost;
 }
@@ -129,7 +128,6 @@ void AdaptiveEngine::latency_objective(const obs::advisor::Signals& sig,
                                        std::uint64_t now,
                                        std::uint32_t& actions) {
   if (pol_.latency_target_cycles == 0 || latency_sensor_ == nullptr) return;
-  if (!hooks_.mutate_policy || !hooks_.policy) return;
   const obs::LatencyHist::Interval epoch =
       latency_sensor_->since(prev_latency_, 0.99);
   prev_latency_ = *latency_sensor_;
@@ -190,34 +188,24 @@ void AdaptiveEngine::latency_objective(const obs::advisor::Signals& sig,
     // ladder below is the wrong medicine — balancer moves and pin-break
     // steals relocate *requests*, but the tail is built from remote-data
     // service time, which moving requests around can only spread, not
-    // shrink. Instead open the serving-mode stand-down for the migration
-    // actuators (act() lets kMigrateObject / kDistributeObject through
-    // while memory_escalation_ holds) so the advisor's data-plane rules
-    // rehome the remote-hot objects. Logged once, deterministically. The
-    // gate is sticky across overshoot epochs: the rehome wave itself stalls
-    // serving processors and invalidates cached lines, which manufactures
-    // transient queue-dominated epochs — flipping to the balancer mid-wave
-    // would abandon the data fix for request churn. Only recovery (p99 back
-    // at or under target) closes it.
+    // shrink. Instead open the data-plane gate, so act() lets the advisor's
+    // migration rules through the serving-mode stand-down to rehome the
+    // remote-hot objects. The first opening is logged, deterministically,
+    // and spends an action; a re-opening after recovery is silent and free.
+    // The gate is sticky across overshoot epochs: the rehome wave itself
+    // stalls serving processors and invalidates cached lines, which
+    // manufactures transient queue-dominated epochs — flipping to the
+    // balancer mid-wave would abandon the data fix for request churn. Only
+    // recovery (p99 back at or under target) closes it.
     // Bandwidth refinement: when the channels themselves are saturated,
     // migrating the hot object toward its users concentrates *more* fills on
-    // the destination cluster's channels — the opposite of relief. Route to
-    // the distribute actuator alone (spread pages across channels) instead
-    // of the full migrate/distribute pair. The choice is made once, on the
-    // first memory-dominated overshoot epoch, and is sticky like the gate
+    // the destination cluster's channels — the opposite of relief. Open the
+    // gate for the distribute actuator alone (spread pages across channels).
+    // The choice is made when the gate opens and is sticky like the gate
     // itself: the rehome wave perturbs both sensors mid-flight.
-    if (have_breakdown && mem_dominated && !memory_escalation_ &&
-        !bandwidth_escalation_) {
-      if (bandwidth_bound) {
-        bandwidth_escalation_ = true;
-      } else {
-        memory_escalation_ = true;
-      }
-    }
-    if (memory_escalation_ || bandwidth_escalation_) {
-      if (!logged_memory_escalation_) {
-        logged_memory_escalation_ = true;
-        if (bandwidth_escalation_) {
+    if (!gate_open() && have_breakdown && mem_dominated) {
+      if (gate_ == Gate::kNever) {
+        if (bandwidth_bound) {
           f.kind = obs::AdviceKind::kBandwidthBound;
           record(f,
                  fmt("escalate=distribute (bandwidth-bound, hot channel "
@@ -234,10 +222,13 @@ void AdaptiveEngine::latency_objective(const obs::advisor::Signals& sig,
         }
         ++actions;
       }
-      return;
+      gate_ = bandwidth_bound ? Gate::kDistribute : Gate::kMigrate;
     }
+    if (gate_open()) return;
     const sched::Policy p = hooks_.policy();
     if (!p.steal_enabled) return;
+    const std::string over =
+        fmt("p99 %" PRIu64 " > target %" PRIu64, p99, target);
     // Rung 1: escalate to the Average balancer's batched moves (opt-in, and
     // only from the Stealing default: a user-chosen balancer stays). Moves
     // are the *gentle* relief for a hot-key tail: they relocate only the
@@ -245,16 +236,7 @@ void AdaptiveEngine::latency_objective(const obs::advisor::Signals& sig,
     // every other server's placement untouched.
     if (pol_.enable_balancer &&
         p.balancer == sched::BalancerKind::kStealing) {
-      if (!bal_gov_.admit("balancer:average", epoch_)) return;
-      hooks_.mutate_policy([](sched::Policy& pol) {
-        pol.balancer = sched::BalancerKind::kAverage;
-      });
-      switched_balancer_ = true;
-      record(f,
-             fmt("balancer=average (p99 %" PRIu64 " > target %" PRIu64 ")",
-                 p99, target),
-             now, 0);
-      ++actions;
+      if (move(f, Knob::kBalancer, kAverage, over, now)) ++actions;
       return;
     }
     // Rung 2: the tail is still over target (or the balancer actuator is
@@ -269,26 +251,17 @@ void AdaptiveEngine::latency_objective(const obs::advisor::Signals& sig,
         epoch_ < bal_gov_.last_switch_epoch() + pol_.balancer_dwell_epochs) {
       return;
     }
-    if (!p.steal_object_tasks) {
-      if (!gov_.admit("latency:steal_object_tasks", epoch_)) return;
-      hooks_.mutate_policy(
-          [](sched::Policy& pol) { pol.steal_object_tasks = true; });
-      latency_relief_on_ = true;
-      record(f,
-             fmt("steal_object_tasks=on (p99 %" PRIu64 " > target %" PRIu64
-                 ")",
-                 p99, target),
-             now, 0);
+    if (!p.steal_object_tasks &&
+        move(f, Knob::kStealObjectTasks, true, over, now)) {
       ++actions;
     }
     return;
   }
 
-  // Back at or under target: close the migration gates. The one-shot
-  // migrations already applied stay in place, but further data-plane churn
-  // must be justified by a fresh memory-dominated overshoot.
-  memory_escalation_ = false;
-  bandwidth_escalation_ = false;
+  // Back at or under target: close the gate. The one-shot migrations
+  // already applied stay in place, but further data-plane churn must be
+  // justified by a fresh memory-dominated overshoot.
+  if (gate_open()) gate_ = Gate::kClosed;
 
   // Relief revert: only the steal flag comes back down, and only with real
   // headroom (p99 at or under half the target), so the ladder cannot
@@ -299,15 +272,10 @@ void AdaptiveEngine::latency_objective(const obs::advisor::Signals& sig,
   // arrival still to come. Pin-break stealing, by contrast, has a real
   // ongoing cost (remote critical sections) worth shedding once the tail
   // clears.
-  if (latency_relief_on_ && p99 * 2 <= target &&
+  if (steal_relief_ && p99 * 2 <= target &&
       hooks_.policy().steal_object_tasks) {
-    if (!gov_.admit("latency:steal_object_tasks", epoch_)) return;
-    hooks_.mutate_policy(
-        [](sched::Policy& pol) { pol.steal_object_tasks = false; });
-    latency_relief_on_ = false;
-    record(f,
-           fmt("steal_object_tasks=off (p99 %" PRIu64 " <= target/2)", p99),
-           now, 0);
+    move(f, Knob::kStealObjectTasks, false,
+         fmt("p99 %" PRIu64 " <= target/2", p99), now);
   }
 }
 
@@ -321,126 +289,24 @@ std::uint64_t AdaptiveEngine::act(const obs::advisor::Finding& f,
   // (latency_objective) is the only actuator that evaluates its actions
   // against the stated objective, so the rest stand down. The steal-storm
   // scan cap stays available: bounding failed scans is objective-neutral.
-  // Exception: while the breakdown sensor has diagnosed the overshoot as
-  // memory-stall dominated (memory_escalation_), the migration actuators
-  // are exactly the objective's chosen remedy and pass through. The
-  // bandwidth-bound refinement narrows the opening further: saturated
-  // channels mean re-homing onto one memory only moves the queueing, so
-  // only kDistributeObject (spread pages across channels) passes.
-  const bool migration = f.kind == obs::AdviceKind::kMigrateObject ||
-                         f.kind == obs::AdviceKind::kDistributeObject;
-  const bool escalated =
-      bandwidth_escalation_
-          ? f.kind == obs::AdviceKind::kDistributeObject
-          : (memory_escalation_ && migration);
-  if (pol_.latency_target_cycles != 0 &&
-      f.kind != obs::AdviceKind::kStealStorm && !escalated) {
+  // Exception: while the data-plane gate is open the migration actuators
+  // are exactly the objective's chosen remedy and pass through; a
+  // bandwidth-bound gate (saturated channels: re-homing onto one memory
+  // only moves the queueing) passes kDistributeObject alone.
+  const bool serving = pol_.latency_target_cycles != 0;
+  const bool gated_through =
+      f.kind == obs::AdviceKind::kDistributeObject
+          ? gate_open()
+          : f.kind == obs::AdviceKind::kMigrateObject &&
+                gate_ == Gate::kMigrate;
+  if (serving && f.kind != obs::AdviceKind::kStealStorm && !gated_through) {
     return 0;
   }
-  // Rehoming target filter: Policy::reserve_exclude_mask marks processors
-  // whose cycles belong to non-queue work (a serving front-end) — homing a
-  // hot object there makes it permanently remote to every server. Skip them
-  // when rotating rehome targets, unless the mask excludes everything.
-  const std::uint64_t excl =
-      hooks_.policy ? hooks_.policy().reserve_exclude_mask : 0;
-  const auto pick = [this, excl](std::uint32_t base, std::uint32_t span,
-                                 std::uint32_t idx) -> topo::ProcId {
-    for (std::uint32_t k = 0; k < span; ++k) {
-      const std::uint32_t cand = base + (idx + k) % span;
-      if (cand < machine_.n_procs && ((excl >> cand) & 1) == 0) {
-        return static_cast<topo::ProcId>(cand);
-      }
-    }
-    return static_cast<topo::ProcId>(base + idx % span);
-  };
+  const sched::Policy p = hooks_.policy();
   switch (f.kind) {
-    case obs::AdviceKind::kMigrateObject: {
-      if (!pol_.enable_migrate || !hooks_.migrate) return 0;
-      const std::string done_key = "object:" + f.subject;
-      if (done_.count(done_key) != 0) return 0;
-      if (!gov_.admit("migrate:" + f.subject, epoch_)) return 0;
-      const topo::ProcId first = static_cast<topo::ProcId>(
-          f.user_cluster * machine_.procs_per_cluster);
-      const std::uint64_t pb = machine_.page_bytes;
-      const std::uint64_t pages = (f.obj_bytes + pb - 1) / pb;
-      std::uint64_t c = 0;
-      std::string action;
-      if (pages > 1 && first < machine_.n_procs) {
-        // Multi-page object: spread its pages over the dominant cluster's
-        // processors rather than piling the whole thing onto one memory —
-        // the object moves next to its users without creating a hotspot.
-        const std::uint32_t span = machine_.n_procs - first <
-                                           machine_.procs_per_cluster
-                                       ? machine_.n_procs - first
-                                       : machine_.procs_per_cluster;
-        for (std::uint64_t i = 0; i < pages; ++i) {
-          const std::uint64_t off = i * pb;
-          const std::uint64_t len =
-              off + pb <= f.obj_bytes ? pb : f.obj_bytes - off;
-          const topo::ProcId target =
-              pick(first, span, static_cast<std::uint32_t>(i));
-          c += hooks_.migrate(proc, f.obj_addr + off, len, target, now + c);
-        }
-        action = fmt("migrate %" PRIu64 " pages into cluster %zu", pages,
-                     f.user_cluster);
-      } else {
-        // Sub-page object: rotate the target over the cluster's processors
-        // so a family of small hot objects doesn't pile onto one memory.
-        topo::ProcId target = first;
-        if (first < machine_.n_procs) {
-          const std::uint32_t span = machine_.n_procs - first <
-                                             machine_.procs_per_cluster
-                                         ? machine_.n_procs - first
-                                         : machine_.procs_per_cluster;
-          target = pick(first, span, migrate_cursor_);
-          ++migrate_cursor_;
-        } else {
-          target = machine_.n_procs - 1;
-        }
-        c = hooks_.migrate(proc, f.obj_addr, f.obj_bytes, target, now);
-        action =
-            fmt("migrate to proc %u (cluster %zu)", target, f.user_cluster);
-      }
-      done_.insert(done_key);
-      ++rehomes_since_enable_;
-      record(f, std::move(action), now, c);
-      return c;
-    }
-    case obs::AdviceKind::kDistributeObject: {
-      if (!pol_.enable_distribute || !hooks_.migrate) return 0;
-      const std::string done_key = "object:" + f.subject;
-      if (done_.count(done_key) != 0) return 0;
-      if (!gov_.admit("distribute:" + f.subject, epoch_)) return 0;
-      const std::uint64_t pb = machine_.page_bytes;
-      const std::uint64_t pages = (f.obj_bytes + pb - 1) / pb;
-      std::uint64_t c = 0;
-      std::string action;
-      if (pages > 1) {
-        // Multi-page object: round-robin its pages across every processor's
-        // memory — the automated version of the hand `distribute()` call.
-        for (std::uint64_t i = 0; i < pages; ++i) {
-          const std::uint64_t off = i * pb;
-          const std::uint64_t len =
-              off + pb <= f.obj_bytes ? pb : f.obj_bytes - off;
-          const topo::ProcId target =
-              pick(0, machine_.n_procs, static_cast<std::uint32_t>(i));
-          c += hooks_.migrate(proc, f.obj_addr + off, len, target, now + c);
-        }
-        action = fmt("distribute %" PRIu64 " pages round-robin", pages);
-      } else {
-        // Sub-page object: rehome it whole, rotating the target so a family
-        // of small hot objects (e.g. matrix columns) spreads out.
-        const topo::ProcId target = pick(0, machine_.n_procs, distribute_cursor_);
-        distribute_cursor_ =
-            (distribute_cursor_ + 1) % machine_.n_procs;
-        c = hooks_.migrate(proc, f.obj_addr, f.obj_bytes, target, now);
-        action = fmt("rehome to proc %u (round-robin)", target);
-      }
-      done_.insert(done_key);
-      ++rehomes_since_enable_;
-      record(f, std::move(action), now, c);
-      return c;
-    }
+    case obs::AdviceKind::kMigrateObject:
+    case obs::AdviceKind::kDistributeObject:
+      return rehome(f, p.reserve_exclude_mask, proc, now);
     case obs::AdviceKind::kTaskAffinity: {
       if (!pol_.enable_hints || !hooks_.promote) return 0;
       const std::string done_key = "promote:" + f.subject;
@@ -451,111 +317,187 @@ std::uint64_t AdaptiveEngine::act(const obs::advisor::Finding& f,
       record(f, "promote to TASK affinity", now, 0);
       return 0;
     }
-    case obs::AdviceKind::kWholeSetStealing: {
-      if (!pol_.enable_steal_policy || !hooks_.mutate_policy || !hooks_.policy) {
-        return 0;
+    case obs::AdviceKind::kWholeSetStealing:
+      if (pol_.enable_steal_policy && p.steal_enabled && !p.steal_whole_sets) {
+        move(f, Knob::kStealWholeSets, true, "", now);
       }
-      const sched::Policy p = hooks_.policy();
-      if (!p.steal_enabled || p.steal_whole_sets) return 0;
-      if (!gov_.admit("policy:steal_whole_sets", epoch_)) return 0;
-      hooks_.mutate_policy(
-          [](sched::Policy& pol) { pol.steal_whole_sets = true; });
-      record(f, "steal_whole_sets=on", now, 0);
       return 0;
-    }
-    case obs::AdviceKind::kIdleImbalance: {
+    case obs::AdviceKind::kIdleImbalance:
       // Idleness alone is too noisy to act on online: barrier-structured
       // programs (ocean) show large per-epoch idle fractions between phases
       // with nothing wrong. Act only on the pile-up signature — processors
       // idle while a deep run queue sits on a single server. A balanced
       // spawn burst puts at most a task or two on each queue, so a deepest
       // queue holding half the machine's worth of work means the work
-      // exists but cannot spread.
-      if (!pol_.enable_steal_policy || !hooks_.mutate_policy ||
-          !hooks_.policy) {
+      // exists but cannot spread. (Serving mode never gets here: the
+      // latency ladder owns this knob, because pin-break stealing makes a
+      // hot-key tail *worse*.)
+      if (!pol_.enable_steal_policy || !p.steal_enabled ||
+          f.queued_max * 2 < machine_.n_procs) {
         return 0;
       }
-      if (f.queued_max * 2 < machine_.n_procs) return 0;
-      // With a latency target set, the latency objective owns the
-      // steal_object_tasks knob and the balancer escalation: its ladder
-      // tries batched moves first because pin-break stealing makes a
-      // hot-key tail *worse* (stolen requests hold their monitors over
-      // remote data). The throughput-oriented pile-up relief here would
-      // fight that ordering, so it stands down.
-      if (pol_.latency_target_cycles != 0) return 0;
-      const sched::Policy p = hooks_.policy();
-      if (!p.steal_enabled) return 0;
       if (!p.steal_object_tasks) {
-        if (!pol_.enable_steal_policy) return 0;
-        if (!gov_.admit("policy:steal_object_tasks", epoch_)) return 0;
-        hooks_.mutate_policy(
-            [](sched::Policy& pol) { pol.steal_object_tasks = true; });
-        enabled_steal_object_ = true;
-        rehomes_since_enable_ = 0;
-        record(f, "steal_object_tasks=on (queue pile-up)", now, 0);
-        return 0;
+        move(f, Knob::kStealObjectTasks, true, "queue pile-up", now);
+      } else if (pol_.enable_balancer &&
+                 p.balancer == sched::BalancerKind::kStealing) {
+        // Escalation: the steal-policy relief is already on and the pile-up
+        // is still here — on-demand stealing drains one task per idle probe,
+        // which cannot keep up with a producer that refills the deep queue.
+        // Switch the balancer to Average, whose kMoveTasks commands pull a
+        // queue down to the level mean in one grab. Only escalate from the
+        // Stealing default: a user-selected Average/Reserve balancer is not
+        // ours to replace.
+        move(f, Knob::kBalancer, kAverage, "pile-up persists", now);
       }
-      // Escalation: the steal-policy relief is already on and the pile-up is
-      // still here — on-demand stealing drains one task per idle probe, which
-      // cannot keep up with a producer that refills the deep queue. Switch
-      // the balancer to Average, whose kMoveTasks commands pull a queue down
-      // to the level mean in one grab. Only escalate from the Stealing
-      // default: a user-selected Average/Reserve balancer is not ours to
-      // replace.
-      if (!pol_.enable_balancer || p.balancer != sched::BalancerKind::kStealing) {
-        return 0;
-      }
-      if (!bal_gov_.admit("balancer:average", epoch_)) return 0;
-      hooks_.mutate_policy([](sched::Policy& pol) {
-        pol.balancer = sched::BalancerKind::kAverage;
-      });
-      switched_balancer_ = true;
-      record(f, "balancer=average (pile-up persists)", now, 0);
       return 0;
-    }
-    case obs::AdviceKind::kStealStorm: {
-      if (!pol_.enable_steal_policy || !hooks_.mutate_policy || !hooks_.policy) {
-        return 0;
-      }
-      const sched::Policy p = hooks_.policy();
-      if (!p.steal_enabled) return 0;
-      // In serving mode the latency ladder owns the steal knob (see the
-      // stand-down above) — fall through to the objective-neutral scan cap.
-      if (!p.steal_object_tasks && pol_.latency_target_cycles == 0) {
+    case obs::AdviceKind::kStealStorm:
+      if (!pol_.enable_steal_policy || !p.steal_enabled) return 0;
+      if (!p.steal_object_tasks && !serving) {
         // Idle processors scan but find nothing stealable: the usual cause
         // is every task carrying OBJECT affinity (default-steal-exempt).
-        // Letting object tasks be stolen is the least intrusive relief.
-        if (!gov_.admit("policy:steal_object_tasks", epoch_)) return 0;
-        hooks_.mutate_policy(
-            [](sched::Policy& pol) { pol.steal_object_tasks = true; });
-        enabled_steal_object_ = true;
-        rehomes_since_enable_ = 0;
-        record(f, "steal_object_tasks=on", now, 0);
-        return 0;
-      }
-      if (p.max_steal_scan == 0) {
+        // Letting object tasks be stolen is the least intrusive relief. (In
+        // serving mode the latency ladder owns the steal knob.)
+        move(f, Knob::kStealObjectTasks, true, "", now);
+      } else if (p.max_steal_scan == 0) {
         // Still storming with stealing wide open: bound the scan length so
         // idle processors stop sweeping every queue on the machine.
-        if (!gov_.admit("policy:max_steal_scan", epoch_)) return 0;
-        const std::uint32_t cap = machine_.procs_per_cluster;
-        hooks_.mutate_policy(
-            [cap](sched::Policy& pol) { pol.max_steal_scan = cap; });
-        record(f, fmt("max_steal_scan=%u", cap), now, 0);
-        return 0;
+        move(f, Knob::kMaxStealScan, machine_.procs_per_cluster, "", now);
       }
       return 0;
-    }
     case obs::AdviceKind::kLatencyTarget:
       // Never emitted by the advisor: the latency objective acts directly
       // (latency_objective), outside the findings loop.
       return 0;
     case obs::AdviceKind::kBandwidthBound:
       // Diagnostic, not an actuator: the latency objective owns the
-      // bandwidth escalation (it opens the stand-down for the distribute
-      // actuator above), and offline the advisor renders it as advice.
+      // bandwidth escalation (it opens the gate for the distribute actuator
+      // above), and offline the advisor renders it as advice.
       return 0;
   }
   return 0;
+}
+
+std::uint64_t AdaptiveEngine::rehome(const obs::advisor::Finding& f,
+                                     std::uint64_t excluded, topo::ProcId proc,
+                                     std::uint64_t now) {
+  const bool migrate = f.kind == obs::AdviceKind::kMigrateObject;
+  if (!(migrate ? pol_.enable_migrate : pol_.enable_distribute) ||
+      !hooks_.migrate) {
+    return 0;
+  }
+  const std::string done_key = "object:" + f.subject;
+  if (done_.count(done_key) != 0) return 0;
+  if (!gov_.admit((migrate ? "migrate:" : "distribute:") + f.subject, epoch_)) {
+    return 0;
+  }
+  // Target range: the dominant user cluster's processors (migrate-object),
+  // or the whole machine (distribute-object). Empty when the cluster lies
+  // past the machine's last processor.
+  const std::uint32_t n = machine_.n_procs;
+  topo::ProcId base = 0;
+  std::uint32_t span = n;
+  if (migrate) {
+    base = static_cast<topo::ProcId>(f.user_cluster *
+                                     machine_.procs_per_cluster);
+    span = base < n ? std::min(n - base, machine_.procs_per_cluster) : 0;
+  }
+  // The idx-th processor of the range, rotating past processors whose
+  // cycles belong to non-queue work (Policy::reserve_exclude_mask, e.g. a
+  // serving front-end): homing a hot object there makes it permanently
+  // remote to every server. Unless the mask excludes the whole range.
+  const auto pick = [&](std::uint32_t idx) -> topo::ProcId {
+    for (std::uint32_t k = 0; k < span; ++k) {
+      const std::uint32_t cand = base + (idx + k) % span;
+      if (cand < n && ((excluded >> cand) & 1) == 0) return cand;
+    }
+    return base + idx % span;
+  };
+  const std::uint64_t pb = machine_.page_bytes;
+  const std::uint64_t pages = (f.obj_bytes + pb - 1) / pb;
+  std::uint64_t c = 0;
+  std::string action;
+  if (pages > 1 && span > 0) {
+    // Multi-page object: page i goes to the range's i-th processor. Migrate
+    // moves the object next to its users without piling it onto one memory;
+    // distribute is the automated version of the hand `distribute()` call.
+    for (std::uint64_t i = 0; i < pages; ++i) {
+      const std::uint64_t off = i * pb;
+      const std::uint64_t len =
+          off + pb <= f.obj_bytes ? pb : f.obj_bytes - off;
+      c += hooks_.migrate(proc, f.obj_addr + off, len,
+                          pick(static_cast<std::uint32_t>(i)), now + c);
+    }
+    action = migrate ? fmt("migrate %" PRIu64 " pages into cluster %zu", pages,
+                           f.user_cluster)
+                     : fmt("distribute %" PRIu64 " pages round-robin", pages);
+  } else {
+    // Sub-page object: rehome it whole, rotating the target over the range
+    // so a family of small hot objects (e.g. matrix columns) spreads out.
+    std::uint32_t& cursor = migrate ? migrate_cursor_ : distribute_cursor_;
+    const topo::ProcId target = span > 0 ? pick(cursor++) : n - 1;
+    c = hooks_.migrate(proc, f.obj_addr, f.obj_bytes, target, now);
+    action = migrate ? fmt("migrate to proc %u (cluster %zu)", target,
+                           f.user_cluster)
+                     : fmt("rehome to proc %u (round-robin)", target);
+  }
+  done_.insert(done_key);
+  ++rehomes_since_enable_;
+  record(f, std::move(action), now, c);
+  return c;
+}
+
+bool AdaptiveEngine::move(const obs::advisor::Finding& f, Knob knob,
+                          std::uint32_t value, std::string_view why,
+                          std::uint64_t now) {
+  std::string name;
+  std::string text = value != 0 ? "on" : "off";
+  switch (knob) {
+    case Knob::kStealObjectTasks:
+      name = "steal_object_tasks";
+      break;
+    case Knob::kStealWholeSets:
+      name = "steal_whole_sets";
+      break;
+    case Knob::kMaxStealScan:
+      name = "max_steal_scan";
+      text = std::to_string(value);
+      break;
+    case Knob::kBalancer:
+      name = "balancer";
+      text = sched::balancer_kind_name(static_cast<sched::BalancerKind>(value));
+      break;
+  }
+  // One governor class per knob; the balancer's own governor paces each
+  // direction as its own class.
+  const bool admitted = knob == Knob::kBalancer
+                            ? bal_gov_.admit("balancer:" + text, epoch_)
+                            : gov_.admit("policy:" + name, epoch_);
+  if (!admitted) return false;
+  hooks_.mutate_policy([knob, value](sched::Policy& p) {
+    switch (knob) {
+      case Knob::kStealObjectTasks:
+        p.steal_object_tasks = value != 0;
+        break;
+      case Knob::kStealWholeSets:
+        p.steal_whole_sets = value != 0;
+        break;
+      case Knob::kMaxStealScan:
+        p.max_steal_scan = value;
+        break;
+      case Knob::kBalancer:
+        p.balancer = static_cast<sched::BalancerKind>(value);
+        break;
+    }
+  });
+  if (knob == Knob::kStealObjectTasks) {
+    steal_relief_ = value != 0;
+    rehomes_since_enable_ = 0;
+  }
+  if (knob == Knob::kBalancer) switched_balancer_ = value == kAverage;
+  std::string action = name + "=" + text;
+  if (!why.empty()) action.append(" (").append(why).append(")");
+  record(f, std::move(action), now, 0);
+  return true;
 }
 
 void AdaptiveEngine::record(const obs::advisor::Finding& f, std::string action,

@@ -3,7 +3,7 @@
 // The offline story (PR 3) was: run, dump the locality profile, read the
 // advisor's prose, edit the source to add hints or migrate() calls, rerun.
 // This engine runs the same advisor rules *during* the run and applies their
-// decisions through three actuators, no source changes required:
+// decisions through four actuators, no source changes required:
 //
 //   1. memory   — MemorySystem::migrate(): rehome an object next to its
 //      dominant user (migrate-object rule), or spread a scattered-access
@@ -22,6 +22,14 @@
 //      Scheduler::adapt_policy, which rebuilds the balancer tree at the
 //      epoch boundary; a dedicated BalancerGovernor (dwell + lifetime cap)
 //      paces them because a swap is the most disruptive actuator.
+//
+// Actuators 3 and 4 are policy moves: a knob, the value to set and a reason.
+// Every one goes through move(), which admits it on its governor, edits the
+// one Policy field and logs "<knob>=<value> (<reason>)". The escalation state
+// is three members — gate_ (serving mode's data-plane gate), steal_relief_
+// and switched_balancer_ (the moves this engine made and may take back) —
+// plus the rehomes_since_enable_ counter; DESIGN §11 tabulates every
+// transition.
 //
 // Epochs are task-count (or sim-cycle) driven, and the rules judge each
 // epoch's own activity, not the whole past. Sensing costs what changed in
@@ -46,6 +54,7 @@
 #include <functional>
 #include <set>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "adaptive/governor.hpp"
@@ -94,6 +103,7 @@ struct Hooks {
   /// set key is `set_key`.
   std::function<void(std::uint64_t set_key, bool on)> promote;
   /// Mutate the live scheduler policy (sim: single-threaded, safe).
+  /// Required, like `policy`: the constructor throws without them.
   std::function<void(const std::function<void(sched::Policy&)>&)> mutate_policy;
   /// Read the current scheduler policy.
   std::function<sched::Policy()> policy;
@@ -144,28 +154,66 @@ class AdaptiveEngine {
   }
 
  private:
+  /// Serving mode's data-plane gate: which migration actuators act()'s
+  /// stand-down lets through. A memory-stall-dominated overshoot opens it,
+  /// recovery (p99 back at or under target) closes an open gate.
+  enum class Gate : std::uint8_t {
+    kNever,       ///< Never opened; the first opening logs `escalate=`.
+    kClosed,      ///< Opened before; re-opens without a log entry.
+    kMigrate,     ///< Open for kMigrateObject and kDistributeObject.
+    kDistribute,  ///< Open for kDistributeObject only: a channel saturated.
+  };
+  /// The scheduler-policy fields move() edits.
+  enum class Knob : std::uint8_t {
+    kStealObjectTasks,  ///< bool; governor key "policy:steal_object_tasks"
+    kStealWholeSets,    ///< bool; "policy:steal_whole_sets"
+    kMaxStealScan,      ///< scan cap; "policy:max_steal_scan"
+    kBalancer,          ///< sched::BalancerKind; "balancer:<kind>" on bal_gov_
+  };
+
   std::uint64_t run_epoch(topo::ProcId proc, std::uint64_t now);
   /// The latency-target objective: compare this epoch's p99 against the
-  /// policy target and climb/descend the relief ladder. Shares the per-epoch
-  /// action budget via `actions`.
+  /// policy target, open/close the gate and climb/descend the relief ladder.
+  /// Shares the per-epoch action budget via `actions`.
   void latency_objective(const obs::advisor::Signals& sig, std::uint64_t now,
                          std::uint32_t& actions);
   /// Apply one finding through its actuator; returns cycles charged and
   /// appends to log_ iff it acted.
   std::uint64_t act(const obs::advisor::Finding& f, topo::ProcId proc,
                     std::uint64_t now);
+  /// The migrate-object and distribute-object actuator: one-shot per object.
+  std::uint64_t rehome(const obs::advisor::Finding& f, std::uint64_t excluded,
+                       topo::ProcId proc, std::uint64_t now);
+  /// The one path that edits the scheduler policy: admit the move on its
+  /// governor, set `knob` to `value`, update the state the move implies
+  /// (steal_relief_ and rehomes_since_enable_, or switched_balancer_), and
+  /// log "<knob>=<value>", plus " (<why>)" when `why` is not empty. Returns
+  /// whether it moved.
+  bool move(const obs::advisor::Finding& f, Knob knob, std::uint32_t value,
+            std::string_view why, std::uint64_t now);
   void record(const obs::advisor::Finding& f, std::string action,
               std::uint64_t now, std::uint64_t cost);
+  [[nodiscard]] bool gate_open() const noexcept {
+    return gate_ == Gate::kMigrate || gate_ == Gate::kDistribute;
+  }
 
   topo::MachineConfig machine_;
   AdaptPolicy pol_;
   Hooks hooks_;
   Governor gov_;
   BalancerGovernor bal_gov_;
+  Gate gate_ = Gate::kNever;
+  /// True while steal_object_tasks is on because this engine turned it on:
+  /// the steal-storm or pile-up relief in throughput mode, rung 2 of the
+  /// latency ladder in serving mode. Only this relief is ever reverted.
+  bool steal_relief_ = false;
   /// True while the balancer actuator holds the scheduler away from the
   /// Stealing default; the revert path only fires for our own switches, so
   /// a user-selected Average/Reserve balancer is never "reverted".
   bool switched_balancer_ = false;
+  /// Objects rehomed since the steal relief last moved. The throughput-mode
+  /// revert waits for an epoch that adds none to a nonzero count.
+  std::uint64_t rehomes_since_enable_ = 0;
   std::uint64_t epoch_ = 0;
   std::uint64_t tasks_since_ = 0;
   std::uint64_t last_epoch_cycle_ = 0;
@@ -178,14 +226,6 @@ class AdaptiveEngine {
   std::uint64_t last_epoch_elapsed_ = 0;
   std::uint32_t distribute_cursor_ = 0;  ///< Round-robin home for rehoming.
   std::uint32_t migrate_cursor_ = 0;  ///< Rotates sub-page migration targets.
-  /// Steal-relief state machine: the steal-storm response (letting OBJECT
-  /// tasks be stolen) is the right medicine while work is piled on one
-  /// processor, but once the migrate/distribute actuators have rehomed the
-  /// hot objects the same flag turns local references remote. Track whether
-  /// we enabled it and how many rehomes happened since, and revert when the
-  /// data has spread (the governor paces both directions with one key).
-  bool enabled_steal_object_ = false;
-  std::uint64_t rehomes_since_enable_ = 0;
   /// Objects/sets already acted on — migrations and promotions are one-shot
   /// per subject, so a cold-cache echo of the rule can't thrash the object
   /// back and forth.
@@ -194,26 +234,13 @@ class AdaptiveEngine {
   obs::ProfileDelta profile_;
   /// The previous epoch's signals reading, to diff the counters against.
   obs::advisor::Signals last_signals_;
-  /// Latency-target objective state: the sensor (cumulative request
-  /// histogram), its copy at the previous epoch, and whether the steal
-  /// relief currently on was ours (so only we revert it).
+  /// Latency sensor (cumulative request histogram) and its copy at the
+  /// previous epoch.
   const obs::LatencyHist* latency_sensor_ = nullptr;
   obs::LatencyHist prev_latency_;
-  bool latency_relief_on_ = false;
-  /// Breakdown-sensor state: the previous epoch's two sums, and whether the
-  /// current epoch's overshoot is memory-stall-dominated — the flag that
-  /// opens act()'s serving-mode stand-down for the migration actuators (and
-  /// only them).
+  /// Breakdown sensor and the previous epoch's two sums.
   std::function<obs::StallSums()> breakdown_sensor_;
   obs::StallSums last_stall_;
-  bool memory_escalation_ = false;
-  /// Bandwidth-bound variant of the gate: the overshoot is memory-stall
-  /// dominated AND the channel backend reports saturated channels, so
-  /// re-homing onto one memory cannot help — only kDistributeObject (spread
-  /// pages across channels) passes the stand-down. Mutually exclusive with
-  /// memory_escalation_; recovery clears both.
-  bool bandwidth_escalation_ = false;
-  bool logged_memory_escalation_ = false;  ///< Log the transition once.
   std::vector<Decision> log_;
 };
 

@@ -15,8 +15,11 @@ Cache::Cache(std::uint32_t capacity_bytes, std::uint32_t assoc,
   n_sets_ = capacity_bytes / (line_bytes * assoc);
   COOL_CHECK(util::is_pow2(n_sets_), "set count must be a power of two");
   const std::size_t ways = static_cast<std::size_t>(n_sets_) * assoc_;
-  tags_.assign(ways, kEmpty);
-  if (assoc_ > 1) lru_.assign(ways, 0);
+  // The fill constructor compiles to memset. These fills are most of a
+  // Runtime's construction time, and vector::assign's out-of-line store loop
+  // runs at half speed wherever the linker places it across a 64-byte line.
+  tags_ = std::vector<LineAddr>(ways, kEmpty);
+  if (assoc_ > 1) lru_ = std::vector<std::uint64_t>(ways);
 }
 
 std::size_t Cache::find(LineAddr line) const noexcept {

@@ -14,7 +14,6 @@ RequestTraceRecorder::RequestTraceRecorder(std::uint32_t n_procs,
                                            std::size_t n_exemplars)
     : n_exemplars_(n_exemplars) {
   COOL_CHECK(n_procs > 0, "request trace: no processors");
-  COOL_CHECK(ring_capacity > 0, "request trace: empty span ring");
   rings_.reserve(n_procs);
   for (std::uint32_t p = 0; p < n_procs; ++p) rings_.emplace_back(ring_capacity);
   pending_.resize(n_procs);
@@ -31,9 +30,7 @@ void RequestTraceRecorder::begin_run(const std::vector<std::uint64_t>& arrivals,
   measured_ = 0;
   all_ = StallSums{};
   measured_sample_ = BreakdownSample{};
-  for (SpanRing& r : rings_) {
-    r.next = 0;
-  }
+  for (Ring<ReqSpan>& r : rings_) r.clear();
   for (Pending& p : pending_) p = Pending{};
 }
 
@@ -155,13 +152,13 @@ std::uint64_t RequestTraceRecorder::dropped(topo::ProcId p) const {
 
 std::uint64_t RequestTraceRecorder::total_dropped() const {
   std::uint64_t d = 0;
-  for (const SpanRing& r : rings_) d += r.dropped();
+  for (const Ring<ReqSpan>& r : rings_) d += r.dropped();
   return d;
 }
 
 std::uint64_t RequestTraceRecorder::total_spans() const {
   std::uint64_t n = 0;
-  for (const SpanRing& r : rings_) n += r.size();
+  for (const Ring<ReqSpan>& r : rings_) n += r.size();
   return n;
 }
 
@@ -226,7 +223,7 @@ std::vector<ReqExemplar> RequestTraceRecorder::exemplars() const {
   // exemplar extraction runs post-run, off the simulation path).
   std::vector<std::size_t> index(stats_.size(), out.size());
   for (std::size_t i = 0; i < out.size(); ++i) index[out[i].req] = i;
-  for (const SpanRing& r : rings_) {
+  for (const Ring<ReqSpan>& r : rings_) {
     r.for_each([&](const ReqSpan& s) {
       if (s.req < index.size() && index[s.req] < out.size()) {
         out[index[s.req]].spans.push_back(s);

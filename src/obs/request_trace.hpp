@@ -32,12 +32,12 @@
 //
 // Mechanics: the engine tags request tasks with sched::TaskDesc::req and
 // calls on_dispatch/on_span_end around every resume; the load::Driver stamps
-// admission and completion. Spans land in per-processor fixed rings (single
-// writer, wrap-and-count like obs::TraceBuffer — drops are surfaced, never
-// silent); per-request accumulators are O(1) per event, so the breakdown
-// histograms stay exact even when span rings wrap. Everything is passive:
-// recording charges no simulated cycles, and when the recorder is not
-// attached (--req-trace off) the engine does a single null check per
+// admission and completion. Spans land in per-processor obs::Ring<ReqSpan>s,
+// the single-writer wrap-and-count ring obs::TraceBuffer also is (drops are
+// surfaced, never silent); per-request accumulators are O(1) per event, so
+// the breakdown histograms stay exact even when span rings wrap. Everything
+// is passive: recording charges no simulated cycles, and when the recorder
+// is not attached (--req-trace off) the engine does a single null check per
 // dispatch and the memory system never sees the observer.
 //
 // Sim-engine scoped and single-threaded, like load::Driver.
@@ -49,6 +49,7 @@
 
 #include "memsim/access_observer.hpp"
 #include "obs/latency_hist.hpp"
+#include "obs/trace.hpp"
 #include "topology/machine.hpp"
 
 namespace cool::obs {
@@ -211,34 +212,10 @@ class RequestTraceRecorder final : public mem::AccessObserver {
     std::uint32_t victim = 0;
     std::uint8_t flags = 0;
   };
-  /// Single-writer wrap-and-count ring, one per processor (TraceBuffer's
-  /// discipline, element type ReqSpan).
-  struct SpanRing {
-    explicit SpanRing(std::size_t capacity) : ring(capacity) {}
-    void record(const ReqSpan& s) noexcept {
-      ring[next % ring.size()] = s;
-      ++next;
-    }
-    [[nodiscard]] std::size_t size() const noexcept {
-      return next < ring.size() ? next : ring.size();
-    }
-    [[nodiscard]] std::uint64_t dropped() const noexcept {
-      return next < ring.size() ? 0 : next - ring.size();
-    }
-    template <typename Fn>
-    void for_each(Fn&& fn) const {
-      const std::size_t n = size();
-      const std::size_t first = next - n;
-      for (std::size_t i = 0; i < n; ++i) fn(ring[(first + i) % ring.size()]);
-    }
-    std::vector<ReqSpan> ring;
-    std::size_t next = 0;
-  };
-
   void finalize(std::uint32_t req);
 
   std::size_t n_exemplars_;
-  std::vector<SpanRing> rings_;
+  std::vector<Ring<ReqSpan>> rings_;  ///< One per processor.
   std::vector<Pending> pending_;   ///< Open dispatch per processor.
   std::vector<ReqStat> stats_;     ///< Indexed by request id.
   std::uint64_t measure_from_ = 0;

@@ -9,10 +9,6 @@
 
 namespace cool::obs {
 
-TraceBuffer::TraceBuffer(std::size_t capacity) : ring_(capacity) {
-  COOL_CHECK(capacity >= 1, "trace ring needs capacity >= 1");
-}
-
 TraceCollector::TraceCollector(std::uint32_t n_procs,
                                std::size_t capacity_per_proc) {
   COOL_CHECK(n_procs >= 1, "trace collector needs at least one processor");

@@ -19,6 +19,7 @@
 #include <string>
 #include <vector>
 
+#include "common/error.hpp"
 #include "topology/machine.hpp"
 
 namespace cool::obs {
@@ -66,29 +67,34 @@ struct Event {
   std::uint8_t flags = 0;
 };
 
-/// Fixed-capacity single-writer ring of events. Not internally synchronised:
-/// exactly one thread records; readers inspect only after the writer quiesces
-/// (post-run), matching how both engines use it.
-class TraceBuffer {
+/// Fixed-capacity single-writer ring: once full, each record overwrites the
+/// oldest element and counts it as dropped. Not internally synchronised:
+/// exactly one thread records; readers inspect only after the writer
+/// quiesces (post-run), matching how both engines and the request tracer
+/// use it.
+template <typename T>
+class Ring {
  public:
-  explicit TraceBuffer(std::size_t capacity);
+  explicit Ring(std::size_t capacity) : ring_(capacity) {
+    COOL_CHECK(capacity >= 1, "trace ring needs capacity >= 1");
+  }
 
-  void record(const Event& e) noexcept {
+  void record(const T& e) noexcept {
     ring_[next_ % ring_.size()] = e;
     ++next_;
   }
 
-  /// Events currently retained (<= capacity).
+  /// Elements currently retained (<= capacity).
   [[nodiscard]] std::size_t size() const noexcept {
     return next_ < ring_.size() ? next_ : ring_.size();
   }
   [[nodiscard]] std::size_t capacity() const noexcept { return ring_.size(); }
-  /// Events overwritten by wrap-around.
+  /// Elements overwritten by wrap-around.
   [[nodiscard]] std::uint64_t dropped() const noexcept {
     return next_ < ring_.size() ? 0 : next_ - ring_.size();
   }
 
-  /// Visit retained events oldest to newest.
+  /// Visit retained elements oldest to newest.
   template <typename Fn>
   void for_each(Fn&& fn) const {
     const std::size_t n = size();
@@ -101,9 +107,12 @@ class TraceBuffer {
   void clear() noexcept { next_ = 0; }
 
  private:
-  std::vector<Event> ring_;
-  std::size_t next_ = 0;  ///< Total events ever recorded.
+  std::vector<T> ring_;
+  std::size_t next_ = 0;  ///< Total elements ever recorded.
 };
+
+/// One processor's ring of trace events.
+using TraceBuffer = Ring<Event>;
 
 /// One TraceBuffer per processor plus merged views over all of them.
 class TraceCollector {

@@ -169,6 +169,18 @@ TEST(AdaptiveEngineSynthetic, UserChosenBalancerIsNeverReverted) {
   EXPECT_EQ(eng.balancer_governor().switches(), 0u);
 }
 
+TEST(AdaptiveEngineSynthetic, PolicyHooksAreRequired) {
+  SyntheticRig rig;
+  Hooks no_mutate = rig.hooks();
+  no_mutate.mutate_policy = nullptr;
+  EXPECT_THROW((void)AdaptiveEngine(rig.machine, rig.policy(), no_mutate),
+               util::Error);
+  Hooks no_read = rig.hooks();
+  no_read.policy = nullptr;
+  EXPECT_THROW((void)AdaptiveEngine(rig.machine, rig.policy(), no_read),
+               util::Error);
+}
+
 TEST(AdaptiveEngineSynthetic, EpochCostIsChargedToTheDispatcher) {
   SyntheticRig rig;
   AdaptiveEngine eng(rig.machine, rig.policy(), rig.hooks());

@@ -52,6 +52,24 @@ TEST(Json, MemBackendRejectsNumbersAFieldCannotHold) {
   }
 }
 
+TEST(BenchOptions, NegativeLatencyTargetThrowsNamingTheFlag) {
+  // Read as signed, a negative target used to fall through the "> 0 means
+  // on" test and run as if the flag were absent.
+  util::Options opt = bench::standard_options("bench", "test");
+  std::string prog = "bench";
+  std::string flag = "--latency-target=-5";
+  char* argv[] = {prog.data(), flag.data()};
+  ASSERT_TRUE(opt.parse(2, argv));
+  try {
+    (void)bench::make_runtime(8, sched::Policy{}, opt);
+    FAIL() << "a negative --latency-target was accepted";
+  } catch (const util::Error& e) {
+    EXPECT_NE(std::string(e.what()).find("--latency-target"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
 TEST(Json, NumberFormatting) {
   EXPECT_EQ(json::number(0), "0");
   EXPECT_EQ(json::number(3), "3");
