@@ -1,18 +1,27 @@
 #!/bin/sh
-# Usage: run_passive.sh OUTDIR BENCH...
-# Runs each BENCH at its default size, plain and with the passive observer
-# flags, into OUTDIR/<bench>.plain and .observed. The runs go in parallel
-# (one figure takes seconds); fails if any run fails.
+# Usage: run_passive.sh OUTDIR [--observed] BENCH [[--observed] BENCH ...]
+# Runs each BENCH at its default size into OUTDIR/<bench>.plain; a BENCH
+# after --observed also runs with the passive observer flags into
+# OUTDIR/<bench>.observed. The runs all go at once (each takes seconds and a
+# few MB), so their order does not matter; fails if any run fails.
 out=$1
 shift
 mkdir -p "$out" || exit 1
+observed=
 pids=
-for bench in "$@"; do
-  name=$(basename "$bench")
-  "$bench" > "$out/$name.plain" &
+for arg in "$@"; do
+  if [ "$arg" = --observed ]; then
+    observed=1
+    continue
+  fi
+  name=$(basename "$arg")
+  "$arg" > "$out/$name.plain" &
   pids="$pids $!"
-  "$bench" --req-trace --mem-backend=flat > "$out/$name.observed" &
-  pids="$pids $!"
+  if [ -n "$observed" ]; then
+    "$arg" --req-trace --mem-backend=flat > "$out/$name.observed" &
+    pids="$pids $!"
+  fi
+  observed=
 done
 status=0
 for pid in $pids; do wait "$pid" || status=1; done

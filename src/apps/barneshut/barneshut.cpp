@@ -310,6 +310,7 @@ TaskFn root_task(App* a, double* max_err) {
 Result run(Runtime& rt, const Config& cfg) {
   COOL_CHECK(cfg.n_bodies >= 16, "barneshut: too few bodies");
   COOL_CHECK(cfg.block_size >= 1, "barneshut: bad block size");
+  COOL_CHECK(cfg.steps >= 1, "barneshut: no timesteps");
   const auto P = rt.machine().n_procs;
 
   App app;

@@ -5,8 +5,11 @@
 // aggregate PerfMonitor throws away. The race detector
 // (analysis/race_detector.hpp) needs the same stream with byte precision.
 // Rather than teach MemorySystem about objects and tasks, it exposes this
-// narrow observer interface: when observers are attached, access_line()
-// reports each reference after the fact.
+// narrow observer interface: when observers are attached, every line goes
+// through access_line(), which reports each reference after the fact. (With
+// none attached, MemorySystem::access serves a read's lines in place; the
+// simulated state and counters are the same either way, so an observer sees
+// exactly the per-line stream an unobserved run simulates.)
 //
 // Ordering guarantees (the contract both consumers rely on):
 //   * Observers run after ALL simulated state for the line (caches,

@@ -54,54 +54,62 @@ void MemorySystem::evict_line(topo::ProcId proc, LineAddr victim) {
   dir_.remove_sharer(victim, proc);
 }
 
+MemorySystem::Served MemorySystem::fill(topo::ProcId proc, LineAddr line,
+                                        std::uint64_t now) {
+  // Full miss: consult the directory and the page map.
+  const std::uint64_t addr = line << line_shift_;
+  const topo::ProcId home = pages_.home_of(addr, proc);
+  const bool home_local = machine_.same_cluster(proc, home);
+  const LineState st = dir_.peek(line);
+  Served s{};
+
+  if (st.is_dirty() && st.dirty_owner != proc) {
+    // Serviced by forwarding from the dirty owner's cache; owner keeps a
+    // shared copy and the data is written back towards home.
+    const topo::ProcId owner = st.dirty_owner;
+    const bool owner_local = machine_.same_cluster(proc, owner);
+    s.service = owner_local ? Service::kLocalCache : Service::kRemoteCache;
+    s.lat = owner_local ? machine_.lat.local_cache : machine_.lat.remote_cache;
+    dir_.clear_dirty(line);
+    mon_.proc(owner).writebacks += 1;
+  } else {
+    s.service = home_local ? Service::kLocalMem : Service::kRemoteMem;
+    s.lat = home_local ? machine_.lat.local_mem : machine_.lat.remote_mem;
+    const std::uint64_t wait = backend_->demand_fill(
+        machine_.cluster_of(home), addr, now + s.lat);
+    s.lat += wait;
+    mon_.proc(proc).contention_cycles += wait;
+  }
+
+  if (auto victim = l2_[proc].insert(line)) evict_line(proc, *victim);
+  l1_[proc].insert(line);
+  dir_.add_sharer(line, proc);
+  return s;
+}
+
+inline MemorySystem::Served MemorySystem::serve(topo::ProcId proc, Cache& l1,
+                                                Cache& l2, LineAddr line,
+                                                std::uint64_t now) {
+  if (l1.access(line)) {
+    // (presence in L1 implies presence in L2 by inclusion)
+    l2.access(line);  // keep L2 LRU warm (no-op when direct mapped)
+    return {machine_.lat.l1_hit, Service::kL1Hit};
+  }
+  if (l2.access(line)) {
+    l1.insert(line);  // the L1 victim stays valid in L2
+    return {machine_.lat.l2_hit, Service::kL2Hit};
+  }
+  return fill(proc, line, now);
+}
+
 std::uint64_t MemorySystem::access_line(topo::ProcId proc, LineAddr line,
                                         std::uint64_t addr, std::uint64_t lo,
                                         std::uint64_t hi, bool is_write,
                                         std::uint64_t now) {
   ProcCounters& c = mon_.proc(proc);
-  std::uint64_t lat = 0;
-  Service service = Service::kL1Hit;
-
-  if (l1_[proc].access(line)) {
-    service = Service::kL1Hit;
-    lat += machine_.lat.l1_hit;
-    // (presence in L1 implies presence in L2 by inclusion)
-    l2_[proc].access(line);  // keep L2 LRU warm (no-op when direct mapped)
-  } else if (l2_[proc].access(line)) {
-    service = Service::kL2Hit;
-    lat += machine_.lat.l2_hit;
-    if (auto l1_victim = l1_[proc].insert(line)) {
-      // L1 victim stays valid in L2; nothing else to do.
-      (void)l1_victim;
-    }
-  } else {
-    // Full miss: consult the directory and the page map.
-    const topo::ProcId home = pages_.home_of(addr, proc);
-    const bool home_local = machine_.same_cluster(proc, home);
-    const LineState st = dir_.peek(line);
-
-    if (st.is_dirty() && st.dirty_owner != proc) {
-      // Serviced by forwarding from the dirty owner's cache; owner keeps a
-      // shared copy and the data is written back towards home.
-      const topo::ProcId owner = st.dirty_owner;
-      const bool owner_local = machine_.same_cluster(proc, owner);
-      service = owner_local ? Service::kLocalCache : Service::kRemoteCache;
-      lat += owner_local ? machine_.lat.local_cache : machine_.lat.remote_cache;
-      dir_.clear_dirty(line);
-      mon_.proc(owner).writebacks += 1;
-    } else {
-      service = home_local ? Service::kLocalMem : Service::kRemoteMem;
-      lat += home_local ? machine_.lat.local_mem : machine_.lat.remote_mem;
-      const std::uint64_t wait = backend_->demand_fill(
-          machine_.cluster_of(home), addr, now + lat);
-      lat += wait;
-      c.contention_cycles += wait;
-    }
-
-    if (auto victim = l2_[proc].insert(line)) evict_line(proc, *victim);
-    l1_[proc].insert(line);
-    dir_.add_sharer(line, proc);
-  }
+  const Served served = serve(proc, l1_[proc], l2_[proc], line, now);
+  const Service service = served.service;
+  std::uint64_t lat = served.lat;
 
   if (is_write) {
     const LineState st = dir_.peek(line);
@@ -143,15 +151,44 @@ std::uint64_t MemorySystem::access(topo::ProcId proc, std::uint64_t addr,
   const LineAddr first = addr >> line_shift_;
   const LineAddr last = (addr + bytes - 1) >> line_shift_;
   std::uint64_t total = 0;
-  for (LineAddr line = first; line <= last; ++line) {
-    const std::uint64_t line_start = line << line_shift_;
-    // The byte sub-range of this line the program actually touched: byte
-    // precision lets the race detector distinguish true sharing from false
-    // sharing within one line.
-    const std::uint64_t lo = std::max(addr, line_start);
-    const std::uint64_t hi = std::min(addr + bytes, line_start + machine_.line_bytes);
-    total += access_line(proc, line, line_start, lo, hi, is_write, now + total);
+  if (is_write || !observers_.empty()) {
+    for (LineAddr line = first; line <= last; ++line) {
+      const std::uint64_t line_start = line << line_shift_;
+      // The byte sub-range of this line the program actually touched: byte
+      // precision lets the race detector distinguish true sharing from false
+      // sharing within one line.
+      const std::uint64_t lo = std::max(addr, line_start);
+      const std::uint64_t hi =
+          std::min(addr + bytes, line_start + machine_.line_bytes);
+      total += access_line(proc, line, line_start, lo, hi, is_write,
+                           now + total);
+    }
+    return total;
   }
+
+  // An unobserved read: serve each line here, exactly as access_line would,
+  // and add the hits to the monitor once per call. A line that was neither
+  // an L2 hit nor a miss hit L1, so the L1-hit path counts nothing.
+  ProcCounters& c = mon_.proc(proc);
+  Cache& l1 = l1_[proc];
+  Cache& l2 = l2_[proc];
+  std::uint64_t l2_hits = 0;
+  std::uint64_t misses = 0;
+  for (LineAddr line = first; line <= last; ++line) {
+    const Served s = serve(proc, l1, l2, line, now + total);
+    total += s.lat;
+    if (s.service == Service::kL2Hit) {
+      ++l2_hits;
+    } else if (s.service != Service::kL1Hit) {
+      ++misses;
+      c.serviced[static_cast<int>(s.service)] += 1;
+    }
+  }
+  const std::uint64_t lines = last - first + 1;
+  c.reads += lines;
+  c.serviced[static_cast<int>(Service::kL1Hit)] += lines - l2_hits - misses;
+  c.serviced[static_cast<int>(Service::kL2Hit)] += l2_hits;
+  c.latency_cycles += total;
   return total;
 }
 

@@ -36,8 +36,12 @@ class MemorySystem {
   explicit MemorySystem(const topo::MachineConfig& machine,
                         const ChannelConfig& chan = {});
 
-  /// Simulate `proc` referencing [addr, addr+bytes) at time `now`
-  /// (line-by-line). Returns the total stall cycles charged.
+  /// Simulate `proc` referencing [addr, addr+bytes) at time `now`, one line
+  /// after another, each line at `now` plus the stall of the lines before
+  /// it. Returns the total stall cycles charged. A write, and every line
+  /// while an observer is attached, goes through access_line; an unobserved
+  /// read serves each line in place and counts its hits once per call, with
+  /// identical simulated state, latency and counters.
   std::uint64_t access(topo::ProcId proc, std::uint64_t addr,
                        std::uint64_t bytes, bool is_write, std::uint64_t now);
 
@@ -100,10 +104,27 @@ class MemorySystem {
   [[nodiscard]] const Cache& l2(topo::ProcId proc) const { return l2_[proc]; }
 
  private:
+  /// One line of `access`, counted and reported to the observers.
   std::uint64_t access_line(topo::ProcId proc, LineAddr line,
                             std::uint64_t addr, std::uint64_t lo,
                             std::uint64_t hi, bool is_write,
                             std::uint64_t now);
+  /// One line's stall and where it was served from.
+  struct Served {
+    std::uint64_t lat;
+    Service service;
+  };
+  /// Serve one reference to `line` from `proc`'s caches `l1` and `l2` at
+  /// time `now`: an L1 hit (re-touching L2), an L2 hit (filling L1), or else
+  /// fill. The caller counts the reference. The caches are arguments so that
+  /// a loop over lines holds them rather than indexing l1_/l2_ per line.
+  Served serve(topo::ProcId proc, Cache& l1, Cache& l2, LineAddr line,
+               std::uint64_t now);
+  /// Serve a line that missed both of `proc`'s caches, at time `now`:
+  /// forward it from a dirty owner or fill it from its home memory, insert
+  /// it into L2 and L1, and add `proc` as a sharer. Counts the owner's
+  /// writeback or `proc`'s queueing delay; the caller counts the reference.
+  Served fill(topo::ProcId proc, LineAddr line, std::uint64_t now);
   /// Handle an L2 victim: maintain inclusion and directory state.
   void evict_line(topo::ProcId proc, LineAddr victim);
   /// Invalidate every cached copy of `line` except at `keeper` (pass kNoOwner

@@ -94,6 +94,13 @@ TEST(BarnesHut, RejectsBadConfig) {
   cfg.n_bodies = 4;
   Runtime rt = make_rt(4, cfg);
   EXPECT_THROW(run(rt, cfg), util::Error);
+  // Zero or negative steps would time nothing and print a speedup of 1.00.
+  for (const int steps : {0, -1}) {
+    Config no_steps = small(Variant::kDistrAff);
+    no_steps.steps = steps;
+    Runtime rt2 = make_rt(4, no_steps);
+    EXPECT_THROW(run(rt2, no_steps), util::Error) << "steps=" << steps;
+  }
 }
 
 }  // namespace

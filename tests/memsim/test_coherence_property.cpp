@@ -4,7 +4,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <ostream>
 #include <string>
+#include <tuple>
+#include <vector>
 
 #include "common/rng.hpp"
 #include "memsim/memsystem.hpp"
@@ -86,9 +89,9 @@ TEST_P(CoherenceProperty, InvariantsHoldUnderRandomTraffic) {
   }
 
   // Every address the test touches lies in this window of lines (the top
-  // access may spill 56 bytes, i.e. 4 lines, past 64 KiB).
+  // access may spill 312 bytes, i.e. 20 lines, past 64 KiB).
   const LineAddr lo = machine.line_of(0x100000);
-  const LineAddr hi = machine.line_of(0x100000 + 64 * 1024) + 4;
+  const LineAddr hi = machine.line_of(0x100000 + 64 * 1024) + 20;
 
   util::Rng rng(prm.seed);
   std::uint64_t now = 0;
@@ -97,7 +100,9 @@ TEST_P(CoherenceProperty, InvariantsHoldUnderRandomTraffic) {
     const std::uint64_t addr =
         0x100000 + (rng.next_below(64 * 1024) & ~7ull);
     const bool write = rng.next_below(3) == 0;
-    const std::uint64_t bytes = 8ull << rng.next_below(4);  // 8..64 bytes
+    // 8..320 bytes: up to 21 lines, so multi-line reads mix L1 hits, L2 hits
+    // and misses whose fills evict inside the run.
+    const std::uint64_t bytes = 8 * (1 + rng.next_below(40));
     bool migrated = false;
     if (rng.next_below(20) == 0) {
       ms.prefetch(p, addr, bytes, now);
@@ -144,6 +149,164 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(Params{2, 2000, 11}, Params{4, 5000, 12},
                       Params{8, 5000, 13}, Params{32, 8000, 14},
                       Params{64, 8000, 15}, Params{32, 20000, 16}));
+
+/// Does nothing; attaching it sends every line of every access through
+/// MemorySystem::access_line, the per-line reference path.
+class NullObserver final : public AccessObserver {
+ public:
+  void on_access(const AccessInfo& /*info*/) override {}
+  void on_inval(std::uint64_t /*addr*/, topo::ProcId /*requester*/,
+                int /*copies_killed*/) override {}
+};
+
+/// "" if `a` and `b` hold equal counters, else the first differing field.
+std::string counters_diff(const ProcCounters& a, const ProcCounters& b) {
+  const auto field = [](const char* name, std::uint64_t x, std::uint64_t y) {
+    return x == y ? std::string{}
+                  : std::string(name) + ": " + std::to_string(x) + " vs " +
+                        std::to_string(y);
+  };
+  std::string d;
+  for (int s = 0; s < kNumServices && d.empty(); ++s) {
+    d = field(("serviced[" + std::to_string(s) + "]").c_str(), a.serviced[s],
+              b.serviced[s]);
+  }
+  for (const auto& [name, x, y] :
+       {std::tuple{"reads", a.reads, b.reads},
+        std::tuple{"writes", a.writes, b.writes},
+        std::tuple{"upgrades", a.upgrades, b.upgrades},
+        std::tuple{"invals_sent", a.invals_sent, b.invals_sent},
+        std::tuple{"invals_received", a.invals_received, b.invals_received},
+        std::tuple{"writebacks", a.writebacks, b.writebacks},
+        std::tuple{"latency_cycles", a.latency_cycles, b.latency_cycles},
+        std::tuple{"contention_cycles", a.contention_cycles,
+                   b.contention_cycles},
+        std::tuple{"pages_migrated", a.pages_migrated, b.pages_migrated},
+        std::tuple{"prefetches", a.prefetches, b.prefetches}}) {
+    if (d.empty()) d = field(name, x, y);
+  }
+  return d;
+}
+
+std::vector<std::tuple<LineAddr, std::uint64_t, topo::ProcId>> entries_of(
+    const MemorySystem& ms) {
+  std::vector<std::tuple<LineAddr, std::uint64_t, topo::ProcId>> out;
+  ms.directory().for_each_entry([&](LineAddr line, const LineState& st) {
+    out.emplace_back(line, st.sharers, st.dirty_owner);
+  });
+  return out;
+}
+
+struct FusedParams {
+  std::uint32_t procs;
+  int ops;
+  std::uint64_t seed;
+  bool ddr;  ///< DDR channel backend, whose queues see each fill's time.
+};
+
+// gtest's default printer dumps the raw bytes, uninitialized padding
+// included, into the test names ctest lists; those must not vary by run.
+void PrintTo(const FusedParams& prm, std::ostream* os) {
+  *os << prm.procs << " procs, " << prm.ops << " ops, seed " << prm.seed;
+}
+
+class FusedReadProperty : public ::testing::TestWithParam<FusedParams> {};
+
+// An unobserved read serves its lines inside MemorySystem::access; with an
+// observer attached every line goes through access_line. The two must agree
+// on every returned latency and leave identical counters, directory and
+// caches.
+TEST_P(FusedReadProperty, MatchesThePerLinePathReferenceByReference) {
+  const FusedParams prm = GetParam();
+  topo::MachineConfig machine = topo::MachineConfig::dash(prm.procs);
+  machine.l1_bytes = 4 * 1024;   // small caches: fills evict inside a run
+  machine.l2_bytes = 16 * 1024;
+  ChannelConfig chan;
+  if (prm.ddr) chan.kind = ChannelConfig::Kind::kDdr;
+  MemorySystem fused(machine, chan);
+  MemorySystem per_line(machine, chan);
+  NullObserver tap;
+  per_line.add_observer(&tap);
+  for (MemorySystem* ms : {&fused, &per_line}) {
+    for (int i = 0; i < 16; ++i) {
+      ms->bind_range(0x100000 + static_cast<std::uint64_t>(i) * 4096, 4096,
+                     static_cast<topo::ProcId>(i % prm.procs));
+    }
+  }
+
+  util::Rng rng(prm.seed);
+  std::uint64_t now = 0;
+  for (int op = 0; op < prm.ops; ++op) {
+    const auto p = static_cast<topo::ProcId>(rng.next_below(prm.procs));
+    // Any byte offset, 1..320 bytes: a 168-byte Barnes-Hut Node spans 11 or
+    // 12 lines, and a range may straddle a page. Three ops in four stay in
+    // the processor's own 8 KiB, which fits its L2 but not its L1, so runs
+    // mix L1 hits, L2 hits and misses.
+    const std::uint64_t offset =
+        rng.next_below(4) == 0
+            ? rng.next_below(64 * 1024)
+            : (p % 8) * 8 * 1024 + rng.next_below(8 * 1024);
+    const std::uint64_t addr = 0x100000 + offset;
+    const std::uint64_t bytes = 1 + rng.next_below(320);
+    const std::uint64_t kind = rng.next_below(40);
+    std::uint64_t a = 0;
+    std::uint64_t b = 0;
+    if (kind == 0) {
+      a = fused.prefetch(p, addr, bytes, now);
+      b = per_line.prefetch(p, addr, bytes, now);
+    } else if (kind == 1) {
+      const auto home = static_cast<topo::ProcId>(rng.next_below(prm.procs));
+      a = fused.migrate(p, addr, bytes, home);
+      b = per_line.migrate(p, addr, bytes, home);
+    } else {
+      const bool write = kind < 12;
+      a = fused.access(p, addr, bytes, write, now);
+      b = per_line.access(p, addr, bytes, write, now);
+      // Both paths share the hit rules, so check them outright too: every
+      // line an access touched ends in the accessor's L1 and L2 (a range of
+      // at most 21 lines maps to distinct sets, so none evicts another).
+      for (LineAddr l = machine.line_of(addr);
+           l <= machine.line_of(addr + bytes - 1); ++l) {
+        for (const MemorySystem* ms : {&fused, &per_line}) {
+          ASSERT_TRUE(ms->l1(p).contains(l) && ms->l2(p).contains(l))
+              << "op " << op << ": line " << l << " not cached at proc " << p
+              << (ms == &fused ? " (fused)" : " (per line)");
+        }
+      }
+    }
+    ASSERT_EQ(a, b) << "op " << op << " (kind " << kind << ", proc " << p
+                    << ", addr " << addr << ", bytes " << bytes << ")";
+    now += rng.next_below(40);
+  }
+
+  for (topo::ProcId q = 0; q < prm.procs; ++q) {
+    EXPECT_EQ(counters_diff(fused.monitor().proc(q), per_line.monitor().proc(q)),
+              "")
+        << "proc " << q;
+  }
+  EXPECT_EQ(entries_of(fused), entries_of(per_line));
+  const LineAddr lo = machine.line_of(0x100000);
+  const LineAddr hi = machine.line_of(0x100000 + 64 * 1024 + 320);
+  for (topo::ProcId q = 0; q < prm.procs; ++q) {
+    for (LineAddr l = lo; l < hi; ++l) {
+      ASSERT_EQ(fused.l1(q).contains(l), per_line.l1(q).contains(l))
+          << "L1 of proc " << q << ", line " << l;
+      ASSERT_EQ(fused.l2(q).contains(l), per_line.l2(q).contains(l))
+          << "L2 of proc " << q << ", line " << l;
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Sweep, FusedReadProperty,
+    ::testing::Values(FusedParams{8, 20000, 21, false},
+                      FusedParams{32, 20000, 22, false},
+                      FusedParams{8, 20000, 23, true},
+                      FusedParams{32, 20000, 24, true}),
+    [](const auto& pinfo) {
+      return "P" + std::to_string(pinfo.param.procs) +
+             (pinfo.param.ddr ? "_ddr" : "_flat");
+    });
 
 // After any traffic, flushing all caches must empty the directory.
 TEST(CoherenceFlush, FlushEmptiesDirectory) {
