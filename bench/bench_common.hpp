@@ -136,8 +136,12 @@ inline Runtime make_runtime(std::uint32_t procs, const sched::Policy& policy,
 inline util::Options standard_options(const std::string& name,
                                       const std::string& desc) {
   util::Options opt(name, desc);
-  opt.add_int("max-procs", 32, "largest processor count in the sweep");
-  opt.add_int("procs", 32, "processor count for fixed-P experiments");
+  // Benches narrow both to std::uint32_t, so reject what would wrap.
+  constexpr std::int64_t kMaxProcs = std::numeric_limits<std::uint32_t>::max();
+  opt.add_int("max-procs", 32, "largest processor count in the sweep", 1,
+              kMaxProcs);
+  opt.add_int("procs", 32, "processor count for fixed-P experiments", 1,
+              kMaxProcs);
   opt.add_flag("csv", "emit tables as CSV instead of aligned text");
   opt.add_flag("json", "emit a cool-bench/1 JSON record instead of text");
   opt.add_string("json-out", "",

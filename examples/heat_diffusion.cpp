@@ -77,7 +77,7 @@ TaskFn solve(Plate* p, int steps) {
 
 int main(int argc, char** argv) {
   util::Options opt("heat_diffusion", "2-D heat diffusion with region affinity");
-  opt.add_int("procs", 32, "simulated processors");
+  opt.add_int("procs", 32, "simulated processors", 1, UINT32_MAX);
   opt.add_int("n", 192, "plate dimension");
   opt.add_int("steps", 8, "timesteps");
   opt.add_flag("no-distribute", "skip the Figure 5 distribute() step");

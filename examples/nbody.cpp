@@ -14,7 +14,7 @@ using namespace cool::apps::barneshut;
 
 int main(int argc, char** argv) {
   util::Options opt("nbody", "Barnes-Hut N-body with body-block affinity");
-  opt.add_int("procs", 32, "simulated processors");
+  opt.add_int("procs", 32, "simulated processors", 1, UINT32_MAX);
   opt.add_int("bodies", 4096, "number of bodies");
   opt.add_int("steps", 2, "timesteps");
   if (!opt.parse(argc, argv)) return 0;

@@ -42,7 +42,7 @@ TaskFn main_task(Runtime& rt, double** chunks, int n_chunks,
 
 int main(int argc, char** argv) {
   util::Options opt("quickstart", "COOL quickstart: distributed array sum");
-  opt.add_int("procs", 32, "simulated processors");
+  opt.add_int("procs", 32, "simulated processors", 1, UINT32_MAX);
   opt.add_int("chunks", 64, "array chunks (one task each)");
   opt.add_int("chunk-kb", 32, "chunk size in KiB");
   if (!opt.parse(argc, argv)) return 0;

@@ -14,7 +14,7 @@ using namespace cool::apps::cholesky;
 
 int main(int argc, char** argv) {
   util::Options opt("sparse_solver", "sparse panel Cholesky factorization");
-  opt.add_int("procs", 32, "simulated processors");
+  opt.add_int("procs", 32, "simulated processors", 1, UINT32_MAX);
   opt.add_int("panels", 192, "panels in the synthetic structure");
   if (!opt.parse(argc, argv)) return 0;
 

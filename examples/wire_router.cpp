@@ -14,7 +14,7 @@ using namespace cool::apps::locusroute;
 
 int main(int argc, char** argv) {
   util::Options opt("wire_router", "standard-cell wire routing with affinity");
-  opt.add_int("procs", 32, "simulated processors");
+  opt.add_int("procs", 32, "simulated processors", 1, UINT32_MAX);
   opt.add_int("wires-per-region", 96, "synthetic wires per region");
   opt.add_int("iterations", 3, "rip-up-and-reroute passes");
   if (!opt.parse(argc, argv)) return 0;

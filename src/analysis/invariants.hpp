@@ -1,8 +1,8 @@
 // Scheduler invariant checking — the "structural" half of cool-check.
 //
-// The sharded scheduler trades a global lock for per-server locks, an
-// intrusive non-empty list, and a lock-free idle protocol; this module states
-// the invariants that refactor must preserve and validates them on demand:
+// The sharded scheduler trades a global lock for per-server locks and an
+// intrusive non-empty list; this module states the invariants that refactor
+// must preserve and validates them on demand:
 //
 //   * Queue structure: each server's non-empty list covers exactly the
 //     affinity slots holding tasks, slot tasks carry TASK affinity and hash
@@ -11,7 +11,10 @@
 //     counter matches the actual contents (ServerQueues::validate()).
 //   * Ownership/uniqueness: every queued task names its queue's server, and
 //     (at quiesce) no task is resident in two queues at once.
-//   * Idle protocol: the work version only moves forward.
+//
+// The idle protocol's invariant (the work version only moves forward) lives
+// with its counter: IdleGates::check_monotonic() in core/idle_gates.hpp,
+// which ThreadEngine checks after its run.
 //
 // Two entry points with different concurrency contracts:
 //   check_scheduler_concurrent() holds only one queue lock at a time and is

@@ -105,6 +105,16 @@ class IntrusiveList {
 
   static void erase(T* item) noexcept { hook(item)->unlink(); }
 
+  /// The node nearest the back for which `pred(node)` holds, or nullptr.
+  /// Walks from the back and stops at the first match.
+  template <typename Pred>
+  [[nodiscard]] T* find_last(Pred pred) {
+    for (ListHook* h = head_.prev; h != &head_; h = h->prev) {
+      if (pred(owner(h))) return owner(h);
+    }
+    return nullptr;
+  }
+
   /// Unlinks every node (does not destroy them — the list does not own).
   void clear() noexcept {
     while (pop_front() != nullptr) {

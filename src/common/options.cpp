@@ -19,11 +19,14 @@ void Options::add_flag(const std::string& name, const std::string& help) {
 }
 
 void Options::add_int(const std::string& name, std::int64_t default_value,
-                      const std::string& help) {
+                      const std::string& help, std::int64_t min,
+                      std::int64_t max) {
   Spec s;
   s.kind = Kind::kInt;
   s.help = help;
   s.int_value = default_value;
+  s.int_min = min;
+  s.int_max = max;
   s.default_text = std::to_string(default_value);
   specs_.emplace(name, std::move(s));
 }
@@ -88,6 +91,10 @@ void Options::assign(const std::string& name, const std::string& value) {
       s.int_value = std::strtoll(value.c_str(), &end, 10);
       COOL_CHECK(end != nullptr && *end == '\0' && !value.empty(),
                  "option --" + name + " expects an integer, got '" + value + "'");
+      COOL_CHECK(s.int_value >= s.int_min && s.int_value <= s.int_max,
+                 "option --" + name + " must be in [" +
+                     std::to_string(s.int_min) + ", " +
+                     std::to_string(s.int_max) + "], got '" + value + "'");
       break;
     case Kind::kDouble:
       s.double_value = std::strtod(value.c_str(), &end);

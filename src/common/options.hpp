@@ -7,6 +7,7 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <string>
 #include <vector>
@@ -19,8 +20,11 @@ class Options {
 
   /// Declare options before parse().
   void add_flag(const std::string& name, const std::string& help);
+  /// An integer option; parse() rejects a value outside [min, max].
   void add_int(const std::string& name, std::int64_t default_value,
-               const std::string& help);
+               const std::string& help,
+               std::int64_t min = std::numeric_limits<std::int64_t>::min(),
+               std::int64_t max = std::numeric_limits<std::int64_t>::max());
   void add_double(const std::string& name, double default_value,
                   const std::string& help);
   void add_string(const std::string& name, const std::string& default_value,
@@ -67,6 +71,8 @@ class Options {
     bool set = false;
     bool flag_value = false;
     std::int64_t int_value = 0;
+    std::int64_t int_min = 0;  ///< Inclusive range of an int option.
+    std::int64_t int_max = 0;
     double double_value = 0.0;
     std::string string_value;
   };

@@ -21,6 +21,7 @@ ThreadEngine::ThreadEngine(const topo::MachineConfig& machine,
                util::MutexLock g(big_);
                return pages_.home_of(addr - addr_base_, toucher);
              }),
+      idle_(machine_.n_procs),
       disp_(machine_.n_procs, Disposition::kNone),
       // cool-lint: allow(determinism): kThreads trace timebase is wall-clock
       trace_t0_(std::chrono::steady_clock::now()) {
@@ -67,15 +68,15 @@ void ThreadEngine::spawn_record(TaskRecord* rec, Ctx* spawner) {
     util::MutexLock g(big_);
     live_recs_.push_back(rec);
   }
-  // place() enqueues and wakes an idle worker; the task may start (and even
-  // finish) on another thread before place returns, so `rec` is off-limits
-  // from here on.
-  sched_.place(&rec->desc, from);
+  // The task may start (and even finish) on another thread before place
+  // returns, so `rec` is off-limits from here on; wake a worker for the
+  // server place() chose.
+  idle_.signal(sched_.place(&rec->desc, from));
 }
 
 void ThreadEngine::unblock(TaskRecord* rec, Ctx*) {
   rec->state = TaskState::kReady;
-  sched_.enqueue_resumed(&rec->desc);
+  idle_.signal(sched_.enqueue_resumed(&rec->desc));
 }
 
 void ThreadEngine::on_complete(Ctx& c) { disp_[c.proc_] = Disposition::kCompleted; }
@@ -137,7 +138,7 @@ void ThreadEngine::execute(topo::ProcId id, TaskRecord* rec) {
         // predicate re-read of live_ sees zero.
         { util::MutexLock g(done_m_); }
         done_cv_.notify_all();
-        sched_.notify_all_waiters();
+        idle_.notify_all();
       }
       break;
     }
@@ -146,7 +147,7 @@ void ThreadEngine::execute(topo::ProcId id, TaskRecord* rec) {
       break;
     case Disposition::kYielded:
       rec->state = TaskState::kReady;
-      sched_.enqueue_yielded(&rec->desc);
+      idle_.signal(sched_.enqueue_yielded(&rec->desc));
       break;
     case Disposition::kNone:
       COOL_CHECK(false, "task suspended without reporting a disposition");
@@ -157,10 +158,16 @@ void ThreadEngine::worker_loop(topo::ProcId id) {
   for (;;) {
     if (stop_.load() || live_.load() == 0) return;
     // Snapshot BEFORE the acquire attempt: any enqueue after this point
-    // changes the version and makes wait_for_work return immediately.
-    const std::uint64_t seen = sched_.work_version();
+    // changes the version and makes the wait return immediately.
+    const std::uint64_t seen = idle_.version();
     const auto acq = sched_.acquire(id);
     if (acq.task != nullptr) {
+      if ((acq.stolen || acq.moved) && sched_.has_local_work(id)) {
+        // A whole-set steal or a balancer move adopted more than this worker
+        // runs now. The batch was invisible in flight, so a scanner may have
+        // gone to sleep on it: wake a sleeper to steal the rest.
+        idle_.signal(id);
+      }
       if (trace_ && acq.stolen) {
         const std::uint64_t t = now_us();
         trace_->buf(id).record(
@@ -177,9 +184,7 @@ void ThreadEngine::worker_loop(topo::ProcId id) {
     }
     // Nothing this worker may run right now (queued tasks can be pinned to
     // other servers): sleep until new work appears anywhere.
-    sched_.wait_for_work(id, seen, [this] {
-      return stop_.load() || live_.load() == 0;
-    });
+    idle_.wait(id, seen, [this] { return stop_.load() || live_.load() == 0; });
   }
 }
 
@@ -205,13 +210,14 @@ void ThreadEngine::run(TaskFn&& root, std::uint64_t timeout_ms) {
                                  [&] { return live_.load() == 0; });
   }
   stop_.store(true);
-  sched_.notify_all_waiters();
+  idle_.notify_all();
   for (auto& w : workers) w.join();
 
   // All workers joined: the scheduler is quiescent, so cross-queue
   // invariants are checkable even after a concurrent run.
   if (util::check_level() != util::CheckLevel::kOff) {
     analysis::check_scheduler_quiescent(sched_);
+    idle_.check_monotonic();
   }
 
   std::exception_ptr e;

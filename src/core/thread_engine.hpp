@@ -15,9 +15,10 @@
 // Locking: every scheduling operation (place/acquire/enqueue/steal) goes
 // straight to the internally-sharded Scheduler with NO engine lock — workers
 // contend only on individual per-server queue mutexes. `big_` survives only
-// as the guard for the page map and the live-record set; the idle/wakeup
-// path uses the scheduler's per-server gates (see sched/scheduler.hpp) and
-// run()'s completion wait uses its own `done_m_`/`done_cv_`.
+// as the guard for the page map and the live-record set; idle workers sleep
+// on the engine's own gates (`idle_`, see core/idle_gates.hpp), signalled
+// after every enqueue the engine makes; run()'s completion wait uses its own
+// `done_m_`/`done_cv_`.
 #pragma once
 
 #include <atomic>
@@ -31,6 +32,7 @@
 #include "common/thread_annotations.hpp"
 #include "core/costs.hpp"
 #include "core/engine.hpp"
+#include "core/idle_gates.hpp"
 #include "core/record.hpp"
 #include "core/taskfn.hpp"
 #include "memsim/pagemap.hpp"
@@ -64,8 +66,11 @@ class ThreadEngine final : public Engine {
   [[nodiscard]] const obs::TraceCollector* trace_collector() const noexcept {
     return trace_.get();
   }
-  /// Register engine+scheduler live metrics with `reg` (see Scheduler).
-  void attach_obs(obs::Registry& reg) { sched_.attach_obs(reg); }
+  /// Register scheduler and idle-protocol live metrics with `reg`.
+  void attach_obs(obs::Registry& reg) {
+    sched_.attach_obs(reg);
+    idle_.attach_obs(reg);
+  }
   /// Attach the locality profiler. With no memory model there is nothing to
   /// tap, but the dispatch hook still attributes tasks to hint classes and
   /// affinity sets (each worker writes only its own shard).
@@ -106,6 +111,7 @@ class ThreadEngine final : public Engine {
   util::Mutex big_;  ///< Guards pages_ and live_recs_ only — never scheduling.
   mem::PageMap pages_ COOL_GUARDED_BY(big_);
   sched::Scheduler sched_;
+  IdleGates idle_;  ///< Sleep gates; signalled after every enqueue.
   /// Records spawned but not yet completed; walked at destruction (workers
   /// joined) to free tasks a failed run left blocked.
   util::IntrusiveList<TaskRecord, &TaskRecord::live_hook> live_recs_

@@ -73,10 +73,9 @@ struct Signals {
   std::uint64_t chan_row_misses = 0;         ///< mem.chan.row_misses
   std::uint64_t chan_row_conflicts = 0;      ///< mem.chan.row_conflicts
 
-  /// The activity between `older` and this reading, as Snapshot::diff
-  /// computes it: counters subtract (clamped at 0, and kept whole where
-  /// `older` lacks them); the queue gauge and the channel count carry
-  /// through.
+  /// The activity between `older` and this reading: counters subtract
+  /// (clamped at 0, and kept whole where `older` lacks them); the queue
+  /// gauge and the channel count carry through.
   [[nodiscard]] Signals since(const Signals& older) const;
   bool operator==(const Signals&) const = default;
 };

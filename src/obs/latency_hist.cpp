@@ -40,20 +40,6 @@ void LatencyHist::merge(const LatencyHist& other) noexcept {
   max_ = std::max(max_, other.max_);
 }
 
-LatencyHist LatencyHist::diff(const LatencyHist& earlier) const noexcept {
-  LatencyHist d;
-  for (std::size_t b = 0; b < kBuckets; ++b) {
-    const std::uint64_t cur = counts_[b];
-    const std::uint64_t old = earlier.counts_[b];
-    const std::uint64_t n = cur > old ? cur - old : 0;
-    d.counts_[b] = n;
-    d.count_ += n;
-  }
-  d.sum_ = sum_ > earlier.sum_ ? sum_ - earlier.sum_ : 0;
-  d.max_ = max_;  // cumulative upper bound; see header
-  return d;
-}
-
 template <typename CountAt>
 std::uint64_t LatencyHist::walk(std::uint64_t count, double q,
                                 CountAt at) const noexcept {

@@ -36,16 +36,13 @@ class LatencyHist {
   /// Fold `other`'s samples into this histogram.
   void merge(const LatencyHist& other) noexcept;
 
-  /// Samples recorded since `earlier` (bucket-wise this - earlier). The two
-  /// snapshots must come from the same monotonically growing histogram;
-  /// buckets where `earlier` is ahead clamp to zero. The delta's max() is the
-  /// cumulative max (an upper bound for the interval, not the interval max).
-  [[nodiscard]] LatencyHist diff(const LatencyHist& earlier) const noexcept;
-
-  /// Count and q-quantile of the samples recorded since `earlier`, exactly
-  /// as diff(earlier).count() and diff(earlier).quantile(q) report them
-  /// (same clamping, capped at this histogram's max()), without building
-  /// the diffed histogram.
+  /// Count and q-quantile of the samples recorded since `earlier`, an older
+  /// copy of this same (monotonically growing) histogram. Each bucket counts
+  /// this minus `earlier`, clamped at zero where `earlier` is ahead. The
+  /// quantile walks those bucket counts as quantile() walks this
+  /// histogram's, so it is capped at this histogram's cumulative max() (an
+  /// upper bound for the interval, not the interval max). An interval with
+  /// no samples reports count 0 and quantile 0.
   struct Interval {
     std::uint64_t count = 0;
     std::uint64_t quantile = 0;

@@ -93,30 +93,6 @@ std::uint64_t HistData::quantile(double q) const noexcept {
   return 1ull << (kHistBuckets - 1);
 }
 
-HistData& HistData::operator-=(const HistData& o) noexcept {
-  count = count >= o.count ? count - o.count : 0;
-  sum = sum >= o.sum ? sum - o.sum : 0;
-  for (std::size_t b = 0; b < kHistBuckets; ++b) {
-    buckets[b] = buckets[b] >= o.buckets[b] ? buckets[b] - o.buckets[b] : 0;
-  }
-  return *this;
-}
-
-Snapshot Snapshot::diff(const Snapshot& older) const {
-  Snapshot d = *this;
-  for (auto& [name, v] : d.values) {
-    auto it = older.values.find(name);
-    if (it != older.values.end()) {
-      v = v >= it->second ? v - it->second : 0;
-    }
-  }
-  for (auto& [name, h] : d.hists) {
-    auto it = older.hists.find(name);
-    if (it != older.hists.end()) h -= it->second;
-  }
-  return d;
-}
-
 std::string Snapshot::to_json() const {
   json::Writer w;
   w.begin_object();

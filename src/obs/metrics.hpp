@@ -4,9 +4,8 @@
 // This generalises the scheduler's hand-rolled StatShard pattern (PR 1) into
 // a reusable facility: a writer updates only its own shard (relaxed atomics,
 // no false sharing — shards live in util::Sharded's aligned cells), readers
-// fold the shards into a Snapshot on demand. Snapshots are plain values with
-// diff semantics, so a bench can bracket a run with two snapshots and report
-// exactly the activity in between.
+// fold the shards into a Snapshot on demand. A Snapshot is a plain value: a
+// run's totals, sorted by name, ready for a bench record.
 //
 // Registration is mutex-guarded and allocates slots from a fixed-capacity
 // array chosen at construction, so the hot increment path never observes a
@@ -92,8 +91,6 @@ struct HistData {
   /// Upper edge (2^b) of the bucket holding the ceil(q*count)-th smallest
   /// sample (nearest rank).
   [[nodiscard]] std::uint64_t quantile(double q) const noexcept;
-
-  HistData& operator-=(const HistData& o) noexcept;
 };
 
 /// Key order for Snapshot maps: lexicographic, except that runs of digits
@@ -112,11 +109,6 @@ struct NaturalKeyLess {
 struct Snapshot {
   std::map<std::string, std::uint64_t, NaturalKeyLess> values;
   std::map<std::string, HistData, NaturalKeyLess> hists;
-
-  /// This snapshot minus an earlier one: counters and histogram buckets
-  /// subtract (saturating at zero); entries missing from `older` pass
-  /// through unchanged.
-  [[nodiscard]] Snapshot diff(const Snapshot& older) const;
 
   /// Deterministic JSON object: {"values":{...},"hists":{name:{count,sum,
   /// mean,p50,p95,max}}} — keys sorted (natural map order).

@@ -133,14 +133,6 @@ std::vector<TaskDesc*> ServerQueues::steal_set_locked(bool allow_pinned,
   return set;
 }
 
-std::vector<TaskDesc*> ServerQueues::steal_set(bool allow_pinned,
-                                               bool allow_reserved) {
-  util::MutexLock g(mu_);
-  std::vector<TaskDesc*> set = steal_set_locked(allow_pinned, allow_reserved);
-  maybe_check_locked();
-  return set;
-}
-
 TrySteal ServerQueues::try_steal_set(std::vector<TaskDesc*>& out,
                                      bool allow_pinned, bool allow_reserved) {
   if (!mu_.try_lock()) return TrySteal::kBusy;
@@ -156,13 +148,12 @@ TaskDesc* ServerQueues::steal_object_task_locked(bool allow_pinned,
   if (allow_pinned && allow_reserved) {
     t = object_q_.pop_back();
   } else {
-    // Scan for the youngest eligible task: hint-free unless pins are allowed,
-    // unreserved unless reservations are up for grabs.
-    for (TaskDesc* cand : object_q_) {
-      if (!allow_pinned && !cand->aff.is_none()) continue;
-      if (!allow_reserved && cand->reserved) continue;
-      t = cand;
-    }
+    // The youngest eligible task, scanning from the back: hint-free unless
+    // pins are allowed, unreserved unless reservations are up for grabs.
+    t = object_q_.find_last([&](const TaskDesc* cand) {
+      return (allow_pinned || cand->aff.is_none()) &&
+             (allow_reserved || !cand->reserved);
+    });
     if (t != nullptr) TaskList::erase(t);
   }
   if (t != nullptr) {
@@ -170,14 +161,6 @@ TaskDesc* ServerQueues::steal_object_task_locked(bool allow_pinned,
     ++popped_;
     size_.fetch_sub(1, std::memory_order_relaxed);
   }
-  return t;
-}
-
-TaskDesc* ServerQueues::steal_object_task(bool allow_pinned,
-                                          bool allow_reserved) {
-  util::MutexLock g(mu_);
-  TaskDesc* t = steal_object_task_locked(allow_pinned, allow_reserved);
-  maybe_check_locked();
   return t;
 }
 
@@ -220,16 +203,6 @@ TrySteal ServerQueues::try_move_tasks(std::vector<TaskDesc*>& out,
   return out.empty() ? TrySteal::kEmpty : TrySteal::kGot;
 }
 
-void ServerQueues::adopt(const std::vector<TaskDesc*>& set,
-                         topo::ProcId new_server) {
-  util::MutexLock g(mu_);
-  for (TaskDesc* t : set) {
-    t->server = new_server;
-    push_locked(t);
-  }
-  maybe_check_locked();
-}
-
 TaskDesc* ServerQueues::adopt_and_pop(const std::vector<TaskDesc*>& set,
                                       topo::ProcId new_server) {
   util::MutexLock g(mu_);
@@ -245,11 +218,6 @@ TaskDesc* ServerQueues::adopt_and_pop(const std::vector<TaskDesc*>& set,
 std::size_t ServerQueues::n_nonempty_affinity_queues() const {
   util::MutexLock g(mu_);
   return nonempty_.size();
-}
-
-std::size_t ServerQueues::object_queue_size() const {
-  util::MutexLock g(mu_);
-  return object_q_.size();
 }
 
 // --- Invariant checking ------------------------------------------------------

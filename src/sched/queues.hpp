@@ -13,9 +13,9 @@
 // Concurrency: each ServerQueues carries its own mutex and every public
 // operation is internally synchronised, so per-server queues run concurrently
 // with no scheduler-wide lock. The owner's push/pop take the lock
-// unconditionally (it is almost always uncontended); thieves use the
-// `try_steal_*` variants, which `try_lock` and report kBusy instead of
-// convoying behind the owner. `empty()`/`size()` read an atomic counter
+// unconditionally (it is almost always uncontended); thieves and balancer
+// moves use the `try_*` operations, which `try_lock` and report kBusy instead
+// of convoying behind the owner. `empty()`/`size()` read an atomic counter
 // without the lock, so victim scans stay wait-free.
 #pragma once
 
@@ -72,25 +72,19 @@ class ServerQueues {
   /// pinned them deliberately (e.g. LocusRoute's per-region processor hints).
   /// With `allow_reserved == false`, sets holding Reserve-balancer
   /// reservations are skipped too (cross-cluster thieves must not undo a
-  /// reservation; same-cluster thieves pass true). Empty result means no set
-  /// to steal.
-  std::vector<TaskDesc*> steal_set(bool allow_pinned = true,
-                                   bool allow_reserved = true);
-
-  /// Steal a single task from the back of the object-affinity queue.
-  /// With `allow_pinned == false`, tasks carrying OBJECT or PROCESSOR
-  /// affinity are skipped ("tasks scheduled with object-affinity should
-  /// preferably not be stolen", paper §4.2) and only hint-free tasks are
-  /// taken; with `allow_reserved == false`, Reserve-balancer reservations
-  /// are skipped. Returns nullptr if nothing stealable.
-  TaskDesc* steal_object_task(bool allow_pinned = true,
-                              bool allow_reserved = true);
-
-  /// Non-blocking variants for thieves: `try_lock` the queue and steal, or
-  /// report kBusy without waiting so a steal scan never convoys behind the
-  /// owner. On kGot the stolen set/task is written to `out`.
+  /// reservation; same-cluster thieves pass true). Never blocks: kBusy means
+  /// the queue lock was held. On kGot the set is in `out`; kEmpty means no
+  /// set to steal.
   TrySteal try_steal_set(std::vector<TaskDesc*>& out, bool allow_pinned = true,
                          bool allow_reserved = true);
+
+  /// Steal the youngest task of the object-affinity queue. With
+  /// `allow_pinned == false`, tasks carrying OBJECT or PROCESSOR affinity are
+  /// skipped ("tasks scheduled with object-affinity should preferably not be
+  /// stolen", paper §4.2) and only hint-free tasks are taken; with
+  /// `allow_reserved == false`, Reserve-balancer reservations are skipped.
+  /// Never blocks, like try_steal_set(). On kGot the task is in `out`;
+  /// kEmpty means nothing stealable.
   TrySteal try_steal_object_task(TaskDesc*& out, bool allow_pinned = true,
                                  bool allow_reserved = true);
 
@@ -103,17 +97,14 @@ class ServerQueues {
   TrySteal try_move_tasks(std::vector<TaskDesc*>& out,
                           std::uint32_t max_tasks);
 
-  /// Adopt tasks stolen as a set: they keep their affinity key and are queued
-  /// back-to-back on this server.
-  void adopt(const std::vector<TaskDesc*>& set, topo::ProcId new_server);
-
-  /// Adopt a stolen set and immediately dequeue the first runnable task, all
-  /// under one lock hold, so a concurrent thief cannot empty the queue
-  /// between the adopt and the pop. Never returns nullptr for a non-empty
-  /// set. This is the only whole-set-steal path that touches two servers'
-  /// queues, and it takes the two locks strictly one at a time (victim lock
-  /// released inside try_steal_set before this acquires the thief's own
-  /// lock), so no lock order between servers is ever needed.
+  /// Adopt a stolen set — its tasks keep their affinity key and queue
+  /// back-to-back on this server — and immediately dequeue the first
+  /// runnable task, all under one lock hold, so a concurrent thief cannot
+  /// empty the queue between the adopt and the pop. Never returns nullptr
+  /// for a non-empty set. This is the only whole-set-steal path that touches
+  /// two servers' queues, and it takes the two locks strictly one at a time
+  /// (victim lock released inside try_steal_set before this acquires the
+  /// thief's own lock), so no lock order between servers is ever needed.
   TaskDesc* adopt_and_pop(const std::vector<TaskDesc*>& set,
                           topo::ProcId new_server);
 
@@ -127,7 +118,6 @@ class ServerQueues {
     return slots_.size();
   }
   [[nodiscard]] std::size_t n_nonempty_affinity_queues() const;
-  [[nodiscard]] std::size_t object_queue_size() const;
   /// High-water mark of queued tasks (diagnostics).
   [[nodiscard]] std::size_t max_depth() const noexcept {
     return max_depth_.load(std::memory_order_relaxed);
@@ -141,7 +131,6 @@ class ServerQueues {
   /// Record which server these queues belong to; once set, every queued
   /// task's `server` field must name this processor.
   void set_owner(topo::ProcId p) noexcept { owner_ = p; }
-  [[nodiscard]] topo::ProcId owner() const noexcept { return owner_; }
 
   /// Validate every structural invariant (throws util::Error on violation):
   /// the non-empty list covers exactly the slots holding tasks, slot tasks

@@ -20,7 +20,6 @@ Scheduler::Scheduler(const topo::MachineConfig& machine, Policy policy,
   for (std::uint32_t p = 0; p < machine_.n_procs; ++p) {
     queues_.emplace_back(policy_.affinity_array_size);
     queues_.back().set_owner(static_cast<topo::ProcId>(p));
-    gates_.emplace_back();
   }
   levels_ = topo::enumerate_levels(machine_);
   built_kind_ = policy_.balancer;
@@ -57,14 +56,6 @@ void Scheduler::adapt_policy(const std::function<void(Policy&)>& fn) {
 
 void Scheduler::check_queues() const {
   for (const ServerQueues& q : queues_) q.validate();
-  // The version counter only ever fetch_add(1)s, so any previously observed
-  // value is a valid floor. CAS-max the floor forward, then assert the
-  // current read is not below it.
-  const std::uint64_t wv = work_version_.load();
-  std::uint64_t floor = wv_floor_.load();
-  COOL_CHECK(wv >= floor, "invariant: work version moved backwards");
-  while (floor < wv && !wv_floor_.compare_exchange_weak(floor, wv)) {
-  }
 }
 
 void Scheduler::for_each_queued(
@@ -74,27 +65,20 @@ void Scheduler::for_each_queued(
 
 void Scheduler::attach_obs(obs::Registry& reg) {
   obs_reg_ = &reg;
-  obs_idle_sleeps_ = reg.counter("sched.idle.sleeps");
-  obs_idle_wakeups_ = reg.counter("sched.idle.wakeups");
   obs_steal_scan_ = reg.histogram("sched.steal_scan_victims");
   obs_run_length_ = reg.histogram("sched.affinity_run_length");
   register_balance_obs();
 }
 
 void Scheduler::register_balance_obs() {
-  if (obs_reg_ == nullptr || policy_.balancer == BalancerKind::kStealing) {
+  if (obs_reg_ == nullptr || policy_.balancer != BalancerKind::kReserve ||
+      !obs_reserve_hits_.empty()) {
     return;
   }
-  if (!obs_balance_commands_.attached()) {
-    obs_balance_commands_ = obs_reg_->counter("sched.balance.commands");
-    obs_balance_moves_ = obs_reg_->counter("sched.balance.moves");
-  }
-  if (policy_.balancer == BalancerKind::kReserve && obs_reserve_hits_.empty()) {
-    obs_reserve_hits_.reserve(machine_.n_clusters());
-    for (std::uint32_t c = 0; c < machine_.n_clusters(); ++c) {
-      obs_reserve_hits_.push_back(obs_reg_->counter(
-          "sched.balance.reserve_hits.cluster" + std::to_string(c)));
-    }
+  obs_reserve_hits_.reserve(machine_.n_clusters());
+  for (std::uint32_t c = 0; c < machine_.n_clusters(); ++c) {
+    obs_reserve_hits_.push_back(obs_reg_->counter(
+        "sched.balance.reserve_hits.cluster" + std::to_string(c)));
   }
 }
 
@@ -108,53 +92,6 @@ void Scheduler::note_run(topo::ProcId proc, std::uint64_t key) {
   if (t.len > 0) obs_run_length_.observe(proc, t.len);
   t.key = key;
   t.len = key != 0 ? 1 : 0;
-}
-
-void Scheduler::wake_gate(IdleGate& g) {
-  // Empty critical section: a waiter is either already inside cv.wait (the
-  // notify reaches it) or still before it while holding g.m (we block here
-  // until it waits, and its predicate then sees the new version).
-  { util::MutexLock l(g.m); }
-  g.cv.notify_all();
-}
-
-void Scheduler::bump_version() {
-  const std::uint64_t next = work_version_.fetch_add(1) + 1;
-  if (util::check_level() == util::CheckLevel::kParanoid) {
-    // Raise the monotonicity floor to the value this bump produced; no
-    // assertion here (another thread's later bump may already have raised the
-    // floor past ours), check_queues() owns the assert.
-    std::uint64_t floor = wv_floor_.load();
-    while (floor < next && !wv_floor_.compare_exchange_weak(floor, next)) {
-    }
-  }
-}
-
-void Scheduler::signal_work(topo::ProcId server) {
-  // Seq-cst Dekker pairing with wait_for_work: the version bump and the
-  // sleeping-flag reads here, against the sleeping-flag store and version
-  // read in the waiter, cannot both miss each other.
-  bump_version();
-  IdleGate& home_gate = gates_[server];
-  if (home_gate.sleeping.load()) {
-    wake_gate(home_gate);
-    return;
-  }
-  // Home server is busy; wake one idle processor so it can steal. Scan from
-  // the home server's successor so bursts of spawns fan out over sleepers.
-  const std::uint32_t P = machine_.n_procs;
-  for (std::uint32_t i = 1; i < P; ++i) {
-    IdleGate& g = gates_[(server + i) % P];
-    if (g.sleeping.load()) {
-      wake_gate(g);
-      return;
-    }
-  }
-}
-
-void Scheduler::notify_all_waiters() {
-  bump_version();
-  for (IdleGate& g : gates_) wake_gate(g);
 }
 
 topo::ProcId Scheduler::place(TaskDesc* t, topo::ProcId spawner) {
@@ -251,25 +188,24 @@ topo::ProcId Scheduler::place(TaskDesc* t, topo::ProcId spawner) {
   t->moved = false;
   queues_[server].push(t);
   // `t` is live on a queue now — another thread may already own it.
-  signal_work(server);
   return server;
 }
 
-void Scheduler::enqueue_resumed(TaskDesc* t) {
+topo::ProcId Scheduler::enqueue_resumed(TaskDesc* t) {
   COOL_CHECK(t != nullptr, "enqueue_resumed: null task");
   COOL_CHECK(t->server < machine_.n_procs, "enqueue_resumed: bad server");
   const topo::ProcId server = t->server;
   stats_.shard(server).resumes.fetch_add(1, std::memory_order_relaxed);
   queues_[server].push_resumed(t);
-  signal_work(server);
+  return server;
 }
 
-void Scheduler::enqueue_yielded(TaskDesc* t) {
+topo::ProcId Scheduler::enqueue_yielded(TaskDesc* t) {
   COOL_CHECK(t != nullptr, "enqueue_yielded: null task");
   COOL_CHECK(t->server < machine_.n_procs, "enqueue_yielded: bad server");
   const topo::ProcId server = t->server;
   queues_[server].push(t);
-  signal_work(server);
+  return server;
 }
 
 TaskDesc* Scheduler::try_steal(topo::ProcId thief, topo::ProcId victim,
@@ -296,11 +232,7 @@ TaskDesc* Scheduler::try_steal(topo::ProcId thief, topo::ProcId victim,
         // The whole set migrates to the thief so its tasks still run
         // back-to-back (paper §4.2). Adopt + first pop happen under one hold
         // of the thief's own lock; the victim's lock was already released.
-        TaskDesc* t = queues_[thief].adopt_and_pop(set, thief);
-        // Waking sleepers for the rest of the set keeps stealing
-        // work-conserving while this thief runs the first task.
-        signal_work(thief);
-        return t;
+        return queues_[thief].adopt_and_pop(set, thief);
       }
       case TrySteal::kEmpty:
         break;
@@ -334,13 +266,9 @@ TaskDesc* Scheduler::exec_move(topo::ProcId thief, const BalanceCommand& cmd,
       return nullptr;
     case TrySteal::kGot: {
       st.balance_moves.fetch_add(moved.size(), std::memory_order_relaxed);
-      obs_balance_moves_.add(thief, moved.size());
       // Like whole-set stealing: adopt the batch and take the first runnable
-      // task under one hold of the thief's own lock, then wake sleepers for
-      // the rest of the batch.
-      TaskDesc* t = queues_[thief].adopt_and_pop(moved, thief);
-      signal_work(thief);
-      return t;
+      // task under one hold of the thief's own lock.
+      return queues_[thief].adopt_and_pop(moved, thief);
     }
     case TrySteal::kEmpty:
       break;
@@ -394,7 +322,6 @@ Scheduler::Acquired Scheduler::acquire(topo::ProcId proc) {
         break;
       }
       st.balance_commands.fetch_add(1, std::memory_order_relaxed);
-      obs_balance_commands_.add(proc);
       TaskDesc* t = nullptr;
       if (cmd.op == BalanceCommand::Op::kTrySteal) {
         ++probed;

@@ -19,12 +19,13 @@
 // Concurrency: the scheduler is internally synchronised — place/acquire/
 // enqueue_* may be called from any number of threads with no external lock.
 // Each ServerQueues carries its own mutex (thieves use try_lock and never
-// convoy behind owners), statistics are sharded per server and aggregated on
-// read, and an idle/wakeup protocol (per-server condition variables plus a
-// global atomic work counter) lets engine workers sleep when no runnable work
-// exists without missing wakeups. A single-threaded caller (the simulation
-// engine) sees exactly the old sequential behaviour: uncontended locks always
-// succeed, so every placement and steal decision is unchanged.
+// convoy behind owners), and statistics are sharded per server and
+// aggregated on read. The scheduler holds queues and policy only: it never
+// sleeps or wakes anyone. An engine whose workers sleep (ThreadEngine, see
+// core/idle_gates.hpp) signals its own wakeups from the servers place() and
+// enqueue_* return. A single-threaded caller (the simulation engine) sees
+// exactly the old sequential behaviour: uncontended locks always succeed, so
+// every placement and steal decision is unchanged.
 #pragma once
 
 #include <atomic>
@@ -84,11 +85,14 @@ class Scheduler {
   /// place() nor its caller touches `t` after the enqueue.
   topo::ProcId place(TaskDesc* t, topo::ProcId spawner);
 
-  /// Re-enqueue an unblocked task on its server, at the front.
-  void enqueue_resumed(TaskDesc* t);
+  /// Re-enqueue an unblocked task on its server, at the front. Returns the
+  /// server; like place(), neither this nor its caller touches `t` after the
+  /// enqueue.
+  topo::ProcId enqueue_resumed(TaskDesc* t);
 
-  /// Re-enqueue a yielded task on its current server, at the back.
-  void enqueue_yielded(TaskDesc* t);
+  /// Re-enqueue a yielded task on its current server, at the back. Returns
+  /// the server, as enqueue_resumed() does.
+  topo::ProcId enqueue_yielded(TaskDesc* t);
 
   /// Result of an acquire attempt.
   struct Acquired {
@@ -108,38 +112,6 @@ class Scheduler {
   /// Get work for `proc`: local pop first, then steal per policy.
   Acquired acquire(topo::ProcId proc);
 
-  // --- Idle/wakeup protocol -------------------------------------------------
-  //
-  // A worker that fails to acquire must not spin on "some queue is non-empty"
-  // (queued tasks may be pinned to other servers) and must not sleep past a
-  // new enqueue. Protocol: snapshot work_version() BEFORE the failed acquire,
-  // then call wait_for_work() with that snapshot; every enqueue bumps the
-  // version and wakes sleepers, so a version mismatch means new work arrived
-  // somewhere after the snapshot and the wait returns immediately.
-
-  /// Global enqueue counter; bumped whenever a task lands on any queue.
-  [[nodiscard]] std::uint64_t work_version() const noexcept {
-    return work_version_.load();
-  }
-
-  /// Block `proc` until the work version moves past `seen` or `give_up()`
-  /// returns true. `give_up` is evaluated under the per-server gate mutex and
-  /// must be safe to call from any thread (read atomics only).
-  template <typename Pred>
-  void wait_for_work(topo::ProcId proc, std::uint64_t seen, Pred give_up) {
-    obs_idle_sleeps_.add(proc);
-    IdleGate& g = gates_[proc];
-    util::MutexLock l(g.m);
-    g.sleeping.store(true);
-    g.cv.wait(l, [&] { return work_version_.load() != seen || give_up(); });
-    g.sleeping.store(false);
-    obs_idle_wakeups_.add(proc);
-  }
-
-  /// Wake every sleeping worker (shutdown / completion). Bumps the version so
-  /// a worker between snapshot and wait does not go back to sleep.
-  void notify_all_waiters();
-
   [[nodiscard]] bool has_local_work(topo::ProcId proc) const {
     return !queues_[proc].empty();
   }
@@ -149,20 +121,18 @@ class Scheduler {
   /// Aggregate the per-server stat shards into one snapshot.
   [[nodiscard]] SchedStats stats() const;
 
-  /// Register the scheduler's live metrics (steal-scan lengths, idle
-  /// transitions, affinity-set run lengths) with an obs registry whose shard
-  /// count covers this machine's processors. Call before any scheduling
-  /// activity; un-attached, the hooks are no-ops. The registry must outlive
-  /// the scheduler.
+  /// Register the scheduler's live metrics (steal-scan lengths, affinity-set
+  /// run lengths) with an obs registry whose shard count covers this
+  /// machine's processors. Call before any scheduling activity; un-attached,
+  /// the hooks are no-ops. The registry must outlive the scheduler.
   void attach_obs(obs::Registry& reg);
 
   [[nodiscard]] const ServerQueues& queues(topo::ProcId p) const {
     return queues_.at(p);
   }
 
-  /// Validate every per-queue structural invariant plus the idle-protocol
-  /// monotonicity of the work version (it may only move forward). Safe to
-  /// call concurrently with scheduling; throws util::Error on violation.
+  /// Validate every per-queue structural invariant. Safe to call
+  /// concurrently with scheduling; throws util::Error on violation.
   void check_queues() const;
 
   /// Visit every currently-queued task across all servers (each queue's lock
@@ -233,13 +203,6 @@ class Scheduler {
     std::atomic<std::uint64_t> reserve_hits{0};
   };
 
-  /// Per-server sleep gate for the idle/wakeup protocol.
-  struct alignas(64) IdleGate {
-    util::Mutex m;  ///< CV companion only; `sleeping` is its own atomic.
-    util::CondVar cv;
-    std::atomic<bool> sleeping{false};
-  };
-
   /// Per-processor tracker of how many tasks of one affinity set ran
   /// back-to-back (paper §5's motivation for the queue array). Updated only
   /// by the owning processor's acquire() calls, so no synchronisation.
@@ -267,18 +230,11 @@ class Scheduler {
   /// policy's kind. Single-threaded callers only (construction, and
   /// adapt_policy under the simulation engine).
   void rebuild_balancers();
-  /// Register the balance counters with the attached registry. Registration
-  /// is deliberately lazy and policy-gated: under the default Stealing
-  /// policy no sched.balance.* key ever appears, keeping every existing
-  /// figure's output byte-identical.
+  /// Register the per-cluster reservation counters, lazily and only under
+  /// the Reserve policy: no other balancer gets a reserve_hits.cluster<k>
+  /// key. The sched.balance.* totals come from SchedStats, which
+  /// Runtime::obs_snapshot writes under every policy.
   void register_balance_obs();
-  /// Increment the work version; under paranoid checking also advance the
-  /// monotonicity floor.
-  void bump_version();
-  /// Bump the work version and wake `server`'s worker if it sleeps, else the
-  /// next sleeping worker (any idle processor may steal the new task).
-  void signal_work(topo::ProcId server);
-  void wake_gate(IdleGate& g);
 
   const topo::MachineConfig& machine_;
   Policy policy_;
@@ -297,12 +253,6 @@ class Scheduler {
   std::vector<CmdScratch> cmd_scratch_;  ///< One per processor.
 
   util::Sharded<StatShard> stats_;   // per-server shards, summed on read
-  std::deque<IdleGate> gates_;       // deque: IdleGate is not movable
-  std::atomic<std::uint64_t> work_version_{0};
-  /// Monotonicity floor for the work version, advanced (CAS-max) after each
-  /// bump under paranoid checking; check_queues() asserts the version never
-  /// reads below it.
-  mutable std::atomic<std::uint64_t> wv_floor_{0};
   std::atomic<std::uint64_t> rr_next_{0};  ///< Base-mode round-robin cursor.
 
   /// TASK-promotion override table (see set_task_promotion). The atomic flag
@@ -316,12 +266,8 @@ class Scheduler {
 
   // Optional obs instrumentation (detached no-ops until attach_obs()).
   std::vector<RunTrack> run_track_;
-  obs::Counter obs_idle_sleeps_;
-  obs::Counter obs_idle_wakeups_;
   obs::Histogram obs_steal_scan_;   ///< Victims probed per steal scan.
   obs::Histogram obs_run_length_;   ///< Affinity-set back-to-back run lengths.
-  obs::Counter obs_balance_commands_;  ///< Balancer commands executed.
-  obs::Counter obs_balance_moves_;     ///< Tasks relocated by move commands.
   /// Per-level reservation counters, indexed by target cluster
   /// ("sched.balance.reserve_hits.cluster<k>"); registered only under the
   /// Reserve policy so default-policy output is untouched.

@@ -113,6 +113,26 @@ TEST(IntrusiveList, Iteration) {
   EXPECT_EQ(expect, 5);
 }
 
+TEST(IntrusiveList, FindLastStopsAtTheBackmostMatch) {
+  List l;
+  std::vector<Node> nodes(6);
+  for (int i = 0; i < 6; ++i) {
+    nodes[i].value = i;
+    l.push_back(&nodes[i]);
+  }
+  std::vector<int> visited;
+  Node* even = l.find_last([&](const Node* n) {
+    visited.push_back(n->value);
+    return n->value % 2 == 0;
+  });
+  EXPECT_EQ(even, &nodes[4]);
+  EXPECT_EQ(visited, (std::vector<int>{5, 4}));  // back first, then stops
+  EXPECT_EQ(l.find_last([](const Node* n) { return n->value > 9; }), nullptr);
+  EXPECT_EQ(l.size(), 6u);  // a search unlinks nothing
+  List empty;
+  EXPECT_EQ(empty.find_last([](const Node*) { return true; }), nullptr);
+}
+
 TEST(IntrusiveList, ClearUnlinksAll) {
   List l;
   std::vector<Node> nodes(4);

@@ -89,6 +89,39 @@ TEST(Options, NegativeNumbers) {
   EXPECT_DOUBLE_EQ(o.get_double("ratio"), -1.5);
 }
 
+// A ranged int rejects values outside [min, max] at parse time, naming the
+// flag: a processor count narrowed to 32 bits must not wrap (4294967298
+// would run at P = 2) or go negative.
+TEST(Options, IntRangeRejectsValuesThatWouldWrap) {
+  constexpr std::int64_t kMax = 4294967295;  // UINT32_MAX
+  auto ranged = [] {
+    Options o("prog", "test program");
+    o.add_int("procs", 32, "processor count", 1, kMax);
+    return o;
+  };
+  for (const char* bad :
+       {"--procs=0", "--procs=-3", "--procs=4294967296", "--procs=4294967298",
+        "--procs=99999999999999999999"}) {
+    Options o = ranged();
+    try {
+      parse(o, {bad});
+      ADD_FAILURE() << bad << " was accepted";
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find("--procs"), std::string::npos)
+          << e.what();
+    }
+  }
+  for (const std::int64_t ok : {std::int64_t{1}, kMax}) {
+    Options o = ranged();
+    EXPECT_TRUE(parse(o, {"--procs=" + std::to_string(ok)}));
+    EXPECT_EQ(o.get_int("procs"), ok);
+  }
+  // Without a range every int64 still parses.
+  Options plain = make();
+  EXPECT_TRUE(parse(plain, {"--procs=4294967298"}));
+  EXPECT_EQ(plain.get_int("procs"), 4294967298);
+}
+
 TEST(Options, WrongTypeAccessThrows) {
   Options o = make();
   EXPECT_TRUE(parse(o, {}));

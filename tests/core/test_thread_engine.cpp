@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <thread>
 #include <vector>
 
 #include "core/cool.hpp"
@@ -128,6 +130,68 @@ TEST(ThreadEngine, TimeoutDetectsDeadlock) {
     auto g2 = co_await c.lock(mu);  // self-deadlock
   }()),
                util::Error);
+}
+
+// Each hop lands a task pinned to a worker that has gone to sleep, so the
+// enqueue itself must wake that worker: no other worker may steal a
+// PROCESSOR-pinned task. The root (on proc 0) places a parent on proc 1; the
+// parent waits until worker 0 sleeps, then places a child on proc 0 and
+// blocks; the child waits until worker 1 sleeps, then completes, which
+// resumes the parent on proc 1. A lost wakeup on place or on resume
+// deadlocks the run, and the timeout turns that into a failure.
+TEST(ThreadEngine, EnqueueWakesThePinnedSleeper) {
+  SystemConfig cfg = thr_cfg(2);
+  cfg.thread_timeout_ms = 5000;
+  Runtime rt(cfg);
+  std::atomic<int> done{0};
+  rt.run([](std::atomic<int>* d) -> TaskFn {
+    auto& c = co_await self();
+    TaskGroup outer;
+    c.spawn(Affinity::processor(1), outer, [](std::atomic<int>* dd) -> TaskFn {
+      auto& cc = co_await self();
+      std::this_thread::sleep_for(std::chrono::milliseconds(20));
+      TaskGroup inner;
+      cc.spawn(Affinity::processor(0), inner, [](std::atomic<int>* d3) -> TaskFn {
+        co_await self();
+        std::this_thread::sleep_for(std::chrono::milliseconds(20));
+        d3->fetch_add(1);
+      }(dd));
+      co_await cc.wait(inner);
+      dd->fetch_add(1);
+    }(d));
+    co_await c.wait(outer);
+  }(&done));
+  EXPECT_EQ(done.load(), 2);
+}
+
+// The idle counters keep their sched.idle.* names under the thread engine,
+// and the simulator, which never sleeps, no longer reports them.
+TEST(ThreadEngine, IdleCountersKeepTheirNames) {
+  auto root = []() -> TaskFn {
+    auto& c = co_await self();
+    TaskGroup g;
+    c.spawn(Affinity::processor(1), g, []() -> TaskFn {
+      co_await self();
+      // Long enough for worker 0, whose root is blocked, to fall asleep.
+      std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    }());
+    co_await c.wait(g);
+  };
+  Runtime thr(thr_cfg(2));
+  thr.run(root());
+  const obs::Snapshot s = thr.obs_snapshot();
+  ASSERT_EQ(s.values.count("sched.idle.sleeps"), 1u);
+  ASSERT_EQ(s.values.count("sched.idle.wakeups"), 1u);
+  EXPECT_GT(s.values.at("sched.idle.sleeps"), 0u);
+  // Every worker left its last sleep before it was joined.
+  EXPECT_EQ(s.values.at("sched.idle.wakeups"), s.values.at("sched.idle.sleeps"));
+
+  SystemConfig sim;
+  sim.machine = topo::MachineConfig::dash(2);
+  Runtime rs(sim);
+  rs.run(root());
+  EXPECT_EQ(rs.obs_snapshot().values.count("sched.idle.sleeps"), 0u);
+  EXPECT_EQ(rs.obs_snapshot().values.count("sched.idle.wakeups"), 0u);
 }
 
 TEST(ThreadEngine, HomeAndMigrateBookkeeping) {

@@ -108,17 +108,28 @@ TEST(LatencyHist, MergeMatchesRecordingEverything) {
 }
 
 TEST(LatencyHist, DiffIsolatesTheEpoch) {
-  // Snapshot, record a second batch with a very different scale, diff: the
-  // delta must reflect only the second batch.
+  // Copy, record a second batch with a very different scale, and read the
+  // window with since(): it must reflect only the second batch.
   LatencyHist h;
   for (int i = 0; i < 100; ++i) h.record(10);
   const LatencyHist snap = h;
-  for (int i = 0; i < 100; ++i) h.record(100000);
-  const LatencyHist delta = h.diff(snap);
-  EXPECT_EQ(delta.count(), 100u);
-  EXPECT_GE(delta.quantile(0.5), 100000u);
-  // Diffing a histogram against itself is empty.
-  EXPECT_EQ(h.diff(h).count(), 0u);
+  for (int i = 0; i < 90; ++i) h.record(100000);
+  for (int i = 0; i < 10; ++i) h.record(400000);
+  const LatencyHist::Interval epoch = h.since(snap, 0.5);
+  EXPECT_EQ(epoch.count, 100u);
+  // Every window sample is >= 100000, and the median is the first batch's
+  // bucket edge (within one sub-bucket), not the pre-window 10s.
+  EXPECT_GE(epoch.quantile, 100000u);
+  EXPECT_LE(epoch.quantile, 100000u + 100000u / LatencyHist::kSubBuckets);
+  // The window's p99 lands among the 400000s, capped at max().
+  const LatencyHist::Interval tail = h.since(snap, 0.99);
+  EXPECT_EQ(tail.count, 100u);
+  EXPECT_GE(tail.quantile, 400000u);
+  EXPECT_LE(tail.quantile, h.max());
+  // A histogram against itself is an empty window.
+  const LatencyHist::Interval none = h.since(h, 0.99);
+  EXPECT_EQ(none.count, 0u);
+  EXPECT_EQ(none.quantile, 0u);
 }
 
 }  // namespace

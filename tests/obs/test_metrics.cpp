@@ -114,72 +114,6 @@ TEST(Histogram, QuantileTakesNearestRank) {
   EXPECT_EQ(reg.snapshot().hists.at("tail").quantile(0.95), 1024u);
 }
 
-TEST(Snapshot, DiffSubtractsAndSaturates) {
-  Snapshot before;
-  before.values["a"] = 10;
-  before.values["gone"] = 99;
-  Snapshot after;
-  after.values["a"] = 25;
-  after.values["fresh"] = 7;
-  const Snapshot d = after.diff(before);
-  EXPECT_EQ(d.values.at("a"), 15u);
-  EXPECT_EQ(d.values.at("fresh"), 7u);  // Missing in `before`: unchanged.
-  EXPECT_EQ(d.values.count("gone"), 0u);
-}
-
-TEST(Snapshot, DiffBracketsExactlyTheWindow) {
-  Registry reg(2);
-  Counter c = reg.counter("work");
-  Histogram h = reg.histogram("len");
-  c.add(0, 5);
-  h.observe(0, 4);
-  const Snapshot before = reg.snapshot();
-  c.add(1, 37);
-  h.observe(1, 4);
-  h.observe(1, 16);
-  const Snapshot delta = reg.snapshot().diff(before);
-  EXPECT_EQ(delta.values.at("work"), 37u);
-  EXPECT_EQ(delta.hists.at("len").count, 2u);
-  EXPECT_EQ(delta.hists.at("len").sum, 20u);
-}
-
-TEST(Snapshot, DiffSubtractsHistogramBuckets) {
-  // Quantiles over a diff window must come from bucket-wise subtraction.
-  // If diff reset the histogram (or only subtracted count/sum), the p50 of
-  // the window would be polluted by the heavy pre-window population.
-  Registry reg(2);
-  Histogram h = reg.histogram("lat");
-  for (int i = 0; i < 1000; ++i) h.observe(0, 2);  // bucket [2,4)
-  const Snapshot before = reg.snapshot();
-  for (int i = 0; i < 10; ++i) h.observe(1, 100);  // bucket [64,128)
-  const Snapshot delta = reg.snapshot().diff(before);
-
-  const HistData& d = delta.hists.at("lat");
-  EXPECT_EQ(d.count, 10u);
-  EXPECT_EQ(d.sum, 1000u);
-  EXPECT_EQ(d.buckets[2], 0u);    // The 1000 pre-window samples subtract out.
-  EXPECT_EQ(d.buckets[7], 10u);
-  EXPECT_EQ(d.quantile(0.5), 128u);   // Window-only: all samples in [64,128).
-  EXPECT_EQ(d.quantile(1.0), 128u);
-
-  // The undiffed snapshot still sees the full population. (Keep the
-  // snapshot alive: binding a reference into the temporary would dangle.)
-  const Snapshot now = reg.snapshot();
-  const HistData& full = now.hists.at("lat");
-  EXPECT_EQ(full.count, 1010u);
-  EXPECT_EQ(full.quantile(0.5), 4u);
-}
-
-TEST(Snapshot, DiffHistogramSaturatesOnMissingBefore) {
-  Registry reg(1);
-  Histogram h = reg.histogram("fresh");
-  h.observe(0, 3);
-  Snapshot before;  // No "fresh" histogram recorded yet.
-  const Snapshot delta = reg.snapshot().diff(before);
-  EXPECT_EQ(delta.hists.at("fresh").count, 1u);
-  EXPECT_EQ(delta.hists.at("fresh").quantile(1.0), 4u);
-}
-
 TEST(Snapshot, ToJsonParses) {
   Registry reg(2);
   reg.counter("a \"quoted\" name").add(0, 3);

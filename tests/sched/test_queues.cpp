@@ -19,8 +19,12 @@ TEST(ServerQueues, EmptyPopsNull) {
   ServerQueues q(8);
   EXPECT_TRUE(q.empty());
   EXPECT_EQ(q.pop(), nullptr);
-  EXPECT_EQ(q.steal_object_task(), nullptr);
-  EXPECT_TRUE(q.steal_set().empty());
+  TaskDesc* t = nullptr;
+  EXPECT_EQ(q.try_steal_object_task(t), TrySteal::kEmpty);
+  EXPECT_EQ(t, nullptr);
+  std::vector<TaskDesc*> set;
+  EXPECT_EQ(q.try_steal_set(set), TrySteal::kEmpty);
+  EXPECT_TRUE(set.empty());
 }
 
 TEST(ServerQueues, ObjectQueueFifo) {
@@ -97,7 +101,8 @@ TEST(ServerQueues, StealSetTakesWholeSet) {
   ServerQueues v(64);
   for (auto& t : tasks) v.push(&t);
 
-  const auto set = v.steal_set();
+  std::vector<TaskDesc*> set;
+  ASSERT_EQ(v.try_steal_set(set), TrySteal::kGot);
   ASSERT_EQ(set.size(), 2u);
   EXPECT_EQ(set[0]->aff_key, set[1]->aff_key);
   EXPECT_TRUE(set[0]->stolen);
@@ -119,7 +124,8 @@ TEST(ServerQueues, StealSetAvoidsActiveSet) {
   TaskDesc* first = q.pop();
   ASSERT_EQ(first, &a1);
   // Thief should get set B, not the remainder of A.
-  const auto set = q.steal_set();
+  std::vector<TaskDesc*> set;
+  ASSERT_EQ(q.try_steal_set(set), TrySteal::kGot);
   ASSERT_EQ(set.size(), 1u);
   EXPECT_EQ(set[0], &b1);
   // Owner continues with a2 back-to-back.
@@ -131,11 +137,45 @@ TEST(ServerQueues, StealObjectTaskFromBack) {
   TaskDesc a = make_task(1), b = make_task(2);
   q.push(&a);
   q.push(&b);
-  TaskDesc* t = q.steal_object_task();
-  ASSERT_NE(t, nullptr);
+  TaskDesc* t = nullptr;
+  ASSERT_EQ(q.try_steal_object_task(t), TrySteal::kGot);
   EXPECT_EQ(t->seq, 2u);  // Steal the youngest; owner keeps the oldest.
   EXPECT_TRUE(t->stolen);
   EXPECT_EQ(q.pop()->seq, 1u);
+}
+
+// With pins and reservations off limits, a thief takes the youngest task that
+// is hint-free and unreserved, skipping younger pinned or reserved ones, and
+// leaves every other task in order.
+TEST(ServerQueues, StealObjectTaskTakesYoungestEligible) {
+  ServerQueues q(8);
+  int obj = 0;
+  TaskDesc free_old = make_task(1);
+  TaskDesc pinned_obj = make_task(2, Affinity::object(&obj));
+  TaskDesc free_young = make_task(3);
+  TaskDesc reserved = make_task(4);
+  reserved.reserved = true;
+  TaskDesc pinned_proc = make_task(5, Affinity::processor(3));
+  for (TaskDesc* t :
+       {&free_old, &pinned_obj, &free_young, &reserved, &pinned_proc}) {
+    q.push(t);
+  }
+  TaskDesc* t = nullptr;
+  ASSERT_EQ(q.try_steal_object_task(t, /*allow_pinned=*/false,
+                                    /*allow_reserved=*/false),
+            TrySteal::kGot);
+  EXPECT_EQ(t, &free_young);
+  EXPECT_TRUE(t->stolen);
+  // Reservations allowed: the reserved task is now the youngest eligible.
+  ASSERT_EQ(q.try_steal_object_task(t, false, true), TrySteal::kGot);
+  EXPECT_EQ(t, &reserved);
+  ASSERT_EQ(q.try_steal_object_task(t, false, false), TrySteal::kGot);
+  EXPECT_EQ(t, &free_old);
+  // Only pinned tasks remain: nothing eligible, and nothing disturbed.
+  EXPECT_EQ(q.try_steal_object_task(t, false, false), TrySteal::kEmpty);
+  EXPECT_EQ(q.size(), 2u);
+  EXPECT_EQ(q.pop(), &pinned_obj);
+  EXPECT_EQ(q.pop(), &pinned_proc);
 }
 
 TEST(ServerQueues, AdoptKeepsSetTogether) {
@@ -148,12 +188,12 @@ TEST(ServerQueues, AdoptKeepsSetTogether) {
                               Affinity::task(&obj)));
   }
   for (auto& t : tasks) victim.push(&t);
-  const auto set = victim.steal_set();
-  thief.adopt(set, 5);
-  EXPECT_EQ(thief.size(), 3u);
+  std::vector<TaskDesc*> set;
+  ASSERT_EQ(victim.try_steal_set(set), TrySteal::kGot);
+  // FIFO order preserved inside the set: the thief runs the oldest first.
+  EXPECT_EQ(thief.adopt_and_pop(set, 5)->seq, 0u);
+  EXPECT_EQ(thief.size(), 2u);
   for (auto* t : set) EXPECT_EQ(t->server, 5u);
-  // FIFO order preserved inside the set.
-  EXPECT_EQ(thief.pop()->seq, 0u);
   EXPECT_EQ(thief.pop()->seq, 1u);
   EXPECT_EQ(thief.pop()->seq, 2u);
 }

@@ -420,49 +420,5 @@ TEST(SchedStress, ConcurrentReserveBalancerExactlyOnce) {
   EXPECT_GT(ss.reserve_hits, 0u) << "the hotness table never fired";
 }
 
-// The idle protocol: a worker sleeping in wait_for_work wakes when work is
-// placed, and notify_all_waiters releases a sleeper whose give-up predicate
-// turns true.
-TEST(SchedStress, IdleProtocolWakesSleepers) {
-  const topo::MachineConfig machine = topo::MachineConfig::dash(2);
-  Policy pol;
-  Scheduler s(machine, pol, [&](std::uint64_t a, topo::ProcId) {
-    return flat_home(a, 2);
-  });
-
-  // Sleeper on proc 1; wake it by placing a task for it.
-  std::atomic<bool> got{false};
-  std::thread sleeper([&] {
-    for (;;) {
-      const std::uint64_t seen = s.work_version();
-      const auto acq = s.acquire(1);
-      if (acq.task != nullptr) {
-        got.store(true);
-        return;
-      }
-      if (acq.contended) continue;
-      s.wait_for_work(1, seen, [] { return false; });
-    }
-  });
-  TaskDesc t;
-  t.aff = Affinity::processor(1);
-  s.place(&t, 0);
-  sleeper.join();
-  EXPECT_TRUE(got.load());
-
-  // Sleeper released by notify_all_waiters once the stop flag is up.
-  std::atomic<bool> stop{false};
-  std::thread idler([&] {
-    while (!stop.load()) {
-      const std::uint64_t seen = s.work_version();
-      if (s.acquire(0).task != nullptr) continue;
-      s.wait_for_work(0, seen, [&] { return stop.load(); });
-    }
-  });
-  stop.store(true);
-  s.notify_all_waiters();
-  idler.join();
-}
-
 }  // namespace
 }  // namespace cool::sched
