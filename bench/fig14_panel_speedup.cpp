@@ -6,6 +6,7 @@
 // big win; restricting stealing to the cluster keeps stolen tasks referencing
 // cluster-local memory and improves things further. The final COOL code is
 // within 10% of the hand-coded ANL version.
+#include <climits>
 #include <cstdio>
 
 #include "apps/cholesky/panel.hpp"
@@ -35,7 +36,7 @@ int main(int argc, char** argv) {
       "fig14_panel_speedup",
       "Panel Cholesky speedup vs processors (paper Fig. 14)");
   opt.add_int("panels", 192, "number of panels");
-  opt.add_int("row-scale", 3, "panel row footprint scale");
+  opt.add_int("row-scale", 3, "panel row footprint scale", 1, INT_MAX);
   if (!opt.parse(argc, argv)) return 0;
 
   PanelConfig cfg;

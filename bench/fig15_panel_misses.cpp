@@ -3,6 +3,7 @@
 // Paper: distribution alone leaves the miss count unchanged (it only spreads
 // memory bandwidth); affinity scheduling and cluster scheduling significantly
 // reduce misses, and collocated tasks service their misses locally.
+#include <climits>
 #include <cstdio>
 
 #include "apps/cholesky/panel.hpp"
@@ -16,7 +17,7 @@ int main(int argc, char** argv) {
       "fig15_panel_misses",
       "Panel Cholesky cache misses by version (paper Fig. 15)");
   opt.add_int("panels", 192, "number of panels");
-  opt.add_int("row-scale", 3, "panel row footprint scale");
+  opt.add_int("row-scale", 3, "panel row footprint scale", 1, INT_MAX);
   if (!opt.parse(argc, argv)) return 0;
 
   PanelConfig cfg;

@@ -55,6 +55,8 @@ Structure make_structure(const PanelConfig& cfg) {
   COOL_CHECK(cfg.n_panels >= 2, "panel: need at least two panels");
   COOL_CHECK(cfg.min_cols >= 1 && cfg.max_cols >= cfg.min_cols,
              "panel: bad column bounds");
+  // Every panel then has at least one row, so no update overlap is empty.
+  COOL_CHECK(cfg.row_scale >= 1, "panel: row scale must be at least 1");
   util::Rng rng(cfg.seed);
   const int n = cfg.n_panels;
   Structure s;
@@ -66,8 +68,10 @@ Structure make_structure(const PanelConfig& cfg) {
   for (int p = 0; p < n; ++p) {
     s.cols[static_cast<std::size_t>(p)] = static_cast<int>(
         rng.next_in(cfg.min_cols, cfg.max_cols));
-    const std::size_t rows = static_cast<std::size_t>(
-        (n - p) * cfg.row_scale + static_cast<int>(rng.next_below(16)));
+    const std::size_t rows =
+        static_cast<std::size_t>(n - p) *
+            static_cast<std::size_t>(cfg.row_scale) +
+        rng.next_below(16);
     s.len[static_cast<std::size_t>(p)] =
         rows * static_cast<std::size_t>(s.cols[static_cast<std::size_t>(p)]);
   }
@@ -122,8 +126,11 @@ void update_math(double* dst, std::size_t dst_len, const double* src,
                  std::size_t src_len) {
   const std::size_t olen = overlap_len(dst_len, src_len);
   const double* tail = src + (src_len - olen);
-  for (std::size_t i = 0; i < dst_len; ++i) {
-    dst[i] += tail[i % olen];
+  // dst[i] += tail[i % olen], walked in olen-sized chunks: the same additions
+  // in the same order, without a divide per element.
+  for (std::size_t base = 0; base < dst_len; base += olen) {
+    const std::size_t n = std::min(olen, dst_len - base);
+    for (std::size_t j = 0; j < n; ++j) dst[base + j] += tail[j];
   }
 }
 
@@ -199,9 +206,12 @@ TaskFn update_panel(App* a, int dst, int src) {
 
 TaskFn root_task(App* a) {
   auto& c = co_await self();
-  // Start with the initially ready panels (paper Figure 13 main()).
+  // Start with the initially ready panels (paper Figure 13 main()). Read the
+  // structure's counts, not the runtime ones: under real threads the panels
+  // spawned so far already run, and a panel whose last update has arrived
+  // has had its completion spawned by that update.
   for (int p = 0; p < a->cfg.n_panels; ++p) {
-    if (a->pending[static_cast<std::size_t>(p)] == 0) {
+    if (a->st.pending[static_cast<std::size_t>(p)] == 0) {
       c.spawn(a->complete_affinity(p), a->group, complete_panel(a, p));
     }
   }

@@ -7,7 +7,7 @@
 // Rather than teach MemorySystem about objects and tasks, it exposes this
 // narrow observer interface: when observers are attached, every line goes
 // through access_line(), which reports each reference after the fact. (With
-// none attached, MemorySystem::access serves a read's lines in place; the
+// none attached, MemorySystem::access serves the lines in place; the
 // simulated state and counters are the same either way, so an observer sees
 // exactly the per-line stream an unobserved run simulates.)
 //

@@ -63,7 +63,7 @@ std::optional<LineAddr> Cache::insert_lru(LineAddr line) {
   return evicted;
 }
 
-bool Cache::invalidate(LineAddr line) {
+bool Cache::invalidate_lru(LineAddr line) {
   const std::size_t w = find(line);
   if (w == kNoWay) return false;
   tags_[w] = kEmpty;

@@ -7,8 +7,9 @@
 //
 // DASH's caches are direct mapped, so the geometry picks the representation:
 // with one way per set the cache is a bare tag per set (no LRU stamp, no
-// victim scan) and `access`/`insert` inline to a compare and a store; with
-// more ways it keeps a per-way access stamp and evicts the least recent.
+// victim scan) and `access`/`insert`/`invalidate` inline to a compare and a
+// store; with more ways it keeps a per-way access stamp and evicts the least
+// recent.
 #pragma once
 
 #include <cstdint>
@@ -55,7 +56,14 @@ class Cache {
 
   /// Remove a line if present (coherence invalidation / inclusion victim).
   /// Returns true if the line was present.
-  bool invalidate(LineAddr line);
+  bool invalidate(LineAddr line) {
+    if (assoc_ != 1) return invalidate_lru(line);
+    LineAddr& tag = tags_[set_index(line)];
+    if (tag != line) return false;
+    tag = kEmpty;
+    --occupied_;
+    return true;
+  }
 
   /// Drop every line (used by page migration flushes and tests).
   void clear();
@@ -76,6 +84,7 @@ class Cache {
   [[nodiscard]] std::size_t find(LineAddr line) const noexcept;
   bool access_lru(LineAddr line);
   std::optional<LineAddr> insert_lru(LineAddr line);
+  bool invalidate_lru(LineAddr line);
 
   std::uint32_t assoc_;
   std::uint32_t n_sets_;

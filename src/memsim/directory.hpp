@@ -54,28 +54,52 @@ class Directory {
     return s == nullptr ? LineState{} : *s;
   }
 
-  void add_sharer(LineAddr line, topo::ProcId p) {
-    LineState& s = entry(line);
+  /// State of `line` to update in place, allocating its chunk on first use.
+  /// Chunks never move or go away before clear(), so the reference stays
+  /// valid while other lines change. Change its sharers only through the
+  /// LineState& calls below, which keep n_entries() in step.
+  LineState& entry(LineAddr line) {
+    if (LineState* s = find(line)) return *s;
+    return allocate(line);
+  }
+
+  /// State of a line that some cache holds, so its chunk exists: two loads.
+  LineState& cached(LineAddr line) noexcept {
+    COOL_DCHECK(find(line) != nullptr && find(line)->is_cached(),
+                "directory: line is not cached");
+    return (*chunks_[line >> kChunkShift])[line & (kChunkLines - 1)];
+  }
+
+  void add_sharer(LineState& s, topo::ProcId p) noexcept {
     if (s.sharers == 0) ++n_entries_;
     s.sharers |= (1ull << p);
   }
 
-  void remove_sharer(LineAddr line, topo::ProcId p) noexcept {
-    LineState* s = find(line);
-    if (s == nullptr || s->sharers == 0) return;
-    s->sharers &= ~(1ull << p);
-    if (s->dirty_owner == p) s->dirty_owner = kNoOwner;
-    if (s->sharers == 0) {
-      *s = LineState{};
+  void remove_sharer(LineState& s, topo::ProcId p) noexcept {
+    if (s.sharers == 0) return;
+    s.sharers &= ~(1ull << p);
+    if (s.dirty_owner == p) s.dirty_owner = kNoOwner;
+    if (s.sharers == 0) {
+      s = LineState{};
       --n_entries_;
     }
   }
 
-  void set_dirty(LineAddr line, topo::ProcId owner) {
-    LineState& s = entry(line);
+  /// Make `owner` the line's only sharer and its dirty owner.
+  void set_dirty(LineState& s, topo::ProcId owner) noexcept {
     if (s.sharers == 0) ++n_entries_;
     s.sharers = (1ull << owner);
     s.dirty_owner = owner;
+  }
+
+  void add_sharer(LineAddr line, topo::ProcId p) { add_sharer(entry(line), p); }
+
+  void remove_sharer(LineAddr line, topo::ProcId p) noexcept {
+    if (LineState* s = find(line)) remove_sharer(*s, p);
+  }
+
+  void set_dirty(LineAddr line, topo::ProcId owner) {
+    set_dirty(entry(line), owner);
   }
 
   void clear_dirty(LineAddr line) noexcept {
@@ -117,15 +141,9 @@ class Directory {
     return const_cast<LineState*>(std::as_const(*this).find(line));
   }
 
-  /// State for a line; allocates its chunk on first use.
-  LineState& entry(LineAddr line) {
-    if (LineState* s = find(line)) return *s;
-    COOL_CHECK(line < kMaxLines, "directory: line address past the table cap");
-    const auto c = static_cast<std::size_t>(line >> kChunkShift);
-    if (c >= chunks_.size()) chunks_.resize(c + 1);
-    chunks_[c] = std::make_unique<Chunk>();
-    return (*chunks_[c])[line & (kChunkLines - 1)];
-  }
+  /// entry() for a line whose chunk does not exist yet; out of line, so
+  /// that entry() inlines to find().
+  LineState& allocate(LineAddr line);
 
   std::vector<std::unique_ptr<Chunk>> chunks_;
   std::size_t n_entries_ = 0;

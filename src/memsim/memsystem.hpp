@@ -38,10 +38,10 @@ class MemorySystem {
 
   /// Simulate `proc` referencing [addr, addr+bytes) at time `now`, one line
   /// after another, each line at `now` plus the stall of the lines before
-  /// it. Returns the total stall cycles charged. A write, and every line
-  /// while an observer is attached, goes through access_line; an unobserved
-  /// read serves each line in place and counts its hits once per call, with
-  /// identical simulated state, latency and counters.
+  /// it. Returns the total stall cycles charged. While an observer is
+  /// attached every line goes through access_line; otherwise the lines are
+  /// served in place and their hits counted once per call, with identical
+  /// simulated state, latency and counters.
   std::uint64_t access(topo::ProcId proc, std::uint64_t addr,
                        std::uint64_t bytes, bool is_write, std::uint64_t now);
 
@@ -104,15 +104,24 @@ class MemorySystem {
   [[nodiscard]] const Cache& l2(topo::ProcId proc) const { return l2_[proc]; }
 
  private:
-  /// One line of `access`, counted and reported to the observers.
+  /// One line of `access` while observers are attached, counted and reported
+  /// to them: on_inval (for a write that killed copies), then on_access.
   std::uint64_t access_line(topo::ProcId proc, LineAddr line,
                             std::uint64_t addr, std::uint64_t lo,
                             std::uint64_t hi, bool is_write,
                             std::uint64_t now);
-  /// One line's stall and where it was served from.
+  /// The unobserved `access` of lines [first, last]: reads, or writes when
+  /// `kWrite`. The caches and counters are held outside the loop, and the
+  /// hits are counted in locals and added once.
+  template <bool kWrite>
+  std::uint64_t access_run(topo::ProcId proc, LineAddr first, LineAddr last,
+                           std::uint64_t now);
+  /// One line's stall and where it was served from. `state` is the line's
+  /// directory state when fill looked it up (a miss), else null.
   struct Served {
     std::uint64_t lat;
     Service service;
+    LineState* state;
   };
   /// Serve one reference to `line` from `proc`'s caches `l1` and `l2` at
   /// time `now`: an L1 hit (re-touching L2), an L2 hit (filling L1), or else
@@ -124,22 +133,32 @@ class MemorySystem {
   /// forward it from a dirty owner or fill it from its home memory, insert
   /// it into L2 and L1, and add `proc` as a sharer. Counts the owner's
   /// writeback or `proc`'s queueing delay; the caller counts the reference.
+  /// Looks the line up in the directory once and returns that state.
   Served fill(topo::ProcId proc, LineAddr line, std::uint64_t now);
+  /// A write's extra stall and the number of other copies it killed.
+  struct Upgrade {
+    std::uint64_t lat;
+    int killed;
+  };
+  /// The write rule, for a line that `proc` has just served, so `proc` is
+  /// one of its sharers. `filled` is Served::state. Unless `proc` already
+  /// owns the line dirty, kill every other sharer's L1 and L2 copy, count
+  /// the invalidations sent and received (and an upgrade if any copy died),
+  /// charge the invalidation latency, and make `proc` the only sharer and
+  /// the dirty owner. `c` is `proc`'s counters.
+  Upgrade write_rule(topo::ProcId proc, ProcCounters& c, LineAddr line,
+                     LineState* filled);
   /// Handle an L2 victim: maintain inclusion and directory state.
   void evict_line(topo::ProcId proc, LineAddr victim);
-  /// Invalidate every cached copy of `line` except at `keeper` (pass kNoOwner
-  /// to invalidate everywhere). Returns the number of copies killed and
-  /// whether any was in a different cluster than `requester`.
-  struct InvalResult {
-    int killed = 0;
-    bool any_remote = false;
-  };
-  InvalResult invalidate_sharers(LineAddr line, topo::ProcId requester,
-                                 topo::ProcId keeper,
-                                 bool count_as_sharing = true);
+  /// Drop every cached copy of `line`, held by the processors in `sharers`
+  /// (a page-migration flush, which counts no invalidations).
+  void invalidate_sharers(LineAddr line, std::uint64_t sharers);
 
   topo::MachineConfig machine_;
   unsigned line_shift_;  ///< log2(line_bytes)
+  /// Cluster of each processor, so the miss path compares table entries
+  /// instead of dividing by procs_per_cluster.
+  std::vector<topo::ClusterId> cluster_;
   std::vector<Cache> l1_;
   std::vector<Cache> l2_;
   Directory dir_;

@@ -19,6 +19,7 @@ std::size_t PageMap::bind_range(std::uint64_t addr, std::uint64_t size,
                                 topo::ProcId home) {
   COOL_CHECK(home < n_procs_, "bind_range: processor id out of range");
   COOL_CHECK(size > 0, "bind_range: empty range");
+  COOL_CHECK(addr + (size - 1) >= addr, "bind_range: range wraps past 2^64");
   const PageAddr first = addr >> page_shift_;
   const PageAddr last = (addr + size - 1) >> page_shift_;
   COOL_CHECK(last < kMaxPages, "bind_range: address past the table cap");

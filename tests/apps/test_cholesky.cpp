@@ -110,6 +110,14 @@ TEST(PanelCholesky, RejectsBadConfig) {
   cfg.n_panels = 1;
   Runtime rt = make_rt(4, panel_policy_for(cfg.variant));
   EXPECT_THROW(run_panel(rt, cfg), util::Error);
+  // A row scale below 1 can leave a panel without rows, and an update with
+  // an empty overlap; both entries must refuse it before touching data.
+  for (const int row_scale : {0, -1}) {
+    PanelConfig bad = small_panel(PanelVariant::kBase);
+    bad.row_scale = row_scale;
+    EXPECT_THROW(run_panel(rt, bad), util::Error) << row_scale;
+    EXPECT_THROW(panel_serial_checksum(bad), util::Error) << row_scale;
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "common/error.hpp"
 #include "common/rng.hpp"
 
@@ -81,6 +84,35 @@ TEST_F(MemSystemTest, WriteInvalidatesSharers) {
   // Proc 5 must now miss again.
   ms_.access(5, kLocalAddr, 8, false, 300);
   EXPECT_GT(c5.misses(), 1u);
+}
+
+// An observer hears of a write's invalidations before the write itself, and
+// the write's reported stall includes the invalidation latency.
+TEST_F(MemSystemTest, ObserverSeesTheInvalBeforeTheWrite) {
+  struct Log final : AccessObserver {
+    std::vector<std::string> events;
+    void on_access(const AccessInfo& i) override {
+      events.push_back("access " + std::to_string(i.addr) + " by " +
+                       std::to_string(i.proc) + (i.is_write ? " w " : " r ") +
+                       std::to_string(i.stall));
+    }
+    void on_inval(std::uint64_t addr, topo::ProcId requester,
+                  int killed) override {
+      events.push_back("inval " + std::to_string(addr) + " by " +
+                       std::to_string(requester) + " killed " +
+                       std::to_string(killed));
+    }
+  } log;
+  ms_.access(0, kLocalAddr, 8, false, 0);
+  ms_.access(5, kLocalAddr, 8, false, 0);  // cluster 1: a remote sharer
+  ms_.add_observer(&log);
+  ms_.access(0, kLocalAddr, 8, true, 200);
+  const std::string line = std::to_string(kLocalAddr);
+  const std::string stall =
+      std::to_string(machine_.lat.l1_hit + machine_.lat.inval_remote);
+  EXPECT_EQ(log.events, (std::vector<std::string>{
+                            "inval " + line + " by 0 killed 1",
+                            "access " + line + " by 0 w " + stall}));
 }
 
 TEST_F(MemSystemTest, DirtyLineForwardedFromRemoteCache) {
@@ -181,6 +213,22 @@ TEST_F(MemSystemTest, AccessPastTheAddressCapThrows) {
   EXPECT_THROW(ms_.prefetch(0, stray, 8, 0), util::Error);
   EXPECT_THROW(ms_.migrate(0, stray, 8, 1), util::Error);
   EXPECT_EQ(ms_.directory().n_entries(), 0u);
+  EXPECT_EQ(ms_.pages().n_bound_pages(), 3u);
+}
+
+// A range whose last byte lies past 2^64 - 1 wraps to a last line below its
+// first: it must fail cleanly, not count 2^64 lines, do nothing, or try to
+// reserve 2^52 pages.
+TEST_F(MemSystemTest, RangeWrappingPast2To64Throws) {
+  const std::uint64_t top = ~std::uint64_t{0} - 7;  // 2^64 - 8
+  EXPECT_THROW(ms_.access(0, top, 16, false, 0), util::Error);
+  EXPECT_THROW(ms_.access(0, top, 16, true, 0), util::Error);
+  EXPECT_THROW(ms_.prefetch(0, top, 16, 0), util::Error);
+  EXPECT_THROW(ms_.migrate(0, top, 16, 1), util::Error);
+  EXPECT_THROW(ms_.bind_range(top, 16, 1), util::Error);
+  const ProcCounters t = ms_.monitor().total();
+  EXPECT_EQ(t.accesses(), 0u);
+  EXPECT_EQ(t.serviced[static_cast<int>(Service::kL1Hit)], 0u);
   EXPECT_EQ(ms_.pages().n_bound_pages(), 3u);
 }
 
