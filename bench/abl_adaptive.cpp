@@ -13,6 +13,7 @@
 // The shape metrics report what fraction of the hand-tuning speedup the
 // adaptive runtime recovers automatically:
 //   recovered = (unhinted - adapted) / (unhinted - hinted).
+#include <climits>
 #include <cstdio>
 
 #include "apps/gauss/gauss.hpp"
@@ -62,10 +63,10 @@ int main(int argc, char** argv) {
   auto opt = bench::standard_options(
       "abl_adaptive",
       "Online adaptation (--adapt) vs hand-hinted vs unhinted");
-  opt.add_int("n", 64, "gauss matrix dimension");
-  opt.add_int("ocean-n", 64, "ocean grid dimension");
-  opt.add_int("grids", 2, "ocean state grids");
-  opt.add_int("steps", 6, "ocean timesteps");
+  opt.add_int("n", 64, "gauss matrix dimension", 2, INT_MAX);
+  opt.add_int("ocean-n", 64, "ocean grid dimension", 8, INT_MAX);
+  opt.add_int("grids", 2, "ocean state grids", 1, INT_MAX);
+  opt.add_int("steps", 6, "ocean timesteps", 1, INT_MAX);
   opt.add_flag("quick", "smaller problems for smoke testing");
   if (!opt.parse(argc, argv)) return 0;
 

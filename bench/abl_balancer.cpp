@@ -18,6 +18,7 @@
 // The shape metrics record the locality story the paper's §6.3 cluster
 // experiment tells: reserve keeps the misses in the data's home cluster
 // (local_frac up vs flat stealing) because work never leaves it.
+#include <climits>
 #include <cstdio>
 
 #include "apps/gauss/gauss.hpp"
@@ -75,10 +76,10 @@ int main(int argc, char** argv) {
   auto opt = bench::standard_options(
       "abl_balancer",
       "Balancer-policy ablation (stealing vs average vs reserve)");
-  opt.add_int("n", 96, "gauss matrix dimension");
-  opt.add_int("ocean-n", 64, "ocean grid dimension");
-  opt.add_int("grids", 4, "ocean state grids");
-  opt.add_int("steps", 4, "ocean timesteps");
+  opt.add_int("n", 96, "gauss matrix dimension", 2, INT_MAX);
+  opt.add_int("ocean-n", 64, "ocean grid dimension", 8, INT_MAX);
+  opt.add_int("grids", 4, "ocean state grids", 1, INT_MAX);
+  opt.add_int("steps", 4, "ocean timesteps", 1, INT_MAX);
   opt.add_flag("quick", "smaller problems for smoke testing");
   if (!opt.parse(argc, argv)) return 0;
 

@@ -7,6 +7,7 @@
 // remote-memory latency (keeping local at 30 cycles) and shows the benefit
 // of the hints growing with the ratio — on flat memory (ratio 1) they are
 // nearly free but nearly useless, on DASH-like ratios they are essential.
+#include <climits>
 #include <cstdio>
 
 #include "apps/ocean/ocean.hpp"
@@ -18,9 +19,9 @@ using namespace cool::apps::ocean;
 int main(int argc, char** argv) {
   auto opt = bench::standard_options(
       "abl_latency_ratio", "Affinity benefit vs remote:local latency ratio");
-  opt.add_int("n", 192, "ocean grid dimension");
-  opt.add_int("grids", 6, "state grids");
-  opt.add_int("steps", 3, "timesteps");
+  opt.add_int("n", 192, "ocean grid dimension", 8, INT_MAX);
+  opt.add_int("grids", 6, "state grids", 1, INT_MAX);
+  opt.add_int("steps", 3, "timesteps", 1, INT_MAX);
   if (!opt.parse(argc, argv)) return 0;
 
   Config cfg;

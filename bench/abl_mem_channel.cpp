@@ -26,6 +26,7 @@
 // escalation ("escalate=distribute") instead of the migrate gate — spreading
 // pages across channels is the only actuator that relieves a saturated
 // channel.
+#include <climits>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -136,12 +137,13 @@ int main(int argc, char** argv) {
       "abl_mem_channel",
       "offered load x memory backend x balancer: the bandwidth hockey stick "
       "the flat memory model hides");
-  opt.add_int("warehouses", 14, "warehouses (Zipf population)");
-  opt.add_int("districts", 4, "districts per warehouse");
-  opt.add_int("items", 64, "stock slots per district");
-  opt.add_int("lines", 4, "order lines per request");
-  opt.add_int("requests", 1536, "requests per grid cell");
-  opt.add_int("think", 200, "compute cycles per request");
+  opt.add_int("warehouses", 14, "warehouses (Zipf population)", 1, INT_MAX);
+  opt.add_int("districts", 4, "districts per warehouse", 1, INT_MAX);
+  opt.add_int("items", 64, "stock slots per district", 1, INT_MAX);
+  opt.add_int("lines", 4, "order lines per request", 1, INT_MAX);
+  opt.add_int("requests", 1536, "requests per grid cell",
+              1, std::numeric_limits<std::uint32_t>::max());
+  opt.add_int("think", 200, "compute cycles per request", 0);
   opt.add_double("theta", 1.2, "Zipf skew over warehouses (fixed per grid)");
   opt.add_double("warmup-frac", 0.4,
                  "fraction of the trace excluded from measured latency");

@@ -9,6 +9,7 @@
 // different processors, under (a) the paper's first-object placement, (b)
 // size-weighted placement, and (c) size-weighted placement plus dispatch-time
 // prefetch of the remaining objects.
+#include <climits>
 #include <cstdio>
 
 #include "apps/synth/multiobj.hpp"
@@ -20,10 +21,10 @@ using namespace cool::apps::multiobj;
 int main(int argc, char** argv) {
   auto opt = bench::standard_options(
       "abl_multi_object", "Multi-object affinity heuristics (paper §8)");
-  opt.add_int("pairs", 64, "object pairs");
-  opt.add_int("small-kb", 8, "first-listed object size (KiB)");
-  opt.add_int("large-kb", 32, "second-listed object size (KiB)");
-  opt.add_int("tasks-per-pair", 4, "tasks touching each pair");
+  opt.add_int("pairs", 64, "object pairs", 1, INT_MAX);
+  opt.add_int("small-kb", 8, "first-listed object size (KiB)", 1, INT_MAX);
+  opt.add_int("large-kb", 32, "second-listed object size (KiB)", 1, INT_MAX);
+  opt.add_int("tasks-per-pair", 4, "tasks touching each pair", 1, INT_MAX);
   if (!opt.parse(argc, argv)) return 0;
 
   const auto procs = static_cast<std::uint32_t>(opt.get_int("procs"));

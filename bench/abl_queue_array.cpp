@@ -7,6 +7,7 @@
 // reuse), while a 1-entry array collapses everything into FIFO interleaving.
 // The grouped/interleaved extremes are bracketed by the `spawn grouped` row
 // (object-major spawn order: the best case regardless of array size).
+#include <climits>
 #include <cstdio>
 
 #include "apps/synth/taskmix.hpp"
@@ -18,9 +19,10 @@ using namespace cool::apps::taskmix;
 int main(int argc, char** argv) {
   auto opt = bench::standard_options(
       "abl_queue_array", "Task-affinity queue array-size ablation (paper §5)");
-  opt.add_int("objects", 128, "number of shared objects");
-  opt.add_int("obj-kb", 32, "object size in KiB");
-  opt.add_int("tasks-per-obj", 8, "tasks repeatedly touching each object");
+  opt.add_int("objects", 128, "number of shared objects", 1, INT_MAX);
+  opt.add_int("obj-kb", 32, "object size in KiB", 1, INT_MAX);
+  opt.add_int("tasks-per-obj", 8, "tasks repeatedly touching each object",
+              1, INT_MAX);
   if (!opt.parse(argc, argv)) return 0;
 
   const auto procs = static_cast<std::uint32_t>(opt.get_int("procs"));

@@ -8,6 +8,7 @@
 // exactly that: total circuit area and wire count held constant, region
 // count varied from P/2 to 8P.
 #include <algorithm>
+#include <climits>
 #include <cstdio>
 
 #include "apps/locusroute/locusroute.hpp"
@@ -19,8 +20,9 @@ using namespace cool::apps::locusroute;
 int main(int argc, char** argv) {
   auto opt = bench::standard_options(
       "abl_region_size", "LocusRoute region-granularity ablation (paper §6.2)");
-  opt.add_int("total-wires", 3072, "total synthetic wires");
-  opt.add_int("total-width", 2048, "total routing-grid width in cells");
+  opt.add_int("total-wires", 3072, "total synthetic wires", 1, INT_MAX);
+  opt.add_int("total-width", 2048, "total routing-grid width in cells",
+              1, INT_MAX);
   if (!opt.parse(argc, argv)) return 0;
 
   const auto procs = static_cast<std::uint32_t>(opt.get_int("procs"));

@@ -22,6 +22,7 @@
 //
 // The adapt row's target is derived from the measured uniform-load p99, so
 // the bench asks the runtime to recover the no-skew tail, not a magic number.
+#include <climits>
 #include <cstdio>
 
 #include "apps/txn/txn.hpp"
@@ -79,12 +80,14 @@ int main(int argc, char** argv) {
       "Zipf-skew x balancer ablation for open-loop txn serving");
   opt.add_int("warehouses", 14,
               "warehouses (Zipf population; default is a multiple of the "
-              "7 serving processors at --procs=8, so theta=0 is uniform)");
-  opt.add_int("districts", 4, "districts per warehouse");
-  opt.add_int("items", 64, "stock slots per district");
-  opt.add_int("lines", 4, "order lines per request");
-  opt.add_int("requests", 1536, "requests per grid cell");
-  opt.add_int("think", 200, "compute cycles per request");
+              "7 serving processors at --procs=8, so theta=0 is uniform)",
+              1, INT_MAX);
+  opt.add_int("districts", 4, "districts per warehouse", 1, INT_MAX);
+  opt.add_int("items", 64, "stock slots per district", 1, INT_MAX);
+  opt.add_int("lines", 4, "order lines per request", 1, INT_MAX);
+  opt.add_int("requests", 1536, "requests per grid cell",
+              1, std::numeric_limits<std::uint32_t>::max());
+  opt.add_int("think", 200, "compute cycles per request", 0);
   opt.add_double("load-frac", 0.8,
                  "offered load as a fraction of probed uniform capacity");
   opt.add_double("warmup-frac", 0.4,

@@ -6,6 +6,7 @@
 // load-balance tradeoff the paper discusses: stealing pinned tasks balances
 // load but turns local references remote; restricting theft to the cluster
 // recovers the locality.
+#include <climits>
 #include <cstdio>
 
 #include "apps/cholesky/panel.hpp"
@@ -17,7 +18,7 @@ using namespace cool::apps::cholesky;
 int main(int argc, char** argv) {
   auto opt = bench::standard_options(
       "abl_steal_policy", "Stealing-policy ablation on Panel Cholesky");
-  opt.add_int("panels", 192, "number of panels");
+  opt.add_int("panels", 192, "number of panels", 2, INT_MAX);
   if (!opt.parse(argc, argv)) return 0;
 
   PanelConfig cfg;

@@ -8,7 +8,6 @@
 // diffs; route both paths through a bench::Report so they cannot drift.
 #pragma once
 
-#include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
@@ -229,10 +228,7 @@ class Report {
   explicit Report(const util::Options& opt)
       : rec_(opt.program()),
         opt_(&opt),
-        json_(opt.flag("json") || !opt.get_string("json-out").empty()),
-        // cool-lint: allow(determinism): sim_rate wall-time metadata only
-        wall_start_(std::chrono::steady_clock::now()),
-        sim_cycles_start_(cool::total_sim_cycles()) {
+        json_(opt.flag("json") || !opt.get_string("json-out").empty()) {
     if (json_) {
       rec_.set_config(opt);
       rec_.set_config_entry("build.sanitizer", kSanitizerName);
@@ -392,7 +388,7 @@ class Report {
     if (rt.profiler() == nullptr || !opt_->given("profile")) return;
     const cool::obs::ProfileSnapshot p = rt.profile_snapshot();
     const std::vector<cool::obs::Advice> advice =
-        cool::obs::advise(p, rt.obs_snapshot());
+        cool::obs::advise(p, rt.advisor_signals());
     if (json_) {
       rec_.set_profile(p.to_json(), cool::obs::advice_json(advice));
     } else {
@@ -430,17 +426,6 @@ class Report {
   /// set, else to stdout. Returns the process exit code.
   int finish() {
     if (!json_) return 0;
-    // Simulator speed: cycles this process simulated while the Report was
-    // live, over the wall time it took. Informational only (runner never
-    // treats it as a regression) — it tracks the simulator's own speed.
-    const double wall_s = std::chrono::duration<double>(
-                              // cool-lint: allow(determinism): sim_rate only
-                              std::chrono::steady_clock::now() - wall_start_)
-                              .count();
-    const std::uint64_t cycles = cool::total_sim_cycles() - sim_cycles_start_;
-    if (wall_s > 0.0 && cycles > 0) {
-      rec_.set_sim_rate(static_cast<double>(cycles) / wall_s);
-    }
     const std::string& out = opt_->get_string("json-out");
     if (out.empty()) {
       const std::string j = rec_.to_json();
@@ -460,9 +445,6 @@ class Report {
   cool::obs::BenchRecord rec_;
   const util::Options* opt_;
   bool json_;
-  // cool-lint: allow(determinism): sim_rate wall-time metadata only
-  std::chrono::steady_clock::time_point wall_start_;
-  std::uint64_t sim_cycles_start_;
 };
 
 }  // namespace cool::bench

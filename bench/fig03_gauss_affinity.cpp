@@ -4,6 +4,7 @@
 // destination column (memory locality; columns distributed round-robin) and
 // TASK affinity on the source column (cache locality: updates sharing a
 // source run back-to-back). This bench quantifies each hint's contribution.
+#include <climits>
 #include <cstdio>
 
 #include "apps/gauss/gauss.hpp"
@@ -32,7 +33,7 @@ int main(int argc, char** argv) {
   auto opt = bench::standard_options(
       "fig03_gauss_affinity",
       "Gaussian elimination with TASK+OBJECT affinity (paper Fig. 3)");
-  opt.add_int("n", 320, "matrix dimension");
+  opt.add_int("n", 320, "matrix dimension", 2, INT_MAX);
   if (!opt.parse(argc, argv)) return 0;
 
   Config cfg;

@@ -4,6 +4,7 @@
 // scales well; a locality-blind Base schedule is limited by remote references
 // to grids concentrated in one memory. (An ANL comparison was not available
 // to the authors either; they expected similar performance.)
+#include <climits>
 #include <cstdio>
 
 #include "apps/ocean/ocean.hpp"
@@ -32,10 +33,11 @@ Result run_one(std::uint32_t procs, Variant v, const Config& base_cfg,
 int main(int argc, char** argv) {
   auto opt = bench::standard_options(
       "fig06_ocean_speedup", "Ocean speedup vs processors (paper Fig. 6)");
-  opt.add_int("n", 256, "grid dimension");
-  opt.add_int("grids", 8, "number of state grids");
-  opt.add_int("steps", 4, "timesteps");
-  opt.add_int("mg-levels", 0, "multigrid V-cycle depth per step (0 = off)");
+  opt.add_int("n", 256, "grid dimension", 8, INT_MAX);
+  opt.add_int("grids", 8, "number of state grids", 1, INT_MAX);
+  opt.add_int("steps", 4, "timesteps", 1, INT_MAX);
+  opt.add_int("mg-levels", 0, "multigrid V-cycle depth per step (0 = off)",
+              0, INT_MAX);
   if (!opt.parse(argc, argv)) return 0;
 
   Config cfg;

@@ -3,6 +3,7 @@
 // Paper: with region distribution + default affinity, region tasks find
 // their strips in the cache or local memory; the Base version misses more
 // and services misses remotely.
+#include <climits>
 #include <cstdio>
 
 #include "apps/ocean/ocean.hpp"
@@ -14,9 +15,9 @@ using namespace cool::apps::ocean;
 int main(int argc, char** argv) {
   auto opt = bench::standard_options(
       "fig07_ocean_misses", "Ocean cache misses by version (paper Fig. 7)");
-  opt.add_int("n", 256, "grid dimension");
-  opt.add_int("grids", 8, "number of state grids");
-  opt.add_int("steps", 4, "timesteps");
+  opt.add_int("n", 256, "grid dimension", 8, INT_MAX);
+  opt.add_int("grids", 8, "number of state grids", 1, INT_MAX);
+  opt.add_int("steps", 4, "timesteps", 1, INT_MAX);
   if (!opt.parse(argc, argv)) return 0;
 
   Config cfg;

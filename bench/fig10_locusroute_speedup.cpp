@@ -4,6 +4,7 @@
 // processor-affinity hints give significant gains — over 80% of wire tasks
 // route on their region's processor — and physically distributing the
 // CostArray regions helps a little more.
+#include <climits>
 #include <cstdio>
 
 #include "apps/locusroute/locusroute.hpp"
@@ -32,10 +33,10 @@ int main(int argc, char** argv) {
   auto opt = bench::standard_options(
       "fig10_locusroute_speedup",
       "LocusRoute speedup vs processors (paper Fig. 10)");
-  opt.add_int("wires-per-region", 96, "synthetic wires per region");
-  opt.add_int("iterations", 3, "rip-up-and-reroute passes");
-  opt.add_int("region-w", 64, "region width in routing cells");
-  opt.add_int("height", 64, "routing grid height");
+  opt.add_int("wires-per-region", 96, "synthetic wires per region", 1, INT_MAX);
+  opt.add_int("iterations", 3, "rip-up-and-reroute passes", 1, INT_MAX);
+  opt.add_int("region-w", 64, "region width in routing cells", 4, INT_MAX);
+  opt.add_int("height", 64, "routing grid height", 4, INT_MAX);
   if (!opt.parse(argc, argv)) return 0;
 
   Config cfg;

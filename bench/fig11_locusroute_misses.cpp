@@ -3,6 +3,7 @@
 // Paper: affinity scheduling nearly halves the number of cache misses
 // (region reuse + fewer invalidations); distributing the CostArray leaves
 // the miss count unchanged but services more of the misses in local memory.
+#include <climits>
 #include <cstdio>
 
 #include "apps/locusroute/locusroute.hpp"
@@ -15,8 +16,8 @@ int main(int argc, char** argv) {
   auto opt = bench::standard_options(
       "fig11_locusroute_misses",
       "LocusRoute cache misses by version (paper Fig. 11)");
-  opt.add_int("wires-per-region", 96, "synthetic wires per region");
-  opt.add_int("iterations", 3, "rip-up-and-reroute passes");
+  opt.add_int("wires-per-region", 96, "synthetic wires per region", 1, INT_MAX);
+  opt.add_int("iterations", 3, "rip-up-and-reroute passes", 1, INT_MAX);
   if (!opt.parse(argc, argv)) return 0;
 
   Config cfg;

@@ -16,7 +16,7 @@ int main(int argc, char** argv) {
   auto opt = bench::standard_options(
       "fig15_panel_misses",
       "Panel Cholesky cache misses by version (paper Fig. 15)");
-  opt.add_int("panels", 192, "number of panels");
+  opt.add_int("panels", 192, "number of panels", 2, INT_MAX);
   opt.add_int("row-scale", 3, "panel row footprint scale", 1, INT_MAX);
   if (!opt.parse(argc, argv)) return 0;
 

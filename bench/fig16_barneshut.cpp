@@ -3,6 +3,7 @@
 // Paper: the COOL version (body blocks distributed, OBJECT affinity) performs
 // close to the hand-coded ANL version; hints let the programmer explore
 // locality/load-balance tradeoffs by editing one line.
+#include <climits>
 #include <cstdio>
 
 #include "apps/barneshut/barneshut.hpp"
@@ -30,8 +31,8 @@ Result run_one(std::uint32_t procs, Variant v, Config cfg,
 int main(int argc, char** argv) {
   auto opt = bench::standard_options(
       "fig16_barneshut", "Barnes-Hut speedup vs processors (paper Fig. 16a)");
-  opt.add_int("bodies", 4096, "number of bodies");
-  opt.add_int("steps", 2, "timesteps");
+  opt.add_int("bodies", 4096, "number of bodies", 16, INT_MAX);
+  opt.add_int("steps", 2, "timesteps", 1, INT_MAX);
   if (!opt.parse(argc, argv)) return 0;
 
   Config cfg;

@@ -3,6 +3,7 @@
 // Paper: the COOL block-Cholesky even beats the hand-coded ANL program,
 // thanks to better dynamic load balance — the runtime steals hint-free work
 // while affinity keeps block updates collocated.
+#include <climits>
 #include <cstdio>
 
 #include "apps/cholesky/block.hpp"
@@ -31,9 +32,9 @@ int main(int argc, char** argv) {
   auto opt = bench::standard_options(
       "fig16_blockcholesky",
       "Block Cholesky speedup vs processors (paper Fig. 16b)");
-  opt.add_int("blocks", 16, "matrix blocks per dimension");
-  opt.add_int("block-size", 24, "doubles per block dimension");
-  opt.add_int("band", 0, "block bandwidth (0 = dense)");
+  opt.add_int("blocks", 16, "matrix blocks per dimension", 2, INT_MAX);
+  opt.add_int("block-size", 24, "doubles per block dimension", 2, INT_MAX);
+  opt.add_int("band", 0, "block bandwidth (0 = dense)", 0, INT_MAX);
   if (!opt.parse(argc, argv)) return 0;
 
   BlockConfig cfg;

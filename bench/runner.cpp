@@ -17,8 +17,6 @@
 //       plus each obs-snapshot counter (steals, failed steal scans,
 //       remote-miss ratio, invalidations) that increased past it, and note
 //       config mismatches that make the comparison apples-to-oranges.
-//       Per-record sim_rate (simulated cycles per wall-second) is printed
-//       for information only; it never fails the comparison.
 //       Exits non-zero when any metric regressed past the threshold. With
 //       --fail-on-regression=PCT the exit status instead tracks only
 //       direction-aware regressions (a speedup shrinking, cycles or steal
@@ -560,23 +558,6 @@ int compare_runs(const std::string& old_dir, const std::string& new_dir,
       if (vb == nullptr || !same(va, *vb)) {
         std::printf("%-28s config.%s differs between runs\n", bench.c_str(),
                     k.c_str());
-      }
-    }
-    // Simulator speed (cycles simulated per wall-second). Purely
-    // informational: it measures the host and the simulator, not the code
-    // under test, so it never counts toward thresholds or regressions.
-    {
-      const Value* sra = a.find("sim_rate");
-      const Value* srb = b.find("sim_rate");
-      if (srb != nullptr && srb->is_number()) {
-        if (sra != nullptr && sra->is_number()) {
-          std::printf("%-28s %-32s %12.4g -> %12.4g  (%+.1f%%, info)\n",
-                      bench.c_str(), "sim_rate(cyc/s)", sra->num, srb->num,
-                      rel_pct(sra->num, srb->num));
-        } else {
-          std::printf("%-28s %-32s %28.4g  (new, info)\n", bench.c_str(),
-                      "sim_rate(cyc/s)", srb->num);
-        }
       }
     }
     // Trace-buffer drops on either side mean the run's span/event record is

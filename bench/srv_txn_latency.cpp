@@ -17,6 +17,7 @@
 // can be watched exactly where tail latency is worst. Everything — arrival
 // stamps, transaction picks, scheduling — is seeded and simulated, so the
 // whole curve is deterministic.
+#include <climits>
 #include <cstdio>
 
 #include "apps/txn/txn.hpp"
@@ -43,13 +44,15 @@ int main(int argc, char** argv) {
       "Open-loop txn serving: latency percentiles vs offered load");
   opt.add_int("warehouses", 14,
               "warehouses (Zipf population; default is a multiple of the "
-              "7 serving processors at --procs=8, so theta=0 is uniform)");
-  opt.add_int("districts", 4, "districts per warehouse");
-  opt.add_int("items", 64, "stock slots per district");
-  opt.add_int("lines", 4, "order lines per request");
+              "7 serving processors at --procs=8, so theta=0 is uniform)",
+              1, INT_MAX);
+  opt.add_int("districts", 4, "districts per warehouse", 1, INT_MAX);
+  opt.add_int("items", 64, "stock slots per district", 1, INT_MAX);
+  opt.add_int("lines", 4, "order lines per request", 1, INT_MAX);
   opt.add_double("theta", 0.0, "Zipf skew over warehouses (0 = uniform)");
-  opt.add_int("requests", 2048, "requests per sweep point");
-  opt.add_int("think", 200, "compute cycles per request");
+  opt.add_int("requests", 2048, "requests per sweep point",
+              1, std::numeric_limits<std::uint32_t>::max());
+  opt.add_int("think", 200, "compute cycles per request", 0);
   opt.add_string("arrival", "poisson",
                  "arrival process: poisson | bursty | diurnal");
   opt.add_flag("quick", "smaller trace and fewer sweep points");

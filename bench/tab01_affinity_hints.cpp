@@ -7,6 +7,7 @@
 // affinity sets — under each hint, and reports the scheduling effect each
 // hint exists to produce: cache reuse (L1 hits), memory locality (local miss
 // service), and placement stability (tasks not stolen).
+#include <climits>
 #include <cstdio>
 
 #include "apps/synth/taskmix.hpp"
@@ -18,9 +19,10 @@ using namespace cool::apps::taskmix;
 int main(int argc, char** argv) {
   auto opt = bench::standard_options(
       "tab01_affinity_hints", "Affinity-hint taxonomy microbench (Table 1)");
-  opt.add_int("objects", 128, "number of shared objects");
-  opt.add_int("obj-kb", 32, "object size in KiB");
-  opt.add_int("tasks-per-obj", 8, "tasks repeatedly touching each object");
+  opt.add_int("objects", 128, "number of shared objects", 1, INT_MAX);
+  opt.add_int("obj-kb", 32, "object size in KiB", 1, INT_MAX);
+  opt.add_int("tasks-per-obj", 8, "tasks repeatedly touching each object",
+              1, INT_MAX);
   if (!opt.parse(argc, argv)) return 0;
 
   const auto procs = static_cast<std::uint32_t>(opt.get_int("procs"));

@@ -129,9 +129,11 @@ int main(int argc, char** argv) {
                            : 0.0,
               opt.flag("no-distribute") ? " (no distribution)" : "");
   if (opt.flag("trace")) {
-    std::printf("\n%s", render_trace_report(rt.trace(), rt.machine().n_procs,
-                                             rt.sim_time(), 72)
-                             .c_str());
+    std::printf("\n%s",
+                obs::render_trace_report(rt.trace_events(),
+                                         rt.machine().n_procs, rt.sim_time(),
+                                         72)
+                    .c_str());
   }
   return 0;
 }

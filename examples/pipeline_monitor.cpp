@@ -134,8 +134,8 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(rt.sim_time()));
   }
 
-  // Metrics come for free from the runtime's registry; the monitor pattern
-  // shows up as blocked spans and steals.
+  // Metrics come for free from the runtime's counters, named by
+  // obs_snapshot(); the monitor pattern shows up as blocked spans and steals.
   const auto snap = rt.obs_snapshot();
   const auto val = [&](const char* k) -> unsigned long long {
     const auto it = snap.values.find(k);

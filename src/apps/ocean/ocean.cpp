@@ -353,7 +353,8 @@ Result run(Runtime& rt, const Config& cfg) {
   app.scratch = rt.alloc_array<double>(cells, 0);
 
   if (cfg.multigrid_levels > 0) {
-    COOL_CHECK(cfg.n >> cfg.multigrid_levels >= 8,
+    // Test the level count first: shifting an int by 32 or more is undefined.
+    COOL_CHECK(cfg.multigrid_levels < 32 && cfg.n >> cfg.multigrid_levels >= 8,
                "ocean: too many multigrid levels for this grid");
     app.lvl.push_back(app.grid[0]);
     app.lvl_scratch.push_back(app.scratch);

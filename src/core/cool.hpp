@@ -33,7 +33,6 @@
 #include "core/sync.hpp"
 #include "core/patterns.hpp"
 #include "core/taskfn.hpp"
-#include "core/trace.hpp"
 #include "core/thread_engine.hpp"
 #include "sched/affinity.hpp"
 #include "topology/machine.hpp"

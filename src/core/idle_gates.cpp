@@ -67,9 +67,16 @@ void IdleGates::check_monotonic() const {
   }
 }
 
-void IdleGates::attach_obs(obs::Registry& reg) {
-  obs_sleeps_ = reg.counter("sched.idle.sleeps");
-  obs_wakeups_ = reg.counter("sched.idle.wakeups");
+std::uint64_t IdleGates::sleeps() const noexcept {
+  std::uint64_t n = 0;
+  for (const Gate& g : gates_) n += g.sleeps.load(std::memory_order_relaxed);
+  return n;
+}
+
+std::uint64_t IdleGates::wakeups() const noexcept {
+  std::uint64_t n = 0;
+  for (const Gate& g : gates_) n += g.wakeups.load(std::memory_order_relaxed);
+  return n;
 }
 
 }  // namespace cool

@@ -19,7 +19,6 @@
 #include <deque>
 
 #include "common/thread_annotations.hpp"
-#include "obs/metrics.hpp"
 #include "topology/machine.hpp"
 
 namespace cool {
@@ -38,13 +37,13 @@ class IdleGates {
   /// call from any thread (read atomics only).
   template <typename Pred>
   void wait(topo::ProcId proc, std::uint64_t seen, Pred give_up) {
-    obs_sleeps_.add(proc);
     Gate& g = gates_[proc];
+    g.sleeps.fetch_add(1, std::memory_order_relaxed);
     util::MutexLock l(g.m);
     g.sleeping.store(true);
     g.cv.wait(l, [&] { return version_.load() != seen || give_up(); });
     g.sleeping.store(false);
-    obs_wakeups_.add(proc);
+    g.wakeups.fetch_add(1, std::memory_order_relaxed);
   }
 
   /// Work landed on `server`'s queue: bump the version and wake `server`'s
@@ -61,16 +60,18 @@ class IdleGates {
   /// the protocol; throws util::Error on violation.
   void check_monotonic() const;
 
-  /// Register the sched.idle.sleeps / sched.idle.wakeups counters with an
-  /// obs registry whose shard count covers every server. The registry must
-  /// outlive the gates.
-  void attach_obs(obs::Registry& reg);
+  /// Calls of wait() so far, summed over every worker.
+  [[nodiscard]] std::uint64_t sleeps() const noexcept;
+  /// Returns from wait() so far, summed over every worker.
+  [[nodiscard]] std::uint64_t wakeups() const noexcept;
 
  private:
   struct alignas(64) Gate {
     util::Mutex m;  ///< CV companion only; `sleeping` is its own atomic.
     util::CondVar cv;
     std::atomic<bool> sleeping{false};
+    std::atomic<std::uint64_t> sleeps{0};   ///< Bumped by this gate's worker.
+    std::atomic<std::uint64_t> wakeups{0};  ///< Bumped by this gate's worker.
   };
 
   /// Increment the version; under paranoid checking also advance the
@@ -83,8 +84,6 @@ class IdleGates {
   /// Monotonicity floor, advanced (CAS-max) after each bump under paranoid
   /// checking; check_monotonic() asserts the version never reads below it.
   mutable std::atomic<std::uint64_t> floor_{0};
-  obs::Counter obs_sleeps_;   ///< Detached no-ops until attach_obs().
-  obs::Counter obs_wakeups_;
 };
 
 }  // namespace cool

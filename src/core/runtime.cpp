@@ -18,17 +18,14 @@ Runtime::Runtime(SystemConfig cfg) : cfg_(cfg) {
   const bool profile_available =
       cfg_.profile || (cfg_.adapt && cfg_.mode == SystemConfig::Mode::kSim);
   sched::validate_policy(cfg_.policy, cfg_.machine, profile_available);
-  obs_ = std::make_unique<obs::Registry>(cfg_.machine.n_procs);
   if (cfg_.mode == SystemConfig::Mode::kSim) {
     sim_ = std::make_unique<SimEngine>(cfg_.machine, cfg_.policy, cfg_.costs,
                                        cfg_.trace, cfg_.trace_ring_capacity,
                                        cfg_.mem_channel);
-    sim_->attach_obs(*obs_);
     eng_ = sim_.get();
   } else {
     thr_ = std::make_unique<ThreadEngine>(cfg_.machine, cfg_.policy,
                                           cfg_.trace, cfg_.trace_ring_capacity);
-    thr_->attach_obs(*obs_);
     eng_ = thr_.get();
   }
   if (cfg_.profile || (cfg_.adapt && sim_)) {
@@ -209,10 +206,6 @@ std::uint64_t Runtime::tasks_completed() const {
   return sim_ ? sim_->tasks_completed() : thr_->tasks_completed();
 }
 
-std::vector<TraceEvent> Runtime::trace() const {
-  return spans_from_events(trace_events());
-}
-
 std::vector<obs::Event> Runtime::trace_events() const {
   const obs::TraceCollector* tc =
       sim_ ? sim_->trace_collector() : thr_->trace_collector();
@@ -228,10 +221,16 @@ std::string Runtime::chrome_trace() const {
 }
 
 obs::Snapshot Runtime::obs_snapshot() const {
-  obs::Snapshot s = obs_->snapshot();
+  obs::Snapshot s;
   auto put = [&s](const char* name, std::uint64_t v) { s.values[name] = v; };
 
   put("tasks.completed", tasks_completed());
+  if (sim_) {
+    put("engine.parks", sim_->parks());
+  } else {
+    put("sched.idle.sleeps", thr_->idle_gates().sleeps());
+    put("sched.idle.wakeups", thr_->idle_gates().wakeups());
+  }
 
   const sched::SchedStats ss = sched_stats();
   put("sched.spawned", ss.spawned);
@@ -248,6 +247,13 @@ obs::Snapshot Runtime::obs_snapshot() const {
 
   const sched::Scheduler& sch =
       sim_ ? sim_->scheduler() : thr_->scheduler();
+  const sched::SchedDetail sd = sch.detail();
+  s.hists["sched.steal_scan_victims"] = sd.steal_scan_victims;
+  s.hists["sched.affinity_run_length"] = sd.affinity_run_length;
+  for (std::size_t c = 0; c < sd.reserve_hits_by_cluster.size(); ++c) {
+    s.values["sched.balance.reserve_hits.cluster" + std::to_string(c)] =
+        sd.reserve_hits_by_cluster[c];
+  }
   std::uint64_t max_depth = 0;
   std::uint64_t max_now = 0;
   for (std::uint32_t p = 0; p < cfg_.machine.n_procs; ++p) {

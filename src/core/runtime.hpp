@@ -138,8 +138,6 @@ class Runtime {
   [[nodiscard]] std::vector<ProcUtil> utilization() const;
   [[nodiscard]] std::uint64_t tasks_completed() const;
 
-  /// Task-span projection of the trace (empty unless SystemConfig::trace).
-  [[nodiscard]] std::vector<TraceEvent> trace() const;
   /// Full typed event stream, merged across processors and sorted by start
   /// time (empty unless SystemConfig::trace).
   [[nodiscard]] std::vector<obs::Event> trace_events() const;
@@ -147,19 +145,16 @@ class Runtime {
   /// chrome://tracing or Perfetto). Empty-trace JSON when tracing is off.
   [[nodiscard]] std::string chrome_trace() const;
 
-  /// The metrics registry: live counters updated by the scheduler and the
-  /// engines while tasks run. Register application metrics here too.
-  [[nodiscard]] obs::Registry& obs() noexcept { return *obs_; }
-  [[nodiscard]] const obs::Registry& obs() const noexcept { return *obs_; }
-  /// Point-in-time snapshot of the registry, augmented with the derived
-  /// counters the runtime already tracks (mem.*, sched.*, proc.*, sim.time,
-  /// tasks.completed, queue depths, trace drop counts) so one call captures
-  /// the whole observable state of a run.
+  /// Every counter of the run by name: the engine's (engine.parks,
+  /// sched.idle.*), the scheduler's (sched.*, its histograms), the memory
+  /// system's (mem.*, mem.chan.*), utilisation (proc.*), sim.time,
+  /// tasks.completed and the trace drop counts, so one call captures the
+  /// whole observable state of a run. The one place a counter gets its key.
   [[nodiscard]] obs::Snapshot obs_snapshot() const;
   /// The counters the advisor rules read, typed and built directly from
   /// their sources (SchedStats, utilization(), the queues, the channel
-  /// backend): what advisor::signals_from(obs_snapshot()) returns, without
-  /// the string-keyed snapshot. The adaptive engine reads it every epoch.
+  /// backend). The adaptive engine reads it every epoch; the offline
+  /// advisor (obs::advise) reads it once.
   [[nodiscard]] obs::advisor::Signals advisor_signals() const;
 
   // --- locality profiler (SystemConfig::profile) ---------------------------
@@ -226,8 +221,6 @@ class Runtime {
 
  private:
   SystemConfig cfg_;
-  std::unique_ptr<obs::Registry> obs_;  ///< Declared before the engines: the
-                                        ///< handles they hold point into it.
   std::unique_ptr<SimEngine> sim_;
   std::unique_ptr<ThreadEngine> thr_;
   std::unique_ptr<obs::LocalityProfiler> prof_;  ///< Null unless profiling.

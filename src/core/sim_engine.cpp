@@ -1,7 +1,6 @@
 #include "core/sim_engine.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <functional>
 
 #include "adaptive/engine.hpp"
@@ -12,15 +11,6 @@
 #include "core/sync.hpp"
 
 namespace cool {
-
-namespace {
-/// See total_sim_cycles() — one add per run() keeps this off the hot path.
-std::atomic<std::uint64_t> g_total_sim_cycles{0};
-}  // namespace
-
-std::uint64_t total_sim_cycles() noexcept {
-  return g_total_sim_cycles.load(std::memory_order_relaxed);
-}
 
 SimEngine::SimEngine(const topo::MachineConfig& machine,
                      const sched::Policy& policy, const CostModel& costs,
@@ -40,11 +30,6 @@ SimEngine::SimEngine(const topo::MachineConfig& machine,
     trace_ = std::make_unique<obs::TraceCollector>(machine_.n_procs,
                                                    trace_capacity);
   }
-}
-
-void SimEngine::attach_obs(obs::Registry& reg) {
-  obs_parks_ = reg.counter("engine.parks");
-  sched_.attach_obs(reg);
 }
 
 void SimEngine::attach_profiler(obs::LocalityProfiler* prof) {
@@ -87,7 +72,7 @@ void SimEngine::reinsert(topo::ProcId p) {
 void SimEngine::park(topo::ProcId p) {
   procs_[p].parked = true;
   ++n_parked_;
-  obs_parks_.add(p);
+  ++parks_;
 }
 
 void SimEngine::wake_parked() {
@@ -385,9 +370,6 @@ void SimEngine::run(TaskFn&& root) {
   }
   n_parked_ = 0;
 
-  std::uint64_t clocks_at_entry = 0;
-  for (const Proc& pr : procs_) clocks_at_entry += pr.clock;
-
   auto* rec = new TaskRecord;
   rec->handle = root.release();
   rec->desc.aff = Affinity::none();
@@ -414,13 +396,7 @@ void SimEngine::run(TaskFn&& root) {
   }
 
   finish_time_ = 0;
-  std::uint64_t clocks_at_exit = 0;
-  for (const Proc& pr : procs_) {
-    finish_time_ = std::max(finish_time_, pr.clock);
-    clocks_at_exit += pr.clock;
-  }
-  g_total_sim_cycles.fetch_add(clocks_at_exit - clocks_at_entry,
-                               std::memory_order_relaxed);
+  for (const Proc& pr : procs_) finish_time_ = std::max(finish_time_, pr.clock);
   running_ = false;
   if (err_) {
     auto e = err_;

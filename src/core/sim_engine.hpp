@@ -18,10 +18,8 @@
 #include "core/costs.hpp"
 #include "core/engine.hpp"
 #include "core/record.hpp"
-#include "core/trace.hpp"
 #include "core/taskfn.hpp"
 #include "memsim/memsystem.hpp"
-#include "obs/metrics.hpp"
 #include "obs/profiler.hpp"
 #include "obs/request_trace.hpp"
 #include "obs/trace.hpp"
@@ -33,14 +31,6 @@ class AdaptiveEngine;
 }  // namespace cool::adaptive
 
 namespace cool {
-
-/// Process-wide total of simulated processor-cycles executed by every
-/// SimEngine::run() so far (sum over processors of clock advance). The
-/// bench harness divides its delta by wall time to report `sim_rate` —
-/// simulated cycles per wall-second, the simulator-speed trajectory metric.
-/// Monotone, atomic, and zero-cost on the simulation path (updated once per
-/// run, not per event).
-[[nodiscard]] std::uint64_t total_sim_cycles() noexcept;
 
 /// Per-processor utilisation, reported after a run.
 struct ProcUtil {
@@ -82,8 +72,9 @@ class SimEngine final : public Engine {
   [[nodiscard]] const obs::TraceCollector* trace_collector() const noexcept {
     return trace_.get();
   }
-  /// Register engine+scheduler live metrics with `reg` (see Scheduler).
-  void attach_obs(obs::Registry& reg);
+  /// Times a processor parked for want of work (the snapshot's
+  /// engine.parks).
+  [[nodiscard]] std::uint64_t parks() const noexcept { return parks_; }
   /// Attach (or with nullptr, detach) the locality profiler: taps every
   /// simulated memory access and is told the running task's hint class at
   /// each dispatch. Purely passive — simulated cycle counts are unchanged.
@@ -174,7 +165,7 @@ class SimEngine final : public Engine {
   bool running_ = false;
   std::uint64_t addr_base_ = 0;
   std::unique_ptr<obs::TraceCollector> trace_;  ///< Null when tracing is off.
-  obs::Counter obs_parks_;  ///< Idle transitions (detached until attach_obs).
+  std::uint64_t parks_ = 0;  ///< Idle transitions.
   obs::LocalityProfiler* prof_ = nullptr;  ///< Null unless profiling.
   adaptive::AdaptiveEngine* adapt_ = nullptr;  ///< Null unless --adapt.
   obs::RequestTraceRecorder* reqtrace_ = nullptr;  ///< Null unless --req-trace.

@@ -10,7 +10,7 @@
 // Tracing: with trace_enabled, each worker records task-span events into its
 // own obs ring buffer (single writer, no locks) with microsecond wall-clock
 // timestamps, so real-thread runs get the same span/steal observability as
-// the simulator (Runtime::trace(), chrome_trace()).
+// the simulator (Runtime::trace_events(), chrome_trace()).
 //
 // Locking: every scheduling operation (place/acquire/enqueue/steal) goes
 // straight to the internally-sharded Scheduler with NO engine lock — workers
@@ -36,7 +36,6 @@
 #include "core/record.hpp"
 #include "core/taskfn.hpp"
 #include "memsim/pagemap.hpp"
-#include "obs/metrics.hpp"
 #include "obs/profiler.hpp"
 #include "obs/trace.hpp"
 #include "sched/scheduler.hpp"
@@ -66,11 +65,8 @@ class ThreadEngine final : public Engine {
   [[nodiscard]] const obs::TraceCollector* trace_collector() const noexcept {
     return trace_.get();
   }
-  /// Register scheduler and idle-protocol live metrics with `reg`.
-  void attach_obs(obs::Registry& reg) {
-    sched_.attach_obs(reg);
-    idle_.attach_obs(reg);
-  }
+  /// The sleep gates, for their sleep/wakeup counts.
+  [[nodiscard]] const IdleGates& idle_gates() const noexcept { return idle_; }
   /// Attach the locality profiler. With no memory model there is nothing to
   /// tap, but the dispatch hook still attributes tasks to hint classes and
   /// affinity sets (each worker writes only its own shard).

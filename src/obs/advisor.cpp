@@ -121,10 +121,11 @@ Advice render(const advisor::Finding& f) {
 
 }  // namespace
 
-std::vector<Advice> advise(const ProfileSnapshot& p, const Snapshot& metrics,
+std::vector<Advice> advise(const ProfileSnapshot& p,
+                           const advisor::Signals& signals,
                            const AdvisorConfig& cfg) {
-  const std::vector<advisor::Finding> findings = advisor::evaluate(
-      ProfileDelta::of(p), advisor::signals_from(metrics), cfg);
+  const std::vector<advisor::Finding> findings =
+      advisor::evaluate(ProfileDelta::of(p), signals, cfg);
   std::vector<Advice> out;
   out.reserve(findings.size());
   for (const advisor::Finding& f : findings) out.push_back(render(f));

@@ -1,5 +1,5 @@
-// Locality advisor — turns a ProfileSnapshot plus the runtime's metric
-// snapshot into ranked, actionable tuning advice.
+// Locality advisor — turns a ProfileSnapshot plus the runtime's advisor
+// signals into ranked, actionable tuning advice.
 //
 // This mechanises the paper's tuning loop (§6–§7): the authors looked at the
 // DASH performance monitor, spotted the object with the most remote misses or
@@ -22,7 +22,6 @@
 #include <vector>
 
 #include "obs/advisor_rules.hpp"
-#include "obs/metrics.hpp"
 #include "obs/profiler.hpp"
 
 namespace cool::obs {
@@ -35,11 +34,12 @@ struct Advice {
   std::uint64_t weight = 0;  ///< Ranking key (stall cycles at stake).
 };
 
-/// Run every rule over the profile and the runtime metric snapshot
-/// (Runtime::obs_snapshot() names: sched.*, proc.*, mem.chan.*), each read
-/// as one interval. Returns advice in advisor::evaluate()'s order:
-/// descending weight, ties broken by subject.
-std::vector<Advice> advise(const ProfileSnapshot& p, const Snapshot& metrics,
+/// Run every rule over the profile and the scheduler/channel signals
+/// (Runtime::advisor_signals()), each read as one interval. Returns advice
+/// in advisor::evaluate()'s order: descending weight, ties broken by
+/// subject.
+std::vector<Advice> advise(const ProfileSnapshot& p,
+                           const advisor::Signals& signals,
                            const AdvisorConfig& cfg = {});
 
 /// Human-readable rendering, one numbered block per advice.

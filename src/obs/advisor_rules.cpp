@@ -50,11 +50,6 @@ Dominant dominant_of(std::span<const std::uint64_t> v) {
   return d;
 }
 
-std::uint64_t value_of(const Snapshot& m, const std::string& name) {
-  auto it = m.values.find(name);
-  return it == m.values.end() ? 0 : it->second;
-}
-
 void object_rules(const ProfileDelta& p, const AdvisorConfig& cfg,
                   std::vector<Finding>& out) {
   for (const ProfileDelta::Object& o : p.objects) {
@@ -201,27 +196,6 @@ Signals Signals::since(const Signals& older) const {
   d.chan_row_misses = sub(chan_row_misses, older.chan_row_misses);
   d.chan_row_conflicts = sub(chan_row_conflicts, older.chan_row_conflicts);
   return d;
-}
-
-Signals signals_from(const Snapshot& m) {
-  Signals s;
-  s.failed_steal_scans = value_of(m, "sched.failed_steal_scans");
-  s.steals = value_of(m, "sched.steals");
-  s.busy_cycles = value_of(m, "proc.busy_cycles");
-  s.idle_cycles = value_of(m, "proc.idle_cycles");
-  s.queue_max_now = value_of(m, "sched.queue.max_now");
-  s.span = value_of(m, "sim.time");
-  s.chan_busy.resize(value_of(m, "mem.chan.count"));
-  for (std::size_t i = 0; i < s.chan_busy.size(); ++i) {
-    s.chan_busy[i] =
-        value_of(m, "mem.chan." + std::to_string(i) + ".busy_cycles");
-  }
-  s.chan_busy_total = value_of(m, "mem.chan.busy_cycles");
-  s.chan_queue_full_stalls = value_of(m, "mem.chan.queue_full_stalls");
-  s.chan_row_hits = value_of(m, "mem.chan.row_hits");
-  s.chan_row_misses = value_of(m, "mem.chan.row_misses");
-  s.chan_row_conflicts = value_of(m, "mem.chan.row_conflicts");
-  return s;
 }
 
 std::vector<Finding> evaluate(const ProfileDelta& p, const Signals& s,

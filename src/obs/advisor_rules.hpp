@@ -1,23 +1,22 @@
 // Advisor rule engine — the machine-readable half of the locality advisor.
 //
-// The PR 3 advisor turned a ProfileSnapshot plus a metrics Snapshot into
-// ranked prose advice. The adaptive runtime (src/adaptive) needs the same
-// diagnoses *online*, as data it can act on, every epoch. To keep one
+// The offline advisor (obs/advisor.hpp) turns a run's profile and counters
+// into ranked prose advice. The adaptive runtime (src/adaptive) needs the
+// same diagnoses *online*, as data it can act on, every epoch. To keep one
 // implementation, the rules live here as a pure function of typed inputs:
 // a ProfileDelta (one interval's per-object and per-set activity) and
 // Signals (scheduler and memory-channel counters). `advisor::evaluate()`
 // returns structured Findings carrying every number a rule used to fire.
-// The engine feeds it the profiler's epoch read and the runtime's live
-// signals; the offline advisor (obs/advisor.hpp) converts its snapshots
-// (ProfileDelta::of, signals_from) and renders the Findings into its
-// unchanged prose report. Neither consumer re-implements a threshold.
+// Both consumers read Signals from Runtime::advisor_signals(): the engine
+// every epoch, with the profiler's epoch read; the offline advisor once,
+// with its snapshot converted by ProfileDelta::of, rendering the Findings
+// into its prose report. Neither consumer re-implements a threshold.
 #pragma once
 
 #include <cstdint>
 #include <string>
 #include <vector>
 
-#include "obs/metrics.hpp"
 #include "obs/profiler.hpp"
 
 namespace cool::obs {
@@ -54,9 +53,9 @@ struct AdvisorConfig {
 namespace advisor {
 
 /// The scheduler and memory-channel counters the rules read, typed.
-/// Runtime::advisor_signals() fills it live; signals_from() reads the same
-/// fields out of a Runtime::obs_snapshot(). Counters are cumulative where
-/// they come from; since() turns two readings into one interval.
+/// Runtime::advisor_signals() fills it; each field notes the key
+/// Runtime::obs_snapshot() gives the same counter. Counters are cumulative
+/// where they come from; since() turns two readings into one interval.
 struct Signals {
   std::uint64_t failed_steal_scans = 0;  ///< sched.failed_steal_scans
   std::uint64_t steals = 0;              ///< sched.steals
@@ -79,9 +78,6 @@ struct Signals {
   [[nodiscard]] Signals since(const Signals& older) const;
   bool operator==(const Signals&) const = default;
 };
-
-/// The Signals fields of a metrics snapshot (absent keys read as 0).
-Signals signals_from(const Snapshot& m);
 
 /// One rule firing, with every input the rule consulted. Which fields are
 /// meaningful depends on `kind`: object rules fill the obj_*/cluster fields,

@@ -118,9 +118,6 @@ std::string BenchRecord::to_json() const {
   w.key("shape").begin_object();
   for (const auto& [k, v] : shape_) w.key(k).number_value(v);
   w.end_object();
-  if (sim_rate_ > 0.0) {
-    w.key("sim_rate").number_value(sim_rate_);
-  }
   if (!obs_json_.empty()) {
     w.key("obs").raw(obs_json_);
   }
@@ -196,10 +193,6 @@ std::string validate_bench_record(const json::Value& v) {
     if (!sv.is_number() && !sv.is_null()) {
       return "shape." + k + " is not a number";
     }
-  }
-  const json::Value* sim_rate = v.find("sim_rate");
-  if (sim_rate != nullptr && !sim_rate->is_number()) {
-    return "'sim_rate' is not a number";
   }
   const json::Value* obs = v.find("obs");
   if (obs != nullptr) {

@@ -9,7 +9,6 @@
 //     "config":  { "<option>": <typed value>, ... },
 //     "series":  [ { "<column>": <number|string>, ... }, ... ],
 //     "shape":   { "<metric>": <number>, ... },
-//     "sim_rate": <number>,                               // optional
 //     "obs":     { "values": {...}, "hists": {...} },     // optional
 //     "profile": { "snapshot": {...}, "advice": [...] }   // optional
 //   }
@@ -68,14 +67,6 @@ class BenchRecord {
   /// block (an AdaptiveEngine::log_json() array; empty string = no key).
   void set_adaptation(std::string decisions_json_arr);
 
-  /// Record the simulator speed of the run that produced this record:
-  /// simulated cycles per wall-second (cool::total_sim_cycles() delta over
-  /// wall time). Emitted as a top-level "sim_rate" number; optional, so
-  /// records written before the field existed still validate. runner
-  /// --compare reports it for information only — wall-clock speed is never
-  /// a regression signal.
-  void set_sim_rate(double cycles_per_second) { sim_rate_ = cycles_per_second; }
-
   [[nodiscard]] const std::string& name() const noexcept { return name_; }
 
   /// Render the record (deterministic field order).
@@ -106,7 +97,6 @@ class BenchRecord {
   std::string profile_json_;  ///< Pre-rendered ProfileSnapshot, empty = unset.
   std::string advice_json_;   ///< Pre-rendered advice array, empty = unset.
   std::string adaptation_json_;  ///< Pre-rendered decision log, empty = unset.
-  double sim_rate_ = 0.0;  ///< Simulated cycles / wall-second; 0 = unset.
 };
 
 /// Validate a parsed record against the cool-bench/1 schema. Returns an empty

@@ -1,6 +1,6 @@
 // HDR-style log-linear latency histogram for per-request tail percentiles.
 //
-// The metrics registry's general Histogram uses 48 coarse power-of-two
+// The metrics snapshot's general HistData uses 48 coarse power-of-two
 // buckets — fine for spotting a distribution's shape, useless for p999 (one
 // octave of error at the tail). Request serving needs bounded *relative*
 // error, so this histogram divides every octave [2^m, 2^(m+1)) into

@@ -1,13 +1,13 @@
 // Structured event tracing: per-processor ring buffers of typed events,
 // exportable as Chrome-trace JSON (load in chrome://tracing or Perfetto).
 //
-// This replaces the core engine's unbounded TraceEvent vector. Each processor
-// (sim) or worker (threads) records into its own fixed-capacity ring with no
-// synchronisation on the hot path — single writer per buffer, readers merge
-// after the run. When a ring wraps, the oldest events are dropped and
-// counted, so tracing a long run costs bounded memory and, crucially for the
-// simulation engine, never perturbs the simulated clocks: recording an event
-// performs no allocation after construction and charges no cycles.
+// Each processor (sim) or worker (threads) records into its own
+// fixed-capacity ring with no synchronisation on the hot path — single
+// writer per buffer, readers merge after the run. When a ring wraps, the
+// oldest events are dropped and counted, so tracing a long run costs bounded
+// memory and, crucially for the simulation engine, never perturbs the
+// simulated clocks: recording an event performs no allocation after
+// construction and charges no cycles.
 //
 // Timestamps are engine-defined: simulated cycles under SimEngine,
 // microseconds since run start under ThreadEngine. The Chrome exporter
@@ -148,5 +148,13 @@ struct ProfileSnapshot;  // obs/profiler.hpp
 /// the miss and remote-stall attribution shows up alongside the timeline.
 std::string chrome_trace_json(const std::vector<Event>& events,
                               const ProfileSnapshot* profile = nullptr);
+
+/// Render the task spans among `events` (other kinds are skipped) as a
+/// per-processor table of spans, stolen spans and busy share, plus an ASCII
+/// timeline with `width` columns ('#' ≥75% busy, '+' ≥25%, '.' >0, ' '
+/// idle) — handy for seeing how an affinity hint changed the schedule.
+std::string render_trace_report(const std::vector<Event>& events,
+                                std::uint32_t n_procs, std::uint64_t finish,
+                                int width = 64);
 
 }  // namespace cool::obs

@@ -1,7 +1,5 @@
 #include "sched/scheduler.hpp"
 
-#include <string>
-
 #include "common/check.hpp"
 #include "common/error.hpp"
 
@@ -20,6 +18,8 @@ Scheduler::Scheduler(const topo::MachineConfig& machine, Policy policy,
   for (std::uint32_t p = 0; p < machine_.n_procs; ++p) {
     queues_.emplace_back(policy_.affinity_array_size);
     queues_.back().set_owner(static_cast<topo::ProcId>(p));
+    stats_.shard(p).reserve_hits_by_cluster =
+        std::vector<std::atomic<std::uint64_t>>(machine_.n_clusters());
   }
   levels_ = topo::enumerate_levels(machine_);
   built_kind_ = policy_.balancer;
@@ -37,8 +37,8 @@ void Scheduler::rebuild_balancers() {
     reserve_ = static_cast<ReserveBalancer*>(
         balancers_[topo::kMachineLevel].get());
     if (hotness_fn_) reserve_->set_hotness(hotness_fn_);
+    reserve_built_ = true;
   }
-  register_balance_obs();
 }
 
 void Scheduler::set_hotness_source(HotnessFn fn) {
@@ -63,33 +63,13 @@ void Scheduler::for_each_queued(
   for (const ServerQueues& q : queues_) q.for_each_task(fn);
 }
 
-void Scheduler::attach_obs(obs::Registry& reg) {
-  obs_reg_ = &reg;
-  obs_steal_scan_ = reg.histogram("sched.steal_scan_victims");
-  obs_run_length_ = reg.histogram("sched.affinity_run_length");
-  register_balance_obs();
-}
-
-void Scheduler::register_balance_obs() {
-  if (obs_reg_ == nullptr || policy_.balancer != BalancerKind::kReserve ||
-      !obs_reserve_hits_.empty()) {
-    return;
-  }
-  obs_reserve_hits_.reserve(machine_.n_clusters());
-  for (std::uint32_t c = 0; c < machine_.n_clusters(); ++c) {
-    obs_reserve_hits_.push_back(obs_reg_->counter(
-        "sched.balance.reserve_hits.cluster" + std::to_string(c)));
-  }
-}
-
 void Scheduler::note_run(topo::ProcId proc, std::uint64_t key) {
-  if (!obs_run_length_.attached()) return;
   RunTrack& t = run_track_[proc];
   if (key != 0 && key == t.key) {
     ++t.len;
     return;
   }
-  if (t.len > 0) obs_run_length_.observe(proc, t.len);
+  if (t.len > 0) stats_.shard(proc).run_length.observe(t.len);
   t.key = key;
   t.len = key != 0 ? 1 : 0;
 }
@@ -171,10 +151,8 @@ topo::ProcId Scheduler::place(TaskDesc* t, topo::ProcId spawner) {
       server = *target;
       t->reserved = true;
       st.reserve_hits.fetch_add(1, std::memory_order_relaxed);
-      const topo::ClusterId tc = machine_.cluster_of(server);
-      if (tc < obs_reserve_hits_.size()) {
-        obs_reserve_hits_[tc].add(spawner);
-      }
+      st.reserve_hits_by_cluster[machine_.cluster_of(server)].fetch_add(
+          1, std::memory_order_relaxed);
     }
   }
 
@@ -344,7 +322,7 @@ Scheduler::Acquired Scheduler::acquire(topo::ProcId proc) {
         }
       }
       if (t != nullptr) {
-        obs_steal_scan_.observe(proc, probed);
+        st.steal_scan.observe(probed);
         note_run(proc, t->aff_key);
         out.task = t;
         return out;
@@ -352,7 +330,7 @@ Scheduler::Acquired Scheduler::acquire(topo::ProcId proc) {
     }
   }
   st.failed_steal_scans.fetch_add(1, std::memory_order_relaxed);
-  obs_steal_scan_.observe(proc, probed);
+  st.steal_scan.observe(probed);
   out.contended = busy;
   return out;
 }
@@ -402,6 +380,28 @@ SchedStats Scheduler::stats() const {
     acc.balance_commands += s.balance_commands.load(std::memory_order_relaxed);
     acc.balance_moves += s.balance_moves.load(std::memory_order_relaxed);
     acc.reserve_hits += s.reserve_hits.load(std::memory_order_relaxed);
+  });
+}
+
+void Scheduler::AtomicHist::fold_into(obs::HistData& h) const noexcept {
+  h.count += count.load(std::memory_order_relaxed);
+  h.sum += sum.load(std::memory_order_relaxed);
+  for (std::size_t b = 0; b < obs::kHistBuckets; ++b) {
+    h.buckets[b] += buckets[b].load(std::memory_order_relaxed);
+  }
+}
+
+SchedDetail Scheduler::detail() const {
+  SchedDetail d;
+  if (reserve_built_) d.reserve_hits_by_cluster.resize(machine_.n_clusters());
+  return stats_.aggregate(std::move(d), [](SchedDetail& acc,
+                                           const StatShard& s) {
+    s.steal_scan.fold_into(acc.steal_scan_victims);
+    s.run_length.fold_into(acc.affinity_run_length);
+    for (std::size_t c = 0; c < acc.reserve_hits_by_cluster.size(); ++c) {
+      acc.reserve_hits_by_cluster[c] +=
+          s.reserve_hits_by_cluster[c].load(std::memory_order_relaxed);
+    }
   });
 }
 

@@ -28,6 +28,7 @@
 // every placement and steal decision is unchanged.
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <deque>
@@ -68,6 +69,18 @@ struct SchedStats {
   std::uint64_t balance_commands = 0;  ///< Balancer commands executed.
   std::uint64_t balance_moves = 0;     ///< Tasks relocated by move commands.
   std::uint64_t reserve_hits = 0;      ///< Placements redirected by Reserve.
+};
+
+/// The scheduler counters kept out of SchedStats, which the adaptive engine
+/// reads every epoch: two log2 histograms and the reservation hits by
+/// cluster. Scheduler::detail() folds them; Runtime::obs_snapshot() names
+/// them.
+struct SchedDetail {
+  obs::HistData steal_scan_victims;   ///< Victims probed per steal scan.
+  obs::HistData affinity_run_length;  ///< Back-to-back runs of one set.
+  /// Placements the Reserve balancer redirected, by target cluster; empty
+  /// until a Reserve balancer has been built.
+  std::vector<std::uint64_t> reserve_hits_by_cluster;
 };
 
 class Scheduler {
@@ -120,12 +133,8 @@ class Scheduler {
 
   /// Aggregate the per-server stat shards into one snapshot.
   [[nodiscard]] SchedStats stats() const;
-
-  /// Register the scheduler's live metrics (steal-scan lengths, affinity-set
-  /// run lengths) with an obs registry whose shard count covers this
-  /// machine's processors. Call before any scheduling activity; un-attached,
-  /// the hooks are no-ops. The registry must outlive the scheduler.
-  void attach_obs(obs::Registry& reg);
+  /// Aggregate the shards' histograms and per-cluster reservation hits.
+  [[nodiscard]] SchedDetail detail() const;
 
   [[nodiscard]] const ServerQueues& queues(topo::ProcId p) const {
     return queues_.at(p);
@@ -181,8 +190,23 @@ class Scheduler {
   }
 
  private:
+  /// A log2 histogram (obs::HistData's buckets) of relaxed atomics.
+  struct AtomicHist {
+    std::atomic<std::uint64_t> count{0};
+    std::atomic<std::uint64_t> sum{0};
+    std::array<std::atomic<std::uint64_t>, obs::kHistBuckets> buckets{};
+
+    void observe(std::uint64_t v) noexcept {
+      count.fetch_add(1, std::memory_order_relaxed);
+      sum.fetch_add(v, std::memory_order_relaxed);
+      buckets[obs::HistData::bucket_of(v)].fetch_add(
+          1, std::memory_order_relaxed);
+    }
+    void fold_into(obs::HistData& h) const noexcept;
+  };
+
   /// One server's statistics shard; updated with relaxed atomics by whichever
-  /// thread performs the operation, summed by stats().
+  /// thread performs the operation, summed by stats() and detail().
   struct StatShard {
     std::atomic<std::uint64_t> spawned{0};
     std::atomic<std::uint64_t> placed_processor{0};
@@ -201,11 +225,16 @@ class Scheduler {
     std::atomic<std::uint64_t> balance_commands{0};
     std::atomic<std::uint64_t> balance_moves{0};
     std::atomic<std::uint64_t> reserve_hits{0};
+    AtomicHist steal_scan;  ///< Written by the acquiring processor.
+    AtomicHist run_length;  ///< Written by the acquiring processor.
+    /// Reservation hits by target cluster, on the spawner's shard.
+    std::vector<std::atomic<std::uint64_t>> reserve_hits_by_cluster;
   };
 
   /// Per-processor tracker of how many tasks of one affinity set ran
   /// back-to-back (paper §5's motivation for the queue array). Updated only
-  /// by the owning processor's acquire() calls, so no synchronisation.
+  /// by the owning processor's acquire() calls, so no synchronisation; a
+  /// finished run goes to the processor's run_length histogram.
   struct alignas(64) RunTrack {
     std::uint64_t key = 0;
     std::uint64_t len = 0;
@@ -230,11 +259,6 @@ class Scheduler {
   /// policy's kind. Single-threaded callers only (construction, and
   /// adapt_policy under the simulation engine).
   void rebuild_balancers();
-  /// Register the per-cluster reservation counters, lazily and only under
-  /// the Reserve policy: no other balancer gets a reserve_hits.cluster<k>
-  /// key. The sched.balance.* totals come from SchedStats, which
-  /// Runtime::obs_snapshot writes under every policy.
-  void register_balance_obs();
 
   const topo::MachineConfig& machine_;
   Policy policy_;
@@ -249,6 +273,9 @@ class Scheduler {
   std::vector<std::unique_ptr<Balancer>> balancers_;
   BalancerKind built_kind_ = BalancerKind::kStealing;
   ReserveBalancer* reserve_ = nullptr;
+  /// A Reserve balancer has been built at some point: detail() reports the
+  /// per-cluster hits from then on, and never under another balancer alone.
+  bool reserve_built_ = false;
   HotnessFn hotness_fn_;
   std::vector<CmdScratch> cmd_scratch_;  ///< One per processor.
 
@@ -264,15 +291,7 @@ class Scheduler {
   /// never iterated — lookup order cannot leak into scheduling) by place().
   std::unordered_set<std::uint64_t> promoted_ COOL_GUARDED_BY(override_m_);
 
-  // Optional obs instrumentation (detached no-ops until attach_obs()).
-  std::vector<RunTrack> run_track_;
-  obs::Histogram obs_steal_scan_;   ///< Victims probed per steal scan.
-  obs::Histogram obs_run_length_;   ///< Affinity-set back-to-back run lengths.
-  /// Per-level reservation counters, indexed by target cluster
-  /// ("sched.balance.reserve_hits.cluster<k>"); registered only under the
-  /// Reserve policy so default-policy output is untouched.
-  std::vector<obs::Counter> obs_reserve_hits_;
-  obs::Registry* obs_reg_ = nullptr;  ///< Remembered for lazy registration.
+  std::vector<RunTrack> run_track_;  ///< One per processor.
 };
 
 }  // namespace cool::sched

@@ -144,9 +144,11 @@ TEST(OceanMultigrid, RejectsTooManyLevels) {
   cfg.n = 32;
   cfg.grids = 1;
   cfg.steps = 1;
-  cfg.multigrid_levels = 4;  // 32 >> 4 = 2 < 8
-  Runtime rt = make_rt(4, cfg);
-  EXPECT_THROW(run(rt, cfg), util::Error);
+  for (const int levels : {4, 40}) {  // 32 >> 4 = 2 < 8; 40 > int's width
+    cfg.multigrid_levels = levels;
+    Runtime rt = make_rt(4, cfg);
+    EXPECT_THROW(run(rt, cfg), util::Error) << levels;
+  }
 }
 
 TEST(Ocean, Deterministic) {

@@ -1,4 +1,4 @@
-#include "core/trace.hpp"
+#include "obs/trace.hpp"
 
 #include <gtest/gtest.h>
 
@@ -7,10 +7,26 @@
 
 #include "core/cool.hpp"
 #include "obs/json.hpp"
-#include "obs/trace.hpp"
 
 namespace cool {
 namespace {
+
+using obs::render_trace_report;
+
+/// The task spans of `rt`'s trace, in trace_events() order.
+std::vector<obs::Event> task_spans(const Runtime& rt) {
+  std::vector<obs::Event> out;
+  for (const obs::Event& e : rt.trace_events()) {
+    if (e.kind == obs::EventKind::kTaskSpan) out.push_back(e);
+  }
+  return out;
+}
+
+bool ended(const obs::Event& e, std::uint8_t end) {
+  return obs::span_end(e.flags) == end;
+}
+
+bool stolen(const obs::Event& e) { return (e.flags & obs::kSpanStolen) != 0; }
 
 Runtime traced_rt(std::uint32_t procs) {
   SystemConfig sc;
@@ -36,7 +52,7 @@ TEST(Trace, DisabledByDefault) {
   sc.machine = topo::MachineConfig::dash(4);
   Runtime rt(sc);
   rt.run(fanout(8));
-  EXPECT_TRUE(rt.trace().empty());
+  EXPECT_TRUE(rt.trace_events().empty());
 }
 
 TEST(Trace, RecordsOneSpanPerResume) {
@@ -44,10 +60,10 @@ TEST(Trace, RecordsOneSpanPerResume) {
   rt.run(fanout(16));
   // 16 children complete in one span each; the root has >= 2 spans (it
   // blocks on the group wait).
-  const auto& tr = rt.trace();
+  const auto tr = task_spans(rt);
   std::uint64_t completed = 0;
   for (const auto& e : tr) {
-    if (e.how == TraceEvent::End::kCompleted) ++completed;
+    if (ended(e, obs::kSpanCompleted)) ++completed;
   }
   EXPECT_EQ(completed, 17u);
   EXPECT_GE(tr.size(), 18u);
@@ -58,7 +74,7 @@ TEST(Trace, SpansDoNotOverlapPerProcessor) {
   rt.run(fanout(64));
   std::map<topo::ProcId, std::vector<std::pair<std::uint64_t, std::uint64_t>>>
       by_proc;
-  for (const auto& e : rt.trace()) {
+  for (const auto& e : task_spans(rt)) {
     EXPECT_LE(e.start, e.end);
     by_proc[e.proc].push_back({e.start, e.end});
   }
@@ -75,7 +91,7 @@ TEST(Trace, BusyCyclesMatchUtilization) {
   Runtime rt = traced_rt(4);
   rt.run(fanout(32));
   std::vector<std::uint64_t> traced_busy(4, 0);
-  for (const auto& e : rt.trace()) traced_busy[e.proc] += e.end - e.start;
+  for (const auto& e : task_spans(rt)) traced_busy[e.proc] += e.end - e.start;
   const auto util = rt.utilization();
   for (int p = 0; p < 4; ++p) {
     EXPECT_EQ(traced_busy[static_cast<std::size_t>(p)],
@@ -87,9 +103,9 @@ TEST(Trace, StolenSpansFlagged) {
   Runtime rt = traced_rt(8);
   // Hint-free tasks spawned from one proc: most get stolen by idle procs.
   rt.run(fanout(32));
-  std::uint64_t stolen = 0;
-  for (const auto& e : rt.trace()) stolen += e.stolen ? 1 : 0;
-  EXPECT_GT(stolen, 0u);
+  std::uint64_t n_stolen = 0;
+  for (const auto& e : task_spans(rt)) n_stolen += stolen(e) ? 1 : 0;
+  EXPECT_GT(n_stolen, 0u);
 }
 
 TEST(Trace, BlockedSpanRecorded) {
@@ -111,8 +127,8 @@ TEST(Trace, BlockedSpanRecorded) {
     co_await c.wait(waitfor);
   }(&mu));
   bool saw_blocked = false;
-  for (const auto& e : rt.trace()) {
-    saw_blocked |= e.how == TraceEvent::End::kBlocked;
+  for (const auto& e : task_spans(rt)) {
+    saw_blocked |= ended(e, obs::kSpanBlocked);
   }
   EXPECT_TRUE(saw_blocked);
 }
@@ -121,7 +137,7 @@ TEST(Trace, ReportRendersAllProcessors) {
   Runtime rt = traced_rt(4);
   rt.run(fanout(32));
   const std::string report =
-      render_trace_report(rt.trace(), 4, rt.sim_time(), 32);
+      render_trace_report(rt.trace_events(), 4, rt.sim_time(), 32);
   for (const char* label : {"p0", "p1", "p2", "p3", "busy%", "timeline"}) {
     EXPECT_NE(report.find(label), std::string::npos) << label;
   }
@@ -173,10 +189,9 @@ TEST(Trace, ThreadEngineRecordsSpans) {
   }
   // 32 children + root complete exactly once each.
   EXPECT_EQ(completed, 33u);
-  // The legacy span view and the ASCII report still work under kThreads.
-  const auto& tr = rt.trace();
-  EXPECT_GE(tr.size(), 33u);
-  const std::string report = render_trace_report(tr, 4, 0, 32);
+  // The span view and the ASCII report work under kThreads too.
+  EXPECT_GE(task_spans(rt).size(), 33u);
+  const std::string report = render_trace_report(events, 4, 0, 32);
   EXPECT_NE(report.find("p0"), std::string::npos);
 }
 

@@ -112,10 +112,13 @@ TEST(BenchRecord, JsonIsByteStable) {
 
 TEST(BenchRecord, ValidatesAgainstSchema) {
   BenchRecord rec = demo_record();
-  Registry reg(2);
-  reg.counter("tasks").add(0, 42);
-  reg.histogram("run_len").observe(1, 3);
-  rec.set_obs(reg.snapshot());
+  Snapshot snap;
+  snap.values["tasks"] = 42;
+  HistData& run_len = snap.hists["run_len"];
+  run_len.count = 1;
+  run_len.sum = 3;
+  run_len.buckets[HistData::bucket_of(3)] = 1;
+  rec.set_obs(snap);
   const std::string text = rec.to_json();
   EXPECT_EQ(validate_bench_json(text), "") << text;
 

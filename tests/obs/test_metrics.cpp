@@ -3,92 +3,37 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <thread>
+#include <string>
 #include <vector>
 
-#include "common/error.hpp"
 #include "obs/json.hpp"
 
 namespace cool::obs {
 namespace {
 
-TEST(Registry, CounterAccumulatesAcrossShards) {
-  Registry reg(4);
-  Counter c = reg.counter("x");
-  c.add(0);
-  c.add(1, 10);
-  c.add(3, 100);
-  const Snapshot s = reg.snapshot();
-  EXPECT_EQ(s.values.at("x"), 111u);
-}
-
-TEST(Registry, SameNameReturnsSameMetric) {
-  Registry reg(2);
-  Counter a = reg.counter("hits");
-  Counter b = reg.counter("hits");
-  a.add(0, 5);
-  b.add(1, 7);
-  EXPECT_EQ(reg.snapshot().values.at("hits"), 12u);
-}
-
-TEST(Registry, KindMismatchThrows) {
-  Registry reg(2);
-  (void)reg.counter("m");
-  EXPECT_THROW((void)reg.gauge("m"), util::Error);
-  EXPECT_THROW((void)reg.histogram("m"), util::Error);
-}
-
-TEST(Registry, SlotCapacityExhaustionThrows) {
-  Registry reg(1, 4);
-  (void)reg.counter("a");
-  (void)reg.counter("b");
-  (void)reg.counter("c");
-  (void)reg.counter("d");
-  EXPECT_THROW((void)reg.counter("e"), util::Error);
-}
-
-TEST(Registry, HistogramNeedsFiftySlots) {
-  Registry reg(1, kHistBuckets + 2);
-  (void)reg.histogram("h");  // Exactly fits: count + sum + buckets.
-  EXPECT_THROW((void)reg.counter("one-more"), util::Error);
-}
-
-TEST(Registry, DetachedHandlesAreNoOps) {
-  Counter c;
-  Gauge g;
-  Histogram h;
-  EXPECT_FALSE(c.attached());
-  EXPECT_FALSE(g.attached());
-  EXPECT_FALSE(h.attached());
-  c.add(0, 5);       // Must not crash.
-  g.set(0, 5);
-  h.observe(0, 5);
-}
-
-TEST(Registry, GaugeSumsLastValuePerShard) {
-  Registry reg(3);
-  Gauge g = reg.gauge("depth");
-  g.set(0, 10);
-  g.set(0, 3);  // Overwrites shard 0.
-  g.set(2, 4);
-  EXPECT_EQ(reg.snapshot().values.at("depth"), 7u);
+/// Add one sample under HistData's bucket rule.
+void observe(HistData& h, std::uint64_t v) {
+  ++h.count;
+  h.sum += v;
+  ++h.buckets[HistData::bucket_of(v)];
 }
 
 TEST(Histogram, BucketBoundaries) {
-  Registry reg(1);
-  Histogram h = reg.histogram("lat");
-  h.observe(0, 0);  // bucket 0
-  h.observe(0, 1);  // bucket 1: [1,2)
-  h.observe(0, 2);  // bucket 2: [2,4)
-  h.observe(0, 3);  // bucket 2
-  h.observe(0, 4);  // bucket 3: [4,8)
-  const HistData d = reg.snapshot().hists.at("lat");
+  HistData d;
+  observe(d, 0);  // bucket 0
+  observe(d, 1);  // bucket 1: [1,2)
+  observe(d, 2);  // bucket 2: [2,4)
+  observe(d, 3);  // bucket 2
+  observe(d, 4);  // bucket 3: [4,8)
   EXPECT_EQ(d.count, 5u);
   EXPECT_EQ(d.sum, 10u);
   EXPECT_EQ(d.buckets[0], 1u);
   EXPECT_EQ(d.buckets[1], 1u);
   EXPECT_EQ(d.buckets[2], 2u);
   EXPECT_EQ(d.buckets[3], 1u);
+  // The last bucket takes everything above its lower edge.
+  EXPECT_EQ(HistData::bucket_of(1ull << 46), kHistBuckets - 1);
+  EXPECT_EQ(HistData::bucket_of(~0ull), kHistBuckets - 1);
 }
 
 TEST(Histogram, QuantileReturnsBucketUpperEdge) {
@@ -104,21 +49,20 @@ TEST(Histogram, QuantileReturnsBucketUpperEdge) {
 TEST(Histogram, QuantileTakesNearestRank) {
   // The ceil(q*n)-th sample, as LatencyHist does: p50 of {1, 100, 100} is a
   // 100, and p95 of nine 3s and one 1000 is the 1000.
-  Registry reg(1);
-  Histogram h = reg.histogram("lat");
-  for (const std::uint64_t v : {1, 100, 100}) h.observe(0, v);
-  EXPECT_EQ(reg.snapshot().hists.at("lat").quantile(0.50), 128u);
-  Histogram g = reg.histogram("tail");
-  for (int i = 0; i < 9; ++i) g.observe(0, 3);
-  g.observe(0, 1000);
-  EXPECT_EQ(reg.snapshot().hists.at("tail").quantile(0.95), 1024u);
+  HistData h;
+  for (const std::uint64_t v : {1, 100, 100}) observe(h, v);
+  EXPECT_EQ(h.quantile(0.50), 128u);
+  HistData g;
+  for (int i = 0; i < 9; ++i) observe(g, 3);
+  observe(g, 1000);
+  EXPECT_EQ(g.quantile(0.95), 1024u);
 }
 
 TEST(Snapshot, ToJsonParses) {
-  Registry reg(2);
-  reg.counter("a \"quoted\" name").add(0, 3);
-  reg.histogram("h").observe(1, 1000);
-  const std::string text = reg.snapshot().to_json();
+  Snapshot s;
+  s.values["a \"quoted\" name"] = 3;
+  observe(s.hists["h"], 1000);
+  const std::string text = s.to_json();
   json::Value v;
   std::string err;
   ASSERT_TRUE(json::parse(text, v, &err)) << err << "\n" << text;
@@ -127,64 +71,6 @@ TEST(Snapshot, ToJsonParses) {
   ASSERT_TRUE(v.find("hists")->is_object());
   EXPECT_EQ(v.find("hists")->find("h")->find("count")->num, 1.0);
 }
-
-// --- Concurrency: the reason the registry is sharded ------------------------
-
-class RegistryConcurrency : public ::testing::TestWithParam<std::size_t> {};
-
-TEST_P(RegistryConcurrency, ConcurrentIncrementsAreExact) {
-  const std::size_t n_shards = GetParam();
-  Registry reg(n_shards);
-  Counter c = reg.counter("ops");
-  Histogram h = reg.histogram("size");
-  constexpr std::uint64_t kPerThread = 20000;
-
-  std::vector<std::thread> writers;
-  for (std::size_t s = 0; s < n_shards; ++s) {
-    writers.emplace_back([&, s] {
-      for (std::uint64_t i = 0; i < kPerThread; ++i) {
-        c.add(s);
-        h.observe(s, i & 0xff);
-      }
-    });
-  }
-  // A concurrent reader: every snapshot must be internally consistent enough
-  // that counters only grow (per-slot atomicity).
-  std::uint64_t last = 0;
-  for (int i = 0; i < 50; ++i) {
-    const std::uint64_t now = reg.snapshot().values.at("ops");
-    EXPECT_GE(now, last);
-    last = now;
-  }
-  for (auto& t : writers) t.join();
-
-  const Snapshot s = reg.snapshot();
-  EXPECT_EQ(s.values.at("ops"), kPerThread * n_shards);
-  EXPECT_EQ(s.hists.at("size").count, kPerThread * n_shards);
-}
-
-TEST_P(RegistryConcurrency, ConcurrentRegistrationIsIdempotent) {
-  const std::size_t n_shards = GetParam();
-  Registry reg(n_shards);
-  std::vector<std::thread> threads;
-  for (std::size_t s = 0; s < n_shards; ++s) {
-    threads.emplace_back([&, s] {
-      for (int i = 0; i < 100; ++i) {
-        reg.counter("shared").add(s);
-        reg.counter("own." + std::to_string(s)).add(s);
-      }
-    });
-  }
-  for (auto& t : threads) t.join();
-  const Snapshot s = reg.snapshot();
-  EXPECT_EQ(s.values.at("shared"), 100u * n_shards);
-  for (std::size_t i = 0; i < n_shards; ++i) {
-    EXPECT_EQ(s.values.at("own." + std::to_string(i)), 100u);
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(ShardCounts, RegistryConcurrency,
-                         ::testing::Values(1, 2, 4, 8));
 
 TEST(NaturalKeyLessTest, DigitRunsCompareAsIntegers) {
   const NaturalKeyLess lt;

@@ -391,7 +391,8 @@ TEST(Advisor, NamesMisHomedObjectAndSplitSet) {
   set.s.remote_stall_cycles = 80000;
   p.sets.push_back(set);
 
-  const std::vector<obs::Advice> advice = obs::advise(p, obs::Snapshot{});
+  const std::vector<obs::Advice> advice =
+      obs::advise(p, obs::advisor::Signals{});
   ASSERT_EQ(advice.size(), 2u);
 
   // Sorted by weight: the object's 110k remote-stall outranks the set's 90k.
@@ -426,7 +427,7 @@ TEST(Advisor, SplitTaskAffinitySetSuggestsWholeSetStealing) {
   set.s.stall_cycles = 5000;
   p.sets.push_back(set);
 
-  const auto advice = obs::advise(p, obs::Snapshot{});
+  const auto advice = obs::advise(p, obs::advisor::Signals{});
   ASSERT_EQ(advice.size(), 1u);
   EXPECT_EQ(advice[0].kind, obs::AdviceKind::kWholeSetStealing);
   EXPECT_EQ(advice[0].subject, "col[7]");
@@ -442,16 +443,16 @@ TEST(Advisor, QuietProfileYieldsNoAdvice) {
   o.s.reads = 10;  // Below min_misses; no misses at all.
   o.s.serviced[0] = 10;
   p.objects.push_back(o);
-  EXPECT_TRUE(obs::advise(p, obs::Snapshot{}).empty());
+  EXPECT_TRUE(obs::advise(p, obs::advisor::Signals{}).empty());
   EXPECT_NE(obs::advice_report({}).find("no advice"), std::string::npos);
 }
 
 TEST(Advisor, FlagsStealStormAndIdleImbalance) {
-  obs::Snapshot m;
-  m.values["sched.failed_steal_scans"] = 10000;
-  m.values["sched.steals"] = 100;
-  m.values["proc.busy_cycles"] = 1000;
-  m.values["proc.idle_cycles"] = 9000;
+  obs::advisor::Signals m;
+  m.failed_steal_scans = 10000;
+  m.steals = 100;
+  m.busy_cycles = 1000;
+  m.idle_cycles = 9000;
   const auto advice = obs::advise(obs::ProfileSnapshot{}, m);
   ASSERT_EQ(advice.size(), 2u);
   EXPECT_EQ(advice[0].kind, obs::AdviceKind::kStealStorm);
@@ -492,7 +493,7 @@ TEST(ProfilerLive, MisHomedObjectGetsMigrateAdvice) {
   EXPECT_EQ(p.objects[0].name, "hot");
   EXPECT_GT(p.objects[0].s.misses(), 64u);
 
-  const auto advice = obs::advise(p, rt.obs_snapshot());
+  const auto advice = obs::advise(p, rt.advisor_signals());
   bool migrate_hot = false;
   for (const auto& a : advice) {
     if (a.kind == obs::AdviceKind::kMigrateObject && a.subject == "hot") {
@@ -613,9 +614,36 @@ TEST(ProfilerLive, TaskAffinitySetsAreAttributed) {
   EXPECT_TRUE(task_object_row);
 }
 
-// The engine's typed signals are built straight from their sources; the
-// offline advisor reads the same fields out of obs_snapshot(). They must
-// agree at every point of a run, channel counters included.
+/// The Signals fields as obs_snapshot() names them (absent keys read as 0).
+obs::advisor::Signals signals_by_key(const obs::Snapshot& m) {
+  const auto value_of = [&m](const std::string& name) -> std::uint64_t {
+    const auto it = m.values.find(name);
+    return it == m.values.end() ? 0 : it->second;
+  };
+  obs::advisor::Signals s;
+  s.failed_steal_scans = value_of("sched.failed_steal_scans");
+  s.steals = value_of("sched.steals");
+  s.busy_cycles = value_of("proc.busy_cycles");
+  s.idle_cycles = value_of("proc.idle_cycles");
+  s.queue_max_now = value_of("sched.queue.max_now");
+  s.span = value_of("sim.time");
+  s.chan_busy.resize(value_of("mem.chan.count"));
+  for (std::size_t i = 0; i < s.chan_busy.size(); ++i) {
+    s.chan_busy[i] =
+        value_of("mem.chan." + std::to_string(i) + ".busy_cycles");
+  }
+  s.chan_busy_total = value_of("mem.chan.busy_cycles");
+  s.chan_queue_full_stalls = value_of("mem.chan.queue_full_stalls");
+  s.chan_row_hits = value_of("mem.chan.row_hits");
+  s.chan_row_misses = value_of("mem.chan.row_misses");
+  s.chan_row_conflicts = value_of("mem.chan.row_conflicts");
+  return s;
+}
+
+// The engine's typed signals are built straight from their sources, and
+// obs_snapshot() names the same counters. Read back by key, the snapshot
+// must agree with the signals at every point of a run, channel counters
+// included.
 TEST(AdvisorSignals, LiveSignalsEqualTheSnapshotConverter) {
   SystemConfig cfg;
   cfg.machine = topo::MachineConfig::dash(8);
@@ -626,8 +654,7 @@ TEST(AdvisorSignals, LiveSignalsEqualTheSnapshotConverter) {
 
   int checks = 0;
   const std::function<void()> check = [&rt, &checks] {
-    EXPECT_EQ(rt.advisor_signals(),
-              obs::advisor::signals_from(rt.obs_snapshot()));
+    EXPECT_EQ(rt.advisor_signals(), signals_by_key(rt.obs_snapshot()));
     ++checks;
   };
   check();  // Before any run.

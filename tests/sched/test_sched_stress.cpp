@@ -118,6 +118,10 @@ TEST(SchedStress, ConcurrentPlaceAcquireExactlyOnce) {
   // steal return. (pops + tasks_stolen would double-count: a whole-set steal
   // adopts the set remainder into the thief's queue, where it is popped.)
   EXPECT_EQ(ss.pops + ss.steals, kTotal);
+  // Each steal scan, successful or not, lands once in its thief's histogram.
+  const SchedDetail d = s.detail();
+  EXPECT_EQ(d.steal_scan_victims.count, ss.steals + ss.failed_steal_scans);
+  EXPECT_TRUE(d.reserve_hits_by_cluster.empty());
 }
 
 // Pre-placed task-affinity sets drained by concurrent, stealing consumers.
@@ -418,7 +422,80 @@ TEST(SchedStress, ConcurrentReserveBalancerExactlyOnce) {
   const SchedStats ss = s.stats();
   EXPECT_EQ(ss.spawned, kTotal);
   EXPECT_GT(ss.reserve_hits, 0u) << "the hotness table never fired";
+  const SchedDetail d = s.detail();
+  EXPECT_EQ(d.steal_scan_victims.count, ss.steals + ss.failed_steal_scans);
+  ASSERT_EQ(d.reserve_hits_by_cluster.size(), machine.n_clusters());
+  std::uint64_t by_cluster = 0;
+  for (const std::uint64_t hits : d.reserve_hits_by_cluster) {
+    by_cluster += hits;
+  }
+  EXPECT_EQ(by_cluster, ss.reserve_hits);
 }
+
+// The shard counters and histograms under concurrent writers and a
+// concurrent reader, across machine sizes: detail() and stats() read while
+// consumers steal only ever grow, and once the run ends every steal scan
+// has landed exactly once in its thief's histogram.
+class SchedDetailConcurrency
+    : public ::testing::TestWithParam<std::uint32_t> {};
+
+TEST_P(SchedDetailConcurrency, ConcurrentScansAreCountedExactly) {
+  const std::uint32_t n_procs = GetParam();
+  const std::size_t total = 1000 * static_cast<std::size_t>(n_procs);
+  const topo::MachineConfig machine = topo::MachineConfig::dash(n_procs);
+  Policy pol;
+  pol.steal_object_tasks = true;
+  Scheduler s(machine, pol, [&](std::uint64_t a, topo::ProcId) {
+    return flat_home(a, n_procs);
+  });
+
+  std::vector<TaskDesc> tasks(total);
+  std::vector<std::atomic<int>> seen(total);
+  for (std::size_t i = 0; i < total; ++i) {
+    tasks[i].seq = i;
+    const std::uint64_t obj = 0x100000ull + (i % 8) * 4096;
+    tasks[i].aff = i % 2 == 0 ? Affinity::task(reinterpret_cast<void*>(obj))
+                              : Affinity::none();
+  }
+
+  std::atomic<std::size_t> acquired{0};
+  std::vector<std::vector<LogEntry>> logs(n_procs);
+  std::vector<std::thread> threads;
+  threads.emplace_back([&] {
+    for (std::size_t i = 0; i < total; ++i) s.place(&tasks[i], 0);
+  });
+  for (std::uint32_t p = 0; p < n_procs; ++p) {
+    threads.emplace_back([&, p] {
+      consume(s, static_cast<topo::ProcId>(p), acquired, total, seen,
+              logs[p]);
+    });
+  }
+  std::uint64_t last_scans = 0;
+  std::uint64_t last_runs = 0;
+  while (acquired.load() < total) {
+    const SchedDetail d = s.detail();
+    EXPECT_GE(d.steal_scan_victims.count, last_scans);
+    EXPECT_GE(d.affinity_run_length.count, last_runs);
+    last_scans = d.steal_scan_victims.count;
+    last_runs = d.affinity_run_length.count;
+    std::this_thread::yield();
+  }
+  for (auto& t : threads) t.join();
+
+  for (std::size_t i = 0; i < total; ++i) {
+    EXPECT_EQ(seen[i].load(), 1) << "task " << i << " lost or duplicated";
+  }
+  const SchedStats ss = s.stats();
+  const SchedDetail d = s.detail();
+  EXPECT_EQ(ss.pops + ss.steals, total);
+  EXPECT_EQ(d.steal_scan_victims.count, ss.steals + ss.failed_steal_scans);
+  std::uint64_t in_buckets = 0;
+  for (const std::uint64_t b : d.steal_scan_victims.buckets) in_buckets += b;
+  EXPECT_EQ(in_buckets, d.steal_scan_victims.count);
+}
+
+INSTANTIATE_TEST_SUITE_P(ShardCounts, SchedDetailConcurrency,
+                         ::testing::Values(1, 2, 4, 8));
 
 }  // namespace
 }  // namespace cool::sched
