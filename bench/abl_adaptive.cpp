@@ -84,10 +84,8 @@ int main(int argc, char** argv) {
   ocfg.steps = quick ? 3 : static_cast<int>(opt.get_int("steps"));
 
   bench::Report rep(opt);
-  if (rep.text()) {
-    std::printf("# Adaptive runtime ablation, P=%u (gauss n=%d, ocean n=%d)\n",
-                procs, gcfg.n, ocfg.n);
-  }
+  std::printf("# Adaptive runtime ablation, P=%u (gauss n=%d, ocean n=%d)\n",
+              procs, gcfg.n, ocfg.n);
   util::Table t({"app", "version", "cycles(M)", "local-miss%", "stolen",
                  "decisions"});
 
@@ -161,14 +159,12 @@ int main(int argc, char** argv) {
   rep.table(t);
   const double g_rec = recovered_frac(g_plain, g_hint, g_adapt);
   const double o_rec = recovered_frac(o_plain, o_hint, o_adapt);
-  if (rep.text()) {
-    std::printf(
-        "\nshape: adapt recovers %.0f%% of the gauss hand-hint speedup, "
-        "%.0f%% of ocean's (%llu + %llu decisions)\n",
-        100.0 * g_rec, 100.0 * o_rec,
-        static_cast<unsigned long long>(g_dec),
-        static_cast<unsigned long long>(o_dec));
-  }
+  std::printf(
+      "\nshape: adapt recovers %.0f%% of the gauss hand-hint speedup, "
+      "%.0f%% of ocean's (%llu + %llu decisions)\n",
+      100.0 * g_rec, 100.0 * o_rec,
+      static_cast<unsigned long long>(g_dec),
+      static_cast<unsigned long long>(o_dec));
   rep.shape("gauss_recovered_frac", g_rec);
   rep.shape("ocean_recovered_frac", o_rec);
   rep.shape("gauss_decisions", static_cast<double>(g_dec));

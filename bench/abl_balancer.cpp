@@ -97,12 +97,10 @@ int main(int argc, char** argv) {
   ocfg.variant = apps::ocean::Variant::kAffOnly;  // No distribute() step.
 
   bench::Report rep(opt);
-  if (rep.text()) {
-    std::printf(
-        "# Balancer ablation, P=%u (gauss n=%d undistributed, ocean n=%d "
-        "undistributed)\n",
-        procs, gcfg.n, ocfg.n);
-  }
+  std::printf(
+      "# Balancer ablation, P=%u (gauss n=%d undistributed, ocean n=%d "
+      "undistributed)\n",
+      procs, gcfg.n, ocfg.n);
   util::Table t({"app", "balancer", "cycles(M)", "local-miss%", "steals",
                  "moved", "reserved"});
 
@@ -148,15 +146,13 @@ int main(int argc, char** argv) {
   }
 
   rep.table(t);
-  if (rep.text()) {
-    std::printf(
-        "\nshape: reserve services %.0f%% of ocean misses locally vs %.0f%% "
-        "under flat stealing (%llu reservations); gauss %.0f%% vs %.0f%% "
-        "(%llu)\n",
-        100.0 * o_local[2], 100.0 * o_local[0],
-        static_cast<unsigned long long>(o_reserved), 100.0 * g_local[2],
-        100.0 * g_local[0], static_cast<unsigned long long>(g_reserved));
-  }
+  std::printf(
+      "\nshape: reserve services %.0f%% of ocean misses locally vs %.0f%% "
+      "under flat stealing (%llu reservations); gauss %.0f%% vs %.0f%% "
+      "(%llu)\n",
+      100.0 * o_local[2], 100.0 * o_local[0],
+      static_cast<unsigned long long>(o_reserved), 100.0 * g_local[2],
+      100.0 * g_local[0], static_cast<unsigned long long>(g_reserved));
   rep.shape("ocean_stealing_local_frac", o_local[0]);
   rep.shape("ocean_average_local_frac", o_local[1]);
   rep.shape("ocean_reserve_local_frac", o_local[2]);

@@ -31,10 +31,8 @@ int main(int argc, char** argv) {
   const auto procs = static_cast<std::uint32_t>(opt.get_int("procs"));
 
   bench::Report rep(opt);
-  if (rep.text()) {
-    std::printf("# Ocean %dx%d at P=%u, local memory fixed at 30 cycles\n",
-                cfg.n, cfg.n, procs);
-  }
+  std::printf("# Ocean %dx%d at P=%u, local memory fixed at 30 cycles\n",
+              cfg.n, cfg.n, procs);
   util::Table t({"remote-lat", "ratio", "Base(Mcyc)", "Distr+Aff(Mcyc)",
                  "affinity-benefit%"});
   for (std::uint32_t remote : {30u, 60u, 120u, 240u, 480u}) {

@@ -190,14 +190,12 @@ int main(int argc, char** argv) {
             : sizeof kLoads / sizeof kLoads[0];
 
   bench::Report rep(opt);
-  if (rep.text()) {
-    std::printf(
-        "# mem-channel ablation, P=%u (W=%d theta=%.2f, %llu req/cell, "
-        "capacity %.3f req/kcycle; ddr: %u chan/cluster burst=%u)\n",
-        procs, cfg.warehouses, theta,
-        static_cast<unsigned long long>(cfg.arrivals.n_requests), capacity,
-        ddr.channels_per_cluster, ddr.timing.t_burst);
-  }
+  std::printf(
+      "# mem-channel ablation, P=%u (W=%d theta=%.2f, %llu req/cell, "
+      "capacity %.3f req/kcycle; ddr: %u chan/cluster burst=%u)\n",
+      procs, cfg.warehouses, theta,
+      static_cast<unsigned long long>(cfg.arrivals.n_requests), capacity,
+      ddr.channels_per_cluster, ddr.timing.t_burst);
   util::Table t({"load", "mem", "balancer", "p50(kcyc)", "p99(kcyc)", "ratio",
                  "peak-chan%", "rowhit%", "qfull"});
 
@@ -358,31 +356,29 @@ int main(int argc, char** argv) {
       knee = li;
     }
   }
-  if (rep.text()) {
-    std::printf(
-        "\nshape: at %.1fx capacity p99 is %.2f kcyc flat vs %.2f kcyc ddr "
-        "(%.1fx divergence, hot channel %.0f%% busy); at %.1fx the medians "
-        "agree (p50 %.2f vs %.2f)\n",
-        loads[knee], p99_flat[knee] / 1e3, p99_ddr[knee] / 1e3, divergence,
-        100.0 * ddr_peak_sat[knee], loads[0], p50_flat[0] / 1e3,
-        p50_ddr[0] / 1e3);
-    std::printf(
-        "shape: blind ddr p99 %.2f kcyc vs flat %.2f; +adapt (target %.2f "
-        "kcyc) reaches %.2f kcyc, %llu bandwidth-bound decisions (first "
-        "escalation %s)\n",
-        p99_hot_ddr / 1e3, p99_hot_flat / 1e3,
-        static_cast<double>(target) / 1e3, p99_hot_ddr_adapt / 1e3,
-        static_cast<unsigned long long>(bandwidth_decisions),
-        first_decision_bandwidth != 0.0 ? "distribute" : "other");
-    if (!adapt_log.empty()) {
-      std::printf("\n== blind+adapt decisions (%zu) ==\n", adapt_log.size());
-      for (const adaptive::Decision& d : adapt_log) {
-        std::printf("  epoch %llu @%llu [%s] %s: %s\n",
-                    static_cast<unsigned long long>(d.epoch),
-                    static_cast<unsigned long long>(d.cycle),
-                    obs::advice_kind_name(d.rule), d.subject.c_str(),
-                    d.action.c_str());
-      }
+  std::printf(
+      "\nshape: at %.1fx capacity p99 is %.2f kcyc flat vs %.2f kcyc ddr "
+      "(%.1fx divergence, hot channel %.0f%% busy); at %.1fx the medians "
+      "agree (p50 %.2f vs %.2f)\n",
+      loads[knee], p99_flat[knee] / 1e3, p99_ddr[knee] / 1e3, divergence,
+      100.0 * ddr_peak_sat[knee], loads[0], p50_flat[0] / 1e3,
+      p50_ddr[0] / 1e3);
+  std::printf(
+      "shape: blind ddr p99 %.2f kcyc vs flat %.2f; +adapt (target %.2f "
+      "kcyc) reaches %.2f kcyc, %llu bandwidth-bound decisions (first "
+      "escalation %s)\n",
+      p99_hot_ddr / 1e3, p99_hot_flat / 1e3,
+      static_cast<double>(target) / 1e3, p99_hot_ddr_adapt / 1e3,
+      static_cast<unsigned long long>(bandwidth_decisions),
+      first_decision_bandwidth != 0.0 ? "distribute" : "other");
+  if (!adapt_log.empty()) {
+    std::printf("\n== blind+adapt decisions (%zu) ==\n", adapt_log.size());
+    for (const adaptive::Decision& d : adapt_log) {
+      std::printf("  epoch %llu @%llu [%s] %s: %s\n",
+                  static_cast<unsigned long long>(d.epoch),
+                  static_cast<unsigned long long>(d.cycle),
+                  obs::advice_kind_name(d.rule), d.subject.c_str(),
+                  d.action.c_str());
     }
   }
   rep.shape("p50_flat_low", p50_flat[0]);

@@ -35,12 +35,10 @@ int main(int argc, char** argv) {
   cfg.tasks_per_pair = static_cast<int>(opt.get_int("tasks-per-pair"));
 
   bench::Report rep(opt);
-  if (rep.text()) {
-    std::printf(
-        "# %d pairs (%zu KiB + %zu KiB on different homes), %d tasks/pair, "
-        "P=%u\n",
-        cfg.pairs, cfg.small_kb, cfg.large_kb, cfg.tasks_per_pair, procs);
-  }
+  std::printf(
+      "# %d pairs (%zu KiB + %zu KiB on different homes), %d tasks/pair, "
+      "P=%u\n",
+      cfg.pairs, cfg.small_kb, cfg.large_kb, cfg.tasks_per_pair, procs);
 
   util::Table t({"strategy", "cycles(K)", "local-miss%", "stall(Kcyc)",
                  "prefetched-lines"});

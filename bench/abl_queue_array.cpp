@@ -33,11 +33,9 @@ int main(int argc, char** argv) {
   cfg.hint = Hint::kTaskObject;
 
   bench::Report rep(opt);
-  if (rep.text()) {
-    std::printf(
-        "# TaskMix: %d objects x %zu KiB, %d tasks/object, TASK+OBJECT, P=%u\n",
-        cfg.objects, cfg.obj_kb, cfg.tasks_per_obj, procs);
-  }
+  std::printf(
+      "# TaskMix: %d objects x %zu KiB, %d tasks/object, TASK+OBJECT, P=%u\n",
+      cfg.objects, cfg.obj_kb, cfg.tasks_per_obj, procs);
 
   util::Table t({"array-size", "cycles(K)", "L1-hit%", "misses(K)"});
   auto add_row = [&](const std::string& label, const Config& c,

@@ -30,10 +30,8 @@ int main(int argc, char** argv) {
   const int total_width = static_cast<int>(opt.get_int("total-width"));
 
   bench::Report rep(opt);
-  if (rep.text()) {
-    std::printf("# LocusRoute, %d wires over %d cells width, P=%u\n",
-                total_wires, total_width, procs);
-  }
+  std::printf("# LocusRoute, %d wires over %d cells width, P=%u\n",
+              total_wires, total_width, procs);
   util::Table t({"regions", "region-w", "cycles(M)", "adherence%", "L1-hit%",
                  "busy-imbalance%"});
   for (int mult : {-2, 1, 2, 4, 8}) {  // -2 encodes P/2

@@ -140,14 +140,12 @@ int main(int argc, char** argv) {
   const double hot_theta = thetas[n_thetas - 1];
 
   bench::Report rep(opt);
-  if (rep.text()) {
-    std::printf(
-        "# txn skew ablation, P=%u (W=%d D=%d, %llu req/cell, %.2fx capacity "
-        "= %.3f req/kcycle)\n",
-        procs, cfg.warehouses, cfg.districts,
-        static_cast<unsigned long long>(cfg.arrivals.n_requests),
-        opt.get_double("load-frac"), cfg.arrivals.rate_per_kcycle);
-  }
+  std::printf(
+      "# txn skew ablation, P=%u (W=%d D=%d, %llu req/cell, %.2fx capacity "
+      "= %.3f req/kcycle)\n",
+      procs, cfg.warehouses, cfg.districts,
+      static_cast<unsigned long long>(cfg.arrivals.n_requests),
+      opt.get_double("load-frac"), cfg.arrivals.rate_per_kcycle);
   util::Table t({"theta", "balancer", "p50(kcyc)", "p99(kcyc)", "ratio",
                  "local-miss%", "steals", "moved", "hot%"});
 
@@ -296,29 +294,27 @@ int main(int argc, char** argv) {
     if (recovered < 0.0) recovered = 0.0;
     if (recovered > 1.0) recovered = 1.0;
   }
-  if (rep.text()) {
-    std::printf(
-        "\nshape: at theta=%.2f p99 is %.2f kcyc under stealing vs %.2f "
-        "average, %.2f reserve; steal+adapt (target %.2f kcyc) reaches %.2f "
-        "kcyc — %.0f%% of the skew penalty recovered (%llu decisions)\n",
-        hot_theta, p99_hot[0] / 1e3, p99_hot[1] / 1e3, p99_hot[2] / 1e3,
-        static_cast<double>(target) / 1e3, p99_adapt / 1e3, 100.0 * recovered,
-        static_cast<unsigned long long>(decisions));
-    std::printf(
-        "shape: placement-blind p99 %.2f kcyc; blind+adapt %.2f kcyc via "
-        "%llu rehomes (first decision %s)\n",
-        p99_blind / 1e3, p99_blind_adapt / 1e3,
-        static_cast<unsigned long long>(blind_rehomes),
-        blind_first_migration != 0.0 ? "migration" : "balancer-ladder");
-    if (!blind_log.empty()) {
-      std::printf("\n== blind+adapt decisions (%zu) ==\n", blind_log.size());
-      for (const adaptive::Decision& d : blind_log) {
-        std::printf("  epoch %llu @%llu [%s] %s: %s\n",
-                    static_cast<unsigned long long>(d.epoch),
-                    static_cast<unsigned long long>(d.cycle),
-                    obs::advice_kind_name(d.rule), d.subject.c_str(),
-                    d.action.c_str());
-      }
+  std::printf(
+      "\nshape: at theta=%.2f p99 is %.2f kcyc under stealing vs %.2f "
+      "average, %.2f reserve; steal+adapt (target %.2f kcyc) reaches %.2f "
+      "kcyc — %.0f%% of the skew penalty recovered (%llu decisions)\n",
+      hot_theta, p99_hot[0] / 1e3, p99_hot[1] / 1e3, p99_hot[2] / 1e3,
+      static_cast<double>(target) / 1e3, p99_adapt / 1e3, 100.0 * recovered,
+      static_cast<unsigned long long>(decisions));
+  std::printf(
+      "shape: placement-blind p99 %.2f kcyc; blind+adapt %.2f kcyc via "
+      "%llu rehomes (first decision %s)\n",
+      p99_blind / 1e3, p99_blind_adapt / 1e3,
+      static_cast<unsigned long long>(blind_rehomes),
+      blind_first_migration != 0.0 ? "migration" : "balancer-ladder");
+  if (!blind_log.empty()) {
+    std::printf("\n== blind+adapt decisions (%zu) ==\n", blind_log.size());
+    for (const adaptive::Decision& d : blind_log) {
+      std::printf("  epoch %llu @%llu [%s] %s: %s\n",
+                  static_cast<unsigned long long>(d.epoch),
+                  static_cast<unsigned long long>(d.cycle),
+                  obs::advice_kind_name(d.rule), d.subject.c_str(),
+                  d.action.c_str());
     }
   }
   rep.shape("p99_uniform", p99_uniform);

@@ -68,10 +68,8 @@ int main(int argc, char** argv) {
   }
 
   bench::Report rep(opt);
-  if (rep.text()) {
-    std::printf("# Panel Cholesky (%d panels), Distr+Aff hints, P=%u\n",
-                cfg.n_panels, procs);
-  }
+  std::printf("# Panel Cholesky (%d panels), Distr+Aff hints, P=%u\n",
+              cfg.n_panels, procs);
   util::Table t({"policy", "cycles(M)", "local-miss%", "steals",
                  "remote-cluster", "tasks-stolen"});
   for (const Row& row : rows) {

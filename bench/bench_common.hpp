@@ -2,10 +2,10 @@
 //
 // Every bench prints (a) the paper series it reproduces, as a fixed-width
 // table, and (b) a short "shape" summary (who wins, by how much) that
-// EXPERIMENTS.md compares against the paper's reported results. With --json
-// the same series/shape data is emitted instead as a schema-versioned
-// cool-bench/1 record (obs/bench_json.hpp) that bench/runner collects and
-// diffs; route both paths through a bench::Report so they cannot drift.
+// EXPERIMENTS.md compares against the paper's reported results. A
+// bench::Report builds the same series/shape data into a schema-versioned
+// cool-bench/1 record (obs/bench_json.hpp) as it prints, and --json-out
+// writes that record beside the text for bench/runner to read.
 #pragma once
 
 #include <cstdint>
@@ -29,15 +29,6 @@
 #include "obs/profiler.hpp"
 
 namespace cool::bench {
-
-/// Compiled-in sanitizer name (set by CMake when COOL_SANITIZE is active);
-/// recorded in every JSON record so runner --compare can refuse to treat
-/// sanitized numbers as performance data.
-#ifdef COOL_SANITIZE_NAME
-inline constexpr const char* kSanitizerName = COOL_SANITIZE_NAME;
-#else
-inline constexpr const char* kSanitizerName = "none";
-#endif
 
 /// Parse a --mem-backend spec: "" or "flat" (the paper's fixed-latency
 /// model, the default) or "ddr[:config.json]" for the contended channel
@@ -141,20 +132,18 @@ inline util::Options standard_options(const std::string& name,
               kMaxProcs);
   opt.add_int("procs", 32, "processor count for fixed-P experiments", 1,
               kMaxProcs);
-  opt.add_flag("csv", "emit tables as CSV instead of aligned text");
-  opt.add_flag("json", "emit a cool-bench/1 JSON record instead of text");
   opt.add_string("json-out", "",
-                 "write the JSON record to this file or directory "
-                 "(default: stdout; implies --json)");
+                 "also write the cool-bench/1 JSON record to this file or "
+                 "directory");
   opt.add_optional_string(
       "profile",
-      "attach the locality profiler to the headline run; text mode appends "
-      "the per-object/per-set report, json mode embeds a 'profile' block. "
+      "attach the locality profiler to the headline run; appends the "
+      "per-object/per-set report and embeds a 'profile' block in the record. "
       "--profile=<path> additionally writes the profile JSON there");
   opt.add_flag("race-check",
                "attach the happens-before race detector to the headline run; "
-               "text mode appends the race report, json mode records the "
-               "count (passive: simulated cycles are unchanged)");
+               "appends the race report and records the count (passive: "
+               "simulated cycles are unchanged)");
   opt.add_optional_string(
       "adapt",
       "attach the online adaptive locality runtime to the headline run "
@@ -176,12 +165,6 @@ inline util::Options standard_options(const std::string& name,
               "adaptive runtime's latency objective (implies --adapt; 0 = "
               "objective off; only request-serving benches feed the sensor)");
   return opt;
-}
-
-/// Print a result table honouring the --csv flag.
-inline void print_table(const util::Table& t, const util::Options& opt) {
-  const std::string s = opt.flag("csv") ? t.to_csv() : t.to_string();
-  std::fwrite(s.data(), 1, s.size(), stdout);
 }
 
 /// One row of a cache-miss comparison table (Figures 7, 11, 15).
@@ -212,157 +195,121 @@ inline double improvement_pct(std::uint64_t worse_cycles,
                   1.0);
 }
 
-/// One output channel for a bench binary: text tables by default, the
-/// cool-bench/1 JSON record under --json. Usage pattern:
+/// The output of a bench binary: its text on stdout and its cool-bench/1
+/// record, built together and written with --json-out. Usage pattern:
 ///
 ///   bench::Report rep(opt);
-///   if (rep.text()) std::printf("# header ...\n");
+///   std::printf("# header ...\n");
 ///   ... build table t ...
-///   rep.table(t);                         // print or record
-///   if (rep.text()) std::printf("\nshape: ...\n", pct);
-///   rep.shape("improvement_pct", pct);    // recorded in json mode
+///   rep.table(t);                         // print and record
+///   std::printf("\nshape: ...\n", pct);
+///   rep.shape("improvement_pct", pct);    // record only
 ///   rep.obs_from(headline_result);        // optional metrics snapshot
-///   return rep.finish();                  // emits the record in json mode
+///   return rep.finish();                  // writes the record
 class Report {
  public:
-  explicit Report(const util::Options& opt)
-      : rec_(opt.program()),
-        opt_(&opt),
-        json_(opt.flag("json") || !opt.get_string("json-out").empty()) {
-    if (json_) {
-      rec_.set_config(opt);
-      rec_.set_config_entry("build.sanitizer", kSanitizerName);
-    }
+  explicit Report(const util::Options& opt) : rec_(opt.program()), opt_(&opt) {
+    rec_.set_config(opt);
   }
 
-  /// True when the bench should produce its human-readable output.
-  [[nodiscard]] bool text() const noexcept { return !json_; }
-
-  /// Print the table (text mode) or append it as series rows (json mode).
+  /// Print the table and append it to the record as series rows.
   void table(const util::Table& t) {
-    if (json_) {
-      rec_.add_series(t);
-    } else {
-      print_table(t, *opt_);
-    }
+    rec_.add_series(t);
+    t.print();
   }
 
-  /// Record one summary metric (the JSON twin of the "shape:" text line).
+  /// Record one summary metric (the record's twin of the "shape:" text line).
   void shape(const std::string& key, double value) {
-    if (json_) rec_.add_shape(key, value);
+    rec_.add_shape(key, value);
   }
 
   /// Attach the metrics snapshot of the headline run.
-  void obs_from(const apps::RunResult& r) {
-    if (json_) rec_.set_obs(r.obs);
-  }
-  void set_obs(const cool::obs::Snapshot& snap) {
-    if (json_) rec_.set_obs(snap);
-  }
+  void obs_from(const apps::RunResult& r) { rec_.set_obs(r.obs); }
 
-  /// Attach the locality profile of `rt`'s finished run: in text mode the
-  /// per-object/per-set report plus the advisor's findings are printed after
-  /// the bench output; in json mode they become the record's "profile" block.
-  /// With --profile=<path>, the profile JSON is additionally written there.
-  /// No-op unless the runtime was built with profiling on — so benches call
-  /// this unconditionally on their headline runtime and `--profile` stays
-  /// strictly opt-in (output is untouched without it).
-  /// Attach the race-check verdict of `rt`'s finished run: text mode prints
-  /// the report, json mode records the distinct-race count as a shape
-  /// metric. No-op unless the runtime was built with race_check on, so the
-  /// default output is byte-identical without the flag.
+  /// Attach the race-check verdict of `rt`'s finished run: print the report
+  /// and record the distinct-race count as a shape metric. No-op unless the
+  /// runtime was built with race_check on, so the output is byte-identical
+  /// without the flag.
   void race_from(Runtime& rt) {
     const analysis::RaceDetector* rd = rt.race_detector();
     if (rd == nullptr) return;
-    if (json_) {
-      rec_.add_shape("races", static_cast<double>(rd->total()));
-    } else {
-      std::fputc('\n', stdout);
-      const std::string rep = rd->report();
-      std::fwrite(rep.data(), 1, rep.size(), stdout);
-    }
+    rec_.add_shape("races", static_cast<double>(rd->total()));
+    std::fputc('\n', stdout);
+    const std::string rep = rd->report();
+    std::fwrite(rep.data(), 1, rep.size(), stdout);
   }
 
-  /// Attach the adaptation decision log of `rt`'s finished run: text mode
-  /// prints one line per decision, json mode embeds the "adaptation" array.
-  /// No-op unless the runtime was built with adapt on.
+  /// Attach the adaptation decision log of `rt`'s finished run: print one
+  /// line per decision and embed the record's "adaptation" array. No-op
+  /// unless the runtime was built with adapt on.
   void adaptation_from(Runtime& rt) {
     const adaptive::AdaptiveEngine* ae = rt.adaptive_engine();
     if (ae == nullptr) return;
-    if (json_) {
-      rec_.set_adaptation(ae->log_json());
-      rec_.add_shape("adaptation_decisions",
-                     static_cast<double>(ae->log().size()));
-    } else {
-      std::printf("\n== adaptation log (%zu decisions, %llu epochs) ==\n",
-                  ae->log().size(),
-                  static_cast<unsigned long long>(ae->epochs()));
-      for (const adaptive::Decision& d : ae->log()) {
-        std::printf("  epoch %llu @%llu [%s] %s: %s (%llu cycles)\n",
-                    static_cast<unsigned long long>(d.epoch),
-                    static_cast<unsigned long long>(d.cycle),
-                    cool::obs::advice_kind_name(d.rule), d.subject.c_str(),
-                    d.action.c_str(),
-                    static_cast<unsigned long long>(d.cost_cycles));
-      }
+    rec_.set_adaptation(ae->log_json());
+    rec_.add_shape("adaptation_decisions",
+                   static_cast<double>(ae->log().size()));
+    std::printf("\n== adaptation log (%zu decisions, %llu epochs) ==\n",
+                ae->log().size(),
+                static_cast<unsigned long long>(ae->epochs()));
+    for (const adaptive::Decision& d : ae->log()) {
+      std::printf("  epoch %llu @%llu [%s] %s: %s (%llu cycles)\n",
+                  static_cast<unsigned long long>(d.epoch),
+                  static_cast<unsigned long long>(d.cycle),
+                  cool::obs::advice_kind_name(d.rule), d.subject.c_str(),
+                  d.action.c_str(),
+                  static_cast<unsigned long long>(d.cost_cycles));
     }
   }
 
-  /// Attach the request-trace breakdown of `rt`'s finished run: text mode
-  /// prints the decomposition table and exemplar summaries, json mode adds
-  /// breakdown_* shape metrics. With --req-trace=<path> the exemplar span
-  /// chains are written there as Chrome trace-event JSON. No-op unless the
-  /// runtime was built with req_trace on AND at least one request completed
-  /// — so figure benches (no serving driver) stay byte-identical even when
-  /// the flag is passed.
+  /// Attach the request-trace breakdown of `rt`'s finished run: print the
+  /// decomposition table and exemplar summaries and record breakdown_*
+  /// shape metrics. With --req-trace=<path> the exemplar span chains are
+  /// written there as Chrome trace-event JSON. No-op unless the runtime was
+  /// built with req_trace on AND at least one request completed — so figure
+  /// benches, which serve no requests, stay byte-identical even when the
+  /// flag is passed.
   void reqtrace_from(Runtime& rt) {
     const cool::obs::RequestTraceRecorder* rec = rt.request_trace();
     if (rec == nullptr || rec->completed() == 0) return;
     const cool::obs::BreakdownSummary s = rec->summary();
-    if (json_) {
-      rec_.add_shape("breakdown_requests", static_cast<double>(s.count));
-      rec_.add_shape("breakdown_mean_queue_wait", s.mean_queue_wait);
-      rec_.add_shape("breakdown_mean_service", s.mean_service);
-      rec_.add_shape("breakdown_mean_memory_stall", s.mean_memory_stall);
-      rec_.add_shape("breakdown_mean_steal_penalty", s.mean_steal_penalty);
-      rec_.add_shape("breakdown_p99_queue_wait",
-                     static_cast<double>(s.p99_queue_wait));
-      rec_.add_shape("breakdown_p99_service",
-                     static_cast<double>(s.p99_service));
-      rec_.add_shape("breakdown_p99_memory_stall",
-                     static_cast<double>(s.p99_memory_stall));
-      rec_.add_shape("breakdown_p99_steal_penalty",
-                     static_cast<double>(s.p99_steal_penalty));
-      rec_.add_shape("reqtrace_dropped", static_cast<double>(s.dropped));
-    } else {
+    rec_.add_shape("breakdown_requests", static_cast<double>(s.count));
+    rec_.add_shape("breakdown_mean_queue_wait", s.mean_queue_wait);
+    rec_.add_shape("breakdown_mean_service", s.mean_service);
+    rec_.add_shape("breakdown_mean_memory_stall", s.mean_memory_stall);
+    rec_.add_shape("breakdown_mean_steal_penalty", s.mean_steal_penalty);
+    rec_.add_shape("breakdown_p99_queue_wait",
+                   static_cast<double>(s.p99_queue_wait));
+    rec_.add_shape("breakdown_p99_service", static_cast<double>(s.p99_service));
+    rec_.add_shape("breakdown_p99_memory_stall",
+                   static_cast<double>(s.p99_memory_stall));
+    rec_.add_shape("breakdown_p99_steal_penalty",
+                   static_cast<double>(s.p99_steal_penalty));
+    rec_.add_shape("reqtrace_dropped", static_cast<double>(s.dropped));
+    std::printf("\n== request-trace breakdown (%llu measured requests) ==\n",
+                static_cast<unsigned long long>(s.count));
+    std::printf("  %-14s %12s %12s\n", "component", "mean(cyc)", "p99(cyc)");
+    std::printf("  %-14s %12.1f %12llu\n", "queue_wait", s.mean_queue_wait,
+                static_cast<unsigned long long>(s.p99_queue_wait));
+    std::printf("  %-14s %12.1f %12llu\n", "service", s.mean_service,
+                static_cast<unsigned long long>(s.p99_service));
+    std::printf("  %-14s %12.1f %12llu\n", "memory_stall", s.mean_memory_stall,
+                static_cast<unsigned long long>(s.p99_memory_stall));
+    std::printf("  %-14s %12.1f %12llu\n", "steal_penalty",
+                s.mean_steal_penalty,
+                static_cast<unsigned long long>(s.p99_steal_penalty));
+    std::printf("  span-ring drops: %llu\n",
+                static_cast<unsigned long long>(s.dropped));
+    for (const cool::obs::ReqExemplar& e : rec->exemplars()) {
+      const std::uint64_t total = e.stat.completion - e.stat.arrival;
       std::printf(
-          "\n== request-trace breakdown (%llu measured requests) ==\n",
-          static_cast<unsigned long long>(s.count));
-      std::printf("  %-14s %12s %12s\n", "component", "mean(cyc)", "p99(cyc)");
-      std::printf("  %-14s %12.1f %12llu\n", "queue_wait", s.mean_queue_wait,
-                  static_cast<unsigned long long>(s.p99_queue_wait));
-      std::printf("  %-14s %12.1f %12llu\n", "service", s.mean_service,
-                  static_cast<unsigned long long>(s.p99_service));
-      std::printf("  %-14s %12.1f %12llu\n", "memory_stall",
-                  s.mean_memory_stall,
-                  static_cast<unsigned long long>(s.p99_memory_stall));
-      std::printf("  %-14s %12.1f %12llu\n", "steal_penalty",
-                  s.mean_steal_penalty,
-                  static_cast<unsigned long long>(s.p99_steal_penalty));
-      std::printf("  span-ring drops: %llu\n",
-                  static_cast<unsigned long long>(s.dropped));
-      for (const cool::obs::ReqExemplar& e : rec->exemplars()) {
-        const std::uint64_t total = e.stat.completion - e.stat.arrival;
-        std::printf(
-            "  exemplar req %u: %llu cyc (wait %llu, service %llu "
-            "[stall %llu], steal %llu; %u dispatches, %u hops, %u moves)\n",
-            e.req, static_cast<unsigned long long>(total),
-            static_cast<unsigned long long>(e.stat.queue_wait),
-            static_cast<unsigned long long>(e.stat.service),
-            static_cast<unsigned long long>(e.stat.memory_stall),
-            static_cast<unsigned long long>(e.stat.steal_penalty),
-            e.stat.dispatches, e.stat.steal_hops, e.stat.moves);
-      }
+          "  exemplar req %u: %llu cyc (wait %llu, service %llu "
+          "[stall %llu], steal %llu; %u dispatches, %u hops, %u moves)\n",
+          e.req, static_cast<unsigned long long>(total),
+          static_cast<unsigned long long>(e.stat.queue_wait),
+          static_cast<unsigned long long>(e.stat.service),
+          static_cast<unsigned long long>(e.stat.memory_stall),
+          static_cast<unsigned long long>(e.stat.steal_penalty),
+          e.stat.dispatches, e.stat.steal_hops, e.stat.moves);
     }
     const std::string& path = opt_->get_string("req-trace");
     if (!path.empty()) {
@@ -379,6 +326,14 @@ class Report {
     }
   }
 
+  /// Attach the locality profile of `rt`'s finished run: the per-object/
+  /// per-set report plus the advisor's findings are printed after the bench
+  /// output and become the record's "profile" block. With --profile=<path>,
+  /// the profile JSON is additionally written there. No-op unless the
+  /// runtime was built with profiling on — so benches call this
+  /// unconditionally on their headline runtime and `--profile` stays
+  /// strictly opt-in (output is untouched without it). Also attaches the
+  /// race verdict, adaptation log and request trace.
   void profile_from(Runtime& rt) {
     race_from(rt);
     adaptation_from(rt);
@@ -389,16 +344,13 @@ class Report {
     const cool::obs::ProfileSnapshot p = rt.profile_snapshot();
     const std::vector<cool::obs::Advice> advice =
         cool::obs::advise(p, rt.advisor_signals());
-    if (json_) {
-      rec_.set_profile(p.to_json(), cool::obs::advice_json(advice));
-    } else {
-      std::fputc('\n', stdout);
-      const std::string rep = cool::obs::profile_report(p);
-      std::fwrite(rep.data(), 1, rep.size(), stdout);
-      std::fputc('\n', stdout);
-      const std::string adv = cool::obs::advice_report(advice);
-      std::fwrite(adv.data(), 1, adv.size(), stdout);
-    }
+    rec_.set_profile(p.to_json(), cool::obs::advice_json(advice));
+    std::fputc('\n', stdout);
+    const std::string rep = cool::obs::profile_report(p);
+    std::fwrite(rep.data(), 1, rep.size(), stdout);
+    std::fputc('\n', stdout);
+    const std::string adv = cool::obs::advice_report(advice);
+    std::fwrite(adv.data(), 1, adv.size(), stdout);
     const std::string& path = opt_->get_string("profile");
     if (!path.empty()) {
       cool::obs::json::Writer w;
@@ -419,32 +371,19 @@ class Report {
     }
   }
 
-  /// Escape hatch for benches with extra record content.
-  [[nodiscard]] cool::obs::BenchRecord& record() noexcept { return rec_; }
-
-  /// In json mode, emit the record: to --json-out (file or directory) when
-  /// set, else to stdout. Returns the process exit code.
+  /// Write the record to --json-out (file or directory) when it is set.
+  /// Returns the process exit code.
   int finish() {
-    if (!json_) return 0;
     const std::string& out = opt_->get_string("json-out");
-    if (out.empty()) {
-      const std::string j = rec_.to_json();
-      std::fwrite(j.data(), 1, j.size(), stdout);
-      std::fputc('\n', stdout);
-      return 0;
-    }
-    if (!rec_.write_to(out)) {
-      std::fprintf(stderr, "%s: failed to write record to %s\n",
-                   rec_.name().c_str(), out.c_str());
-      return 1;
-    }
-    return 0;
+    if (out.empty() || rec_.write_to(out)) return 0;
+    std::fprintf(stderr, "%s: failed to write record to %s\n",
+                 rec_.name().c_str(), out.c_str());
+    return 1;
   }
 
  private:
   cool::obs::BenchRecord rec_;
   const util::Options* opt_;
-  bool json_;
 };
 
 }  // namespace cool::bench

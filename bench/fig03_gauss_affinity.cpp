@@ -41,9 +41,7 @@ int main(int argc, char** argv) {
   const auto max_procs = static_cast<std::uint32_t>(opt.get_int("max-procs"));
 
   bench::Report rep(opt);
-  if (rep.text()) {
-    std::printf("# Column Gaussian elimination / Cholesky, n=%d\n", cfg.n);
-  }
+  std::printf("# Column Gaussian elimination / Cholesky, n=%d\n", cfg.n);
 
   const std::uint64_t serial = run_one(1, Variant::kBase, cfg).run.sim_cycles;
 
@@ -69,7 +67,7 @@ int main(int argc, char** argv) {
 
   // Cache behaviour at full machine size: TASK affinity's extra L1 reuse.
   const auto procs = max_procs;
-  if (rep.text()) std::printf("\n# cache behaviour at P=%u\n", procs);
+  std::printf("\n# cache behaviour at P=%u\n", procs);
   auto mt = bench::miss_table();
   for (Variant v :
        {Variant::kBase, Variant::kObjectOnly, Variant::kTaskObject}) {
@@ -77,10 +75,8 @@ int main(int argc, char** argv) {
     bench::miss_row(mt, variant_name(v), r.run);
   }
   rep.table(mt);
-  if (rep.text()) {
-    std::printf("\nshape: Task+Object over Base at P=%u: +%.0f%%\n", max_procs,
-                bench::improvement_pct(base32, both32));
-  }
+  std::printf("\nshape: Task+Object over Base at P=%u: +%.0f%%\n", max_procs,
+              bench::improvement_pct(base32, both32));
   rep.shape("task_object_over_base_pct",
             bench::improvement_pct(base32, both32));
   return rep.finish();

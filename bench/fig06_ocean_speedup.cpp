@@ -48,10 +48,8 @@ int main(int argc, char** argv) {
 
   bench::Report rep(opt);
   const auto max_procs = static_cast<std::uint32_t>(opt.get_int("max-procs"));
-  if (rep.text()) {
-    std::printf("# Ocean (grid %dx%d, %d grids, %d steps) on simulated DASH\n",
-                cfg.n, cfg.n, cfg.grids, cfg.steps);
-  }
+  std::printf("# Ocean (grid %dx%d, %d grids, %d steps) on simulated DASH\n",
+              cfg.n, cfg.n, cfg.grids, cfg.steps);
 
   // Serial baseline: the Base version on one processor.
   const std::uint64_t serial = run_one(1, Variant::kBase, cfg).run.sim_cycles;
@@ -76,10 +74,8 @@ int main(int argc, char** argv) {
     }
   }
   rep.table(t);
-  if (rep.text()) {
-    std::printf("\nshape: Distr+Aff over Base at P=%u: +%.0f%%\n", max_procs,
-                bench::improvement_pct(base32, cool32));
-  }
+  std::printf("\nshape: Distr+Aff over Base at P=%u: +%.0f%%\n", max_procs,
+              bench::improvement_pct(base32, cool32));
   rep.shape("distr_aff_over_base_pct", bench::improvement_pct(base32, cool32));
   return rep.finish();
 }

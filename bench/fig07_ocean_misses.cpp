@@ -27,7 +27,7 @@ int main(int argc, char** argv) {
   const auto procs = static_cast<std::uint32_t>(opt.get_int("procs"));
 
   bench::Report rep(opt);
-  if (rep.text()) std::printf("# Ocean cache behaviour at P=%u\n", procs);
+  std::printf("# Ocean cache behaviour at P=%u\n", procs);
   auto t = bench::miss_table();
   apps::RunResult cool_r;
   apps::RunResult base_r;
@@ -46,13 +46,11 @@ int main(int argc, char** argv) {
     }
   }
   rep.table(t);
-  if (rep.text()) {
-    std::printf(
-        "\nshape: Distr+Aff services %.0f%% of misses locally vs %.0f%% for "
-        "Base\n",
-        100.0 * apps::local_fraction(cool_r.mem),
-        100.0 * apps::local_fraction(base_r.mem));
-  }
+  std::printf(
+      "\nshape: Distr+Aff services %.0f%% of misses locally vs %.0f%% for "
+      "Base\n",
+      100.0 * apps::local_fraction(cool_r.mem),
+      100.0 * apps::local_fraction(base_r.mem));
   rep.shape("distr_aff_local_pct", 100.0 * apps::local_fraction(cool_r.mem));
   rep.shape("base_local_pct", 100.0 * apps::local_fraction(base_r.mem));
   rep.obs_from(cool_r);

@@ -50,11 +50,9 @@ int main(int argc, char** argv) {
   cfg.regions = static_cast<int>(max_procs);
 
   bench::Report rep(opt);
-  if (rep.text()) {
-    std::printf(
-        "# LocusRoute (synthetic circuit: %d regions x %d wires, %d iters)\n",
-        cfg.regions, cfg.wires_per_region, cfg.iterations);
-  }
+  std::printf(
+      "# LocusRoute (synthetic circuit: %d regions x %d wires, %d iters)\n",
+      cfg.regions, cfg.wires_per_region, cfg.iterations);
 
   const std::uint64_t serial = run_one(1, Variant::kBase, cfg).run.sim_cycles;
 
@@ -80,10 +78,8 @@ int main(int argc, char** argv) {
     }
   }
   rep.table(t);
-  if (rep.text()) {
-    std::printf("\nshape: Affinity+ObjDistr over Base at P=%u: +%.0f%%\n",
-                max_procs, bench::improvement_pct(base32, best32));
-  }
+  std::printf("\nshape: Affinity+ObjDistr over Base at P=%u: +%.0f%%\n",
+              max_procs, bench::improvement_pct(base32, best32));
   rep.shape("affinity_distr_over_base_pct",
             bench::improvement_pct(base32, best32));
   return rep.finish();

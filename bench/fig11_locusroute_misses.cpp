@@ -27,7 +27,7 @@ int main(int argc, char** argv) {
   cfg.regions = static_cast<int>(procs);
 
   bench::Report rep(opt);
-  if (rep.text()) std::printf("# LocusRoute cache behaviour at P=%u\n", procs);
+  std::printf("# LocusRoute cache behaviour at P=%u\n", procs);
   auto t = bench::miss_table();
   apps::RunResult base_r, aff_r, distr_r;
   for (Variant v :
@@ -47,19 +47,20 @@ int main(int argc, char** argv) {
     }
   }
   rep.table(t);
-  const double miss_ratio =
-      static_cast<double>(base_r.mem.misses()) /
+  const double aff_misses =
       static_cast<double>(aff_r.mem.misses() ? aff_r.mem.misses() : 1);
-  if (rep.text()) {
-    std::printf(
-        "\nshape: misses Base:Affinity = %.2f : 1 (paper: ~2:1); "
-        "local service %.0f%% -> %.0f%% with distribution\n",
-        miss_ratio, 100.0 * apps::local_fraction(aff_r.mem),
-        100.0 * apps::local_fraction(distr_r.mem));
-  }
+  const double miss_ratio =
+      static_cast<double>(base_r.mem.misses()) / aff_misses;
+  std::printf(
+      "\nshape: misses Base:Affinity = %.2f : 1 (paper: ~2:1); "
+      "local service %.0f%% -> %.0f%% with distribution\n",
+      miss_ratio, 100.0 * apps::local_fraction(aff_r.mem),
+      100.0 * apps::local_fraction(distr_r.mem));
   rep.shape("base_over_affinity_miss_ratio", miss_ratio);
   rep.shape("affinity_local_pct", 100.0 * apps::local_fraction(aff_r.mem));
   rep.shape("distr_local_pct", 100.0 * apps::local_fraction(distr_r.mem));
+  rep.shape("distr_over_affinity_miss_ratio",
+            static_cast<double>(distr_r.mem.misses()) / aff_misses);
   rep.obs_from(distr_r);
   return rep.finish();
 }

@@ -45,10 +45,8 @@ int main(int argc, char** argv) {
   const auto max_procs = static_cast<std::uint32_t>(opt.get_int("max-procs"));
 
   bench::Report rep(opt);
-  if (rep.text()) {
-    std::printf("# Panel Cholesky (synthetic sparse structure, %d panels)\n",
-                cfg.n_panels);
-  }
+  std::printf("# Panel Cholesky (synthetic sparse structure, %d panels)\n",
+              cfg.n_panels);
 
   const std::uint64_t serial =
       run_one(1, PanelVariant::kBase, cfg).run.sim_cycles;
@@ -75,10 +73,8 @@ int main(int argc, char** argv) {
     }
   }
   rep.table(t);
-  if (rep.text()) {
-    std::printf("\nshape: best affinity version over Base at P=%u: +%.0f%%\n",
-                max_procs, bench::improvement_pct(base32, best32));
-  }
+  std::printf("\nshape: best affinity version over Base at P=%u: +%.0f%%\n",
+              max_procs, bench::improvement_pct(base32, best32));
   rep.shape("best_affinity_over_base_pct",
             bench::improvement_pct(base32, best32));
   return rep.finish();

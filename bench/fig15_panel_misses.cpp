@@ -26,9 +26,7 @@ int main(int argc, char** argv) {
   const auto procs = static_cast<std::uint32_t>(opt.get_int("procs"));
 
   bench::Report rep(opt);
-  if (rep.text()) {
-    std::printf("# Panel Cholesky cache behaviour at P=%u\n", procs);
-  }
+  std::printf("# Panel Cholesky cache behaviour at P=%u\n", procs);
   auto t = bench::miss_table();
   apps::RunResult base_r, distr_r, aff_r;
   for (PanelVariant v :
@@ -55,14 +53,12 @@ int main(int argc, char** argv) {
   const double distr_over_aff =
       static_cast<double>(distr_r.mem.misses()) /
       static_cast<double>(aff_r.mem.misses() ? aff_r.mem.misses() : 1);
-  if (rep.text()) {
-    std::printf(
-        "\nshape: misses Base->Distr %.2fx (paper: ~unchanged); "
-        "Distr->Distr+Aff %.2fx fewer; local service %.0f%% -> %.0f%%\n",
-        distr_over_base, distr_over_aff,
-        100.0 * apps::local_fraction(distr_r.mem),
-        100.0 * apps::local_fraction(aff_r.mem));
-  }
+  std::printf(
+      "\nshape: misses Base->Distr %.2fx (paper: ~unchanged); "
+      "Distr->Distr+Aff %.2fx fewer; local service %.0f%% -> %.0f%%\n",
+      distr_over_base, distr_over_aff,
+      100.0 * apps::local_fraction(distr_r.mem),
+      100.0 * apps::local_fraction(aff_r.mem));
   rep.shape("distr_over_base_miss_ratio", distr_over_base);
   rep.shape("distr_over_aff_miss_ratio", distr_over_aff);
   rep.shape("distr_local_pct", 100.0 * apps::local_fraction(distr_r.mem));

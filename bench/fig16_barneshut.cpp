@@ -41,10 +41,8 @@ int main(int argc, char** argv) {
   const auto max_procs = static_cast<std::uint32_t>(opt.get_int("max-procs"));
 
   bench::Report rep(opt);
-  if (rep.text()) {
-    std::printf("# Barnes-Hut (%d bodies, theta=%.2f, %d steps)\n",
-                cfg.n_bodies, cfg.theta, cfg.steps);
-  }
+  std::printf("# Barnes-Hut (%d bodies, theta=%.2f, %d steps)\n",
+              cfg.n_bodies, cfg.theta, cfg.steps);
 
   const std::uint64_t serial = run_one(1, Variant::kBase, cfg).run.sim_cycles;
 
@@ -66,10 +64,8 @@ int main(int argc, char** argv) {
     }
   }
   rep.table(t);
-  if (rep.text()) {
-    std::printf("\nshape: Distr+Aff over Base at P=%u: +%.0f%%\n", max_procs,
-                bench::improvement_pct(base32, aff32));
-  }
+  std::printf("\nshape: Distr+Aff over Base at P=%u: +%.0f%%\n", max_procs,
+              bench::improvement_pct(base32, aff32));
   rep.shape("distr_aff_over_base_pct", bench::improvement_pct(base32, aff32));
   return rep.finish();
 }

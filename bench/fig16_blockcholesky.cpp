@@ -44,10 +44,8 @@ int main(int argc, char** argv) {
   const auto max_procs = static_cast<std::uint32_t>(opt.get_int("max-procs"));
 
   bench::Report rep(opt);
-  if (rep.text()) {
-    std::printf("# Block Cholesky (%dx%d blocks of %d^2 doubles)\n", cfg.blocks,
-                cfg.blocks, cfg.block_size);
-  }
+  std::printf("# Block Cholesky (%dx%d blocks of %d^2 doubles)\n", cfg.blocks,
+              cfg.blocks, cfg.block_size);
 
   const std::uint64_t serial =
       run_one(1, BlockVariant::kBase, cfg).run.sim_cycles;
@@ -70,10 +68,8 @@ int main(int argc, char** argv) {
     }
   }
   rep.table(t);
-  if (rep.text()) {
-    std::printf("\nshape: Distr+Aff over Base at P=%u: +%.0f%%\n", max_procs,
-                bench::improvement_pct(base32, aff32));
-  }
+  std::printf("\nshape: Distr+Aff over Base at P=%u: +%.0f%%\n", max_procs,
+              bench::improvement_pct(base32, aff32));
   rep.shape("distr_aff_over_base_pct", bench::improvement_pct(base32, aff32));
   return rep.finish();
 }

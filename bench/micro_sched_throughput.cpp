@@ -5,10 +5,8 @@
 // per-server locking it must not.
 //
 // Output: a cool-bench/1 JSON record (obs/bench_json.hpp) with one series row
-// per thread count, on stdout by default. Write it into a run directory to
-// track scheduler-scaling regressions across PRs:
-//   ./bench/micro_sched_throughput --json-out=runs/today
-//   ./bench/runner --compare runs/yesterday runs/today
+// per thread count, on stdout, or in the file or directory --json-out names.
+// Its rates are host time, so two runs never give the same record.
 #include <atomic>
 #include <chrono>
 #include <cstdio>
@@ -127,7 +125,6 @@ int main(int argc, char** argv) {
   opt.add_int("tasks", 100000, "tasks per thread per measurement");
   opt.add_int("batch", 64, "tasks placed per worker batch");
   opt.add_int("warmup", 1, "warm-up repetitions before the measured run");
-  opt.add_flag("json", "accepted for uniformity; output is always the record");
   opt.add_string("json-out", "",
                  "write the JSON record to this file or directory "
                  "(default: stdout)");

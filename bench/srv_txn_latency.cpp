@@ -88,15 +88,13 @@ int main(int argc, char** argv) {
   }
 
   bench::Report rep(opt);
-  if (rep.text()) {
-    std::printf(
-        "# txn open-loop latency vs offered load, P=%u (W=%d D=%d theta=%.2f "
-        "%s, %llu req/point)\n"
-        "# capacity probe: %.3f req/kcycle\n",
-        procs, cfg.warehouses, cfg.districts, cfg.theta,
-        load::arrival_kind_name(cfg.arrivals.kind),
-        static_cast<unsigned long long>(cfg.arrivals.n_requests), capacity);
-  }
+  std::printf(
+      "# txn open-loop latency vs offered load, P=%u (W=%d D=%d theta=%.2f "
+      "%s, %llu req/point)\n"
+      "# capacity probe: %.3f req/kcycle\n",
+      procs, cfg.warehouses, cfg.districts, cfg.theta,
+      load::arrival_kind_name(cfg.arrivals.kind),
+      static_cast<unsigned long long>(cfg.arrivals.n_requests), capacity);
 
   const double* fracs = quick ? kQuickFracs : kFracs;
   const std::size_t n_fracs = quick ? sizeof kQuickFracs / sizeof kQuickFracs[0]
@@ -158,13 +156,11 @@ int main(int argc, char** argv) {
   const double p99_sat = static_cast<double>(sat.latency.quantile(0.99));
 
   rep.table(t);
-  if (rep.text()) {
-    std::printf(
-        "\nshape: p99 %.2f kcyc at 0.85x capacity (%.2fx the 0.5x-load p99); "
-        "past saturation p99 %.2f kcyc (%.1fx), served ratio %.2f\n",
-        p99_knee / 1e3, p99_lo > 0.0 ? p99_knee / p99_lo : 0.0, p99_sat / 1e3,
-        p99_knee > 0.0 ? p99_sat / p99_knee : 0.0, sat.served_ratio());
-  }
+  std::printf(
+      "\nshape: p99 %.2f kcyc at 0.85x capacity (%.2fx the 0.5x-load p99); "
+      "past saturation p99 %.2f kcyc (%.1fx), served ratio %.2f\n",
+      p99_knee / 1e3, p99_lo > 0.0 ? p99_knee / p99_lo : 0.0, p99_sat / 1e3,
+      p99_knee > 0.0 ? p99_sat / p99_knee : 0.0, sat.served_ratio());
   rep.shape("peak_capacity_kcyc", capacity);
   rep.shape("p99_frac50", p99_lo);
   rep.shape("p99_frac85", p99_knee);

@@ -32,11 +32,9 @@ int main(int argc, char** argv) {
   cfg.tasks_per_obj = static_cast<int>(opt.get_int("tasks-per-obj"));
 
   bench::Report rep(opt);
-  if (rep.text()) {
-    std::printf(
-        "# %d objects x %zu KiB, %d tasks per object, interleaved spawn, P=%u\n",
-        cfg.objects, cfg.obj_kb, cfg.tasks_per_obj, procs);
-  }
+  std::printf(
+      "# %d objects x %zu KiB, %d tasks per object, interleaved spawn, P=%u\n",
+      cfg.objects, cfg.obj_kb, cfg.tasks_per_obj, procs);
 
   util::Table t({"hint", "cycles(K)", "L1-hit%", "local-miss%", "stolen%",
                  "steals"});
@@ -76,13 +74,11 @@ int main(int argc, char** argv) {
       auto& c = co_await self();
       *cost = c.migrate(o, 5, n);
     }(obj, bytes, &migrate_cost));
-    if (rep.text()) {
-      std::printf(
-          "\nmigrate(obj, 5): %llu cycles (%zu pages); home(obj): %u -> %u\n",
-          static_cast<unsigned long long>(migrate_cost), (bytes + 4095) / 4096,
-          static_cast<unsigned>(home_before),
-          static_cast<unsigned>(rt.home(obj)));
-    }
+    std::printf(
+        "\nmigrate(obj, 5): %llu cycles (%zu pages); home(obj): %u -> %u\n",
+        static_cast<unsigned long long>(migrate_cost), (bytes + 4095) / 4096,
+        static_cast<unsigned>(home_before),
+        static_cast<unsigned>(rt.home(obj)));
     rep.shape("migrate_cycles", static_cast<double>(migrate_cost));
     rep.shape("home_after_migrate", static_cast<double>(rt.home(obj)));
   }

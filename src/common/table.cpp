@@ -98,33 +98,6 @@ std::string Table::to_string() const {
   return out;
 }
 
-std::string Table::to_csv() const {
-  auto field = [](const std::string& cell) {
-    if (cell.find_first_of(",\"\n") == std::string::npos) return cell;
-    std::string quoted = "\"";
-    for (char ch : cell) {
-      if (ch == '\"') quoted += '\"';
-      quoted += ch;
-    }
-    quoted += '\"';
-    return quoted;
-  };
-  std::string out;
-  for (std::size_t c = 0; c < headers_.size(); ++c) {
-    if (c) out += ',';
-    out += field(headers_[c]);
-  }
-  out += '\n';
-  for (const auto& r : rows_) {
-    for (std::size_t c = 0; c < headers_.size(); ++c) {
-      if (c) out += ',';
-      out += field(c < r.size() ? r[c] : std::string());
-    }
-    out += '\n';
-  }
-  return out;
-}
-
 void Table::print(std::FILE* out) const {
   const std::string s = to_string();
   std::fwrite(s.data(), 1, s.size(), out);

@@ -34,9 +34,6 @@ class Table {
   /// Render as a string (used by tests).
   [[nodiscard]] std::string to_string() const;
 
-  /// Render as RFC-4180-ish CSV (quotes cells containing commas/quotes).
-  [[nodiscard]] std::string to_csv() const;
-
   /// Structural access for machine-readable exports (obs::BenchRecord).
   [[nodiscard]] const std::vector<std::string>& headers() const noexcept {
     return headers_;

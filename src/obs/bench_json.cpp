@@ -28,20 +28,10 @@ BenchRecord::BenchRecord(std::string bench_name) : name_(std::move(bench_name)) 
 
 void BenchRecord::set_config(const util::Options& opt) {
   for (const auto& nv : opt.snapshot_values()) {
+    // Where the record goes is not an input of the run it describes.
+    if (nv.name == "json-out") continue;
     config_.push_back(ConfigEntry{nv.name, nv.kind, nv.value});
   }
-}
-
-void BenchRecord::set_config_entry(const std::string& key,
-                                   const std::string& value) {
-  for (auto& e : config_) {
-    if (e.key == key) {
-      e.kind = 's';
-      e.value = value;
-      return;
-    }
-  }
-  config_.push_back(ConfigEntry{key, 's', value});
 }
 
 void BenchRecord::add_series(const util::Table& t) {

@@ -1,5 +1,6 @@
 // Machine-readable benchmark records: the single JSON schema every bench
-// binary emits (--json / --json-out) and bench/runner consumes.
+// binary builds beside its text and writes with --json-out, and bench/runner
+// consumes.
 //
 // Schema "cool-bench/1" — one JSON object per record:
 //   {
@@ -12,12 +13,14 @@
 //     "obs":     { "values": {...}, "hists": {...} },     // optional
 //     "profile": { "snapshot": {...}, "advice": [...] }   // optional
 //   }
-// `series` is the bench's result table with each cell parsed back to a
-// number when it is one; `shape` carries the summary metrics the text output
-// prints as its "shape:" line; `obs` is a metrics Snapshot (see metrics.hpp)
-// from the run the record describes. Records are written as
-// BENCH_<bench>.json so run directories diff cleanly (bench/runner
-// --compare).
+// `config` holds every option of the run except --json-out itself, so a
+// record depends only on the run's inputs and `git_sha`; `series` is the
+// bench's result table with each cell parsed back to a number when it is
+// one; `shape` carries the summary metrics the text output prints as its
+// "shape:" line, plus any a claim needs that the text does not print; `obs`
+// is a metrics Snapshot (see metrics.hpp) from the run the record describes.
+// Records are written as BENCH_<bench>.json so that bench/runner --compare
+// can match two run directories record by record.
 #pragma once
 
 #include <cstdint>
@@ -42,10 +45,9 @@ class BenchRecord {
   /// Override the configure-time git sha (tests pin this for golden files).
   void set_git_sha(std::string sha) { git_sha_ = std::move(sha); }
 
-  /// Capture every declared option's effective value as the config block.
+  /// Capture every declared option's effective value as the config block,
+  /// except --json-out (where the record goes is not an input of the run).
   void set_config(const util::Options& opt);
-  /// Add/override a single config entry (always recorded as a string).
-  void set_config_entry(const std::string& key, const std::string& value);
 
   /// Append the bench's result table as series rows (cells that parse fully
   /// as numbers are emitted as numbers). May be called more than once; rows
@@ -75,14 +77,14 @@ class BenchRecord {
   /// Canonical file name: BENCH_<bench>.json.
   [[nodiscard]] std::string file_name() const;
 
-  /// Write to `dir` (or, if `dir` names an existing file path ending in
-  /// .json, exactly there). Returns false on I/O failure.
+  /// Write file_name() into the directory `dir`, or to `dir` itself when it
+  /// ends in .json. Returns false on I/O failure.
   bool write_to(const std::string& dir) const;
 
  private:
   struct ConfigEntry {
     std::string key;
-    char kind;  ///< Options::NamedValue kind, or 's' for manual entries.
+    char kind;  ///< Options::NamedValue kind.
     std::string value;
   };
 

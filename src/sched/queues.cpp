@@ -94,9 +94,9 @@ TaskDesc* ServerQueues::pop() {
 
 std::vector<TaskDesc*> ServerQueues::steal_set_locked(bool allow_pinned,
                                                       bool allow_reserved) {
-  // Steal the set least likely to be serviced soon: prefer anything over the
-  // active set (which the owner is draining), and skip pinned sets unless
-  // allowed.
+  // Steal the set least likely to be serviced soon: the eligible set nearest
+  // the back, and the active set (which the owner is draining) only when no
+  // other is eligible. Pinned sets are skipped unless allowed.
   auto eligible = [&](AffSlot* s) {
     if (allow_pinned && allow_reserved) return true;
     // Check every queued task: hash collisions can put a pinned set and an
@@ -110,17 +110,11 @@ std::vector<TaskDesc*> ServerQueues::steal_set_locked(bool allow_pinned,
     }
     return !s->tasks.empty();
   };
-  AffSlot* victim = nullptr;
-  AffSlot* active_fallback = nullptr;
-  for (AffSlot* s : nonempty_) {
-    if (!eligible(s)) continue;
-    if (s == active_) {
-      active_fallback = s;
-    } else {
-      victim = s;  // keep the last eligible non-active set
-    }
+  AffSlot* victim = nonempty_.find_last(
+      [&](AffSlot* s) { return s != active_ && eligible(s); });
+  if (victim == nullptr && active_ != nullptr && eligible(active_)) {
+    victim = active_;
   }
-  if (victim == nullptr) victim = active_fallback;
   if (victim == nullptr) return {};
   std::vector<TaskDesc*> set;
   while (TaskDesc* t = victim->tasks.pop_front()) {
@@ -248,6 +242,9 @@ void ServerQueues::check_locked() const {
              "invariant: active set pointer outside the slot array");
   COOL_CHECK(active_ == nullptr || !active_->tasks.empty(),
              "invariant: active set pointer left on a drained slot");
+  // The owner takes a set from the front, and sets join at the back.
+  COOL_CHECK(active_ == nullptr || active_ == nonempty_.front(),
+             "invariant: active set is not the first non-empty slot");
   COOL_CHECK(nonempty_.size() == nonempty_count,
              "invariant: non-empty list out of sync with slot contents");
   for (const AffSlot* s : nonempty_) {

@@ -64,24 +64,6 @@ TEST(Table, NegativeAndPrecision) {
   EXPECT_NE(s.find("-2.500"), std::string::npos);
 }
 
-TEST(Table, CsvBasic) {
-  Table t({"name", "value"});
-  t.row().cell("plain").cell(1);
-  t.row().cell("with,comma").cell(2);
-  t.row().cell("with\"quote").cell(3);
-  const std::string csv = t.to_csv();
-  EXPECT_NE(csv.find("name,value\n"), std::string::npos);
-  EXPECT_NE(csv.find("plain,1\n"), std::string::npos);
-  EXPECT_NE(csv.find("\"with,comma\",2\n"), std::string::npos);
-  EXPECT_NE(csv.find("\"with\"\"quote\",3\n"), std::string::npos);
-}
-
-TEST(Table, CsvMissingCellsEmpty) {
-  Table t({"a", "b", "c"});
-  t.row().cell("x");
-  EXPECT_NE(t.to_csv().find("x,,\n"), std::string::npos);
-}
-
 TEST(Table, MissingCellsRenderBlank) {
   Table t({"a", "b"});
   t.row().cell("only");
@@ -120,12 +102,6 @@ TEST(Table, RatioCellFormatsMultiplier) {
   EXPECT_NE(s.find("1.94x"), std::string::npos);
   EXPECT_NE(s.find("0.5x"), std::string::npos);
   EXPECT_EQ(s.find("nan"), std::string::npos);
-}
-
-TEST(Table, PctCellInCsv) {
-  Table t({"label", "pct"});
-  t.row().cell("a").cell_pct(0.25);
-  EXPECT_NE(t.to_csv().find("a,25.0%\n"), std::string::npos);
 }
 
 }  // namespace

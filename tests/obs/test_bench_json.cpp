@@ -9,6 +9,7 @@
 
 #include "bench_common.hpp"
 #include "common/error.hpp"
+#include "common/options.hpp"
 #include "common/table.hpp"
 #include "obs/json.hpp"
 #include "obs/metrics.hpp"
@@ -25,10 +26,13 @@ std::string read_file(const std::string& path) {
 
 /// A small record with everything pinned, so its JSON is byte-stable.
 BenchRecord demo_record() {
+  util::Options opt("golden", "a pinned record");
+  opt.add_int("procs", 8, "processors");
+  opt.add_string("variant", "affinity", "scheduling variant");
+  opt.add_string("json-out", "BENCH_golden.json", "where the record goes");
   BenchRecord rec("golden");
   rec.set_git_sha("deadbee");
-  rec.set_config_entry("procs", "8");
-  rec.set_config_entry("variant", "affinity");
+  rec.set_config(opt);
   util::Table t({"procs", "speedup", "label"});
   t.row().cell(1).cell(1.0, 2).cell("base");
   t.row().cell(8).cell(5.43, 2).cell("affinity");
@@ -103,7 +107,7 @@ TEST(Json, ParserRejectsTrailingContent) {
 TEST(BenchRecord, JsonIsByteStable) {
   const std::string expected =
       R"({"schema":"cool-bench/1","bench":"golden","git_sha":"deadbee",)"
-      R"("config":{"procs":"8","variant":"affinity"},)"
+      R"("config":{"procs":8,"variant":"affinity"},)"
       R"("series":[{"procs":1,"speedup":1,"label":"base"},)"
       R"({"procs":8,"speedup":5.43,"label":"affinity"}],)"
       R"("shape":{"best_speedup":5.43}})";
@@ -167,11 +171,11 @@ TEST(Validate, RejectsMalformedRecords) {
             "obs.values missing or not an object");
 }
 
-// The checked-in golden record: a real bench emission, pinned so schema or
+// A committed baseline record: a real bench emission, pinned so schema or
 // emitter drift fails loudly here instead of in a downstream consumer.
 TEST(Golden, CheckedInRecordIsSchemaValid) {
-  const std::string path =
-      std::string(COOL_TEST_DATA_DIR) + "/golden/BENCH_tab01_affinity_hints.json";
+  const std::string path = std::string(COOL_BENCH_BASELINE_DIR) +
+                           "/BENCH_tab01_affinity_hints.json";
   const std::string text = read_file(path);
   ASSERT_FALSE(text.empty()) << "cannot read " << path;
   EXPECT_EQ(validate_bench_json(text), "");
@@ -188,6 +192,9 @@ TEST(Golden, CheckedInRecordIsSchemaValid) {
   const json::Value* obs = v.find("obs");
   ASSERT_NE(obs, nullptr);
   EXPECT_NE(obs->find("values")->find("tasks.completed"), nullptr);
+  // The config holds the run's inputs; where the record went is not one.
+  EXPECT_NE(v.find("config")->find("procs"), nullptr);
+  EXPECT_EQ(v.find("config")->find("json-out"), nullptr);
 }
 
 }  // namespace

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <deque>
+#include <string>
 #include <vector>
 
 namespace cool::sched {
@@ -130,6 +132,56 @@ TEST(ServerQueues, StealSetAvoidsActiveSet) {
   EXPECT_EQ(set[0], &b1);
   // Owner continues with a2 back-to-back.
   EXPECT_EQ(q.pop(), &a2);
+}
+
+// A thief that may not take pinned work steals the eligible set nearest the
+// back of the non-empty list, and the owner's active set only when no other
+// set is eligible. Each layout lists the slots in the order they filled:
+// 'a' is the set the owner is draining (always first: the owner takes sets
+// from the front, and sets join at the back), 'e' an unpinned set, and 'p' a
+// slot where an unpinned set and a pinned one collide, which a thief must
+// skip since the whole slot moves. The eligible sets sit before, between and
+// after the others; `victim` is the position of the slot stolen.
+TEST(ServerQueues, StealSetTakesLastEligibleSet) {
+  struct Case {
+    const char* layout;
+    std::size_t victim;
+  };
+  for (const Case& c : {Case{"aepep", 3}, Case{"apep", 2}, Case{"aee", 2},
+                        Case{"aep", 1}, Case{"app", 0}, Case{"eepe", 3},
+                        Case{"epp", 0}}) {
+    const std::string layout = c.layout;
+    ServerQueues q(8);
+    std::deque<TaskDesc> tasks;
+    std::vector<std::uint64_t> keys;  // each slot's unpinned set
+    std::uint64_t next = 1;
+    const auto key_in = [&](std::size_t slot) {
+      while (q.slot_of(next) != slot) ++next;
+      return next++;
+    };
+    const auto add = [&](std::uint64_t key, bool pinned) {
+      TaskDesc& t = tasks.emplace_back();
+      const void* obj = reinterpret_cast<const void*>(key * 16);
+      t.aff = pinned ? Affinity::processor_task(3, obj) : Affinity::task(obj);
+      t.aff_key = key;
+      q.push(&t);
+    };
+    for (std::size_t i = 0; i < layout.size(); ++i) {
+      keys.push_back(key_in(i));
+      add(keys.back(), false);
+      if (layout[i] == 'a') add(keys.back(), false);
+      if (layout[i] == 'p') add(key_in(i), true);
+    }
+    if (layout[0] == 'a') {
+      ASSERT_EQ(q.pop()->aff_key, keys[0]) << layout;
+    }
+    std::vector<TaskDesc*> set;
+    ASSERT_EQ(q.try_steal_set(set, /*allow_pinned=*/false), TrySteal::kGot)
+        << layout;
+    ASSERT_EQ(set.size(), 1u) << layout;
+    EXPECT_EQ(set[0]->aff_key, keys[c.victim]) << layout;
+    q.validate();
+  }
 }
 
 TEST(ServerQueues, StealObjectTaskFromBack) {
