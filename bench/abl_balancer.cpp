@@ -1,4 +1,4 @@
-// Ablation — balancer policies (hierarchical sched::Balancer, PR 6).
+// Ablation — balancer policies (sched::BalancerKind).
 //
 // Gauss and ocean in their undistributed configurations (every column/grid
 // homed on processor 0's memory — the degenerate layout the paper's
@@ -7,9 +7,9 @@
 //   stealing   the default: idle processors probe victims try-lock, exactly
 //              the flat scan the scheduler always had. Work spreads machine-
 //              wide, so most of it lands in remote clusters.
-//   average    periodic queue-length equalisation: an idle processor's
-//              balancer drains over-average queues toward it in one grab
-//              (kMoveTasks) instead of one task per probe.
+//   average    queue-length equalisation: an idle processor drains
+//              over-average queues toward it in one grab (a move) instead
+//              of one task per probe.
 //   reserve    hotness-directed placement: the profiler's per-object heat
 //              names the cluster homing the hot pages; the balancer pre-
 //              places OBJECT/TASK-affinity work on that cluster's least-
@@ -46,11 +46,6 @@ Runtime make_row_runtime(std::uint32_t procs, const sched::Policy& pol,
 
 sched::Policy with_balancer(sched::Policy base, sched::BalancerKind kind) {
   base.balancer = kind;
-  if (kind == sched::BalancerKind::kReserve) {
-    // Refresh the hotness cache often enough that the heat observed in the
-    // first grid sweep / first columns steers the rest of a small run.
-    base.reserve_refresh_tasks = 16;
-  }
   return base;
 }
 

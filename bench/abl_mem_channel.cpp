@@ -74,7 +74,6 @@ Runtime make_cell_runtime(std::uint32_t procs, const sched::Policy& pol,
 
 sched::Policy with_balancer(sched::Policy base, sched::BalancerKind kind) {
   base.balancer = kind;
-  if (kind == sched::BalancerKind::kReserve) base.reserve_refresh_tasks = 16;
   return base;
 }
 

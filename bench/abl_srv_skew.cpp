@@ -11,7 +11,7 @@
 //
 //   stealing   the default flat scan — cannot touch the pinned backlog, so
 //              tail latency explodes with theta;
-//   average    queue-length equalisation (kMoveTasks ignores affinity pins),
+//   average    queue-length equalisation (its moves ignore affinity pins),
 //              which drains the hot queue at the price of locality;
 //   reserve    hotness-directed placement inside the data's home cluster;
 //   steal+adapt  stealing plus the adaptive runtime's latency objective
@@ -52,7 +52,6 @@ Runtime make_row_runtime(std::uint32_t procs, const sched::Policy& pol) {
 
 sched::Policy with_balancer(sched::Policy base, sched::BalancerKind kind) {
   base.balancer = kind;
-  if (kind == sched::BalancerKind::kReserve) base.reserve_refresh_tasks = 16;
   return base;
 }
 

@@ -343,8 +343,8 @@ std::uint64_t AdaptiveEngine::act(const obs::advisor::Finding& f,
         // Escalation: the steal-policy relief is already on and the pile-up
         // is still here — on-demand stealing drains one task per idle probe,
         // which cannot keep up with a producer that refills the deep queue.
-        // Switch the balancer to Average, whose kMoveTasks commands pull a
-        // queue down to the level mean in one grab. Only escalate from the
+        // Switch the balancer to Average, whose moves pull a queue down to
+        // the ceiling average in one grab. Only escalate from the
         // Stealing default: a user-selected Average/Reserve balancer is not
         // ours to replace.
         move(f, Knob::kBalancer, kAverage, "pile-up persists", now);

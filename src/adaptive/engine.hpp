@@ -19,9 +19,9 @@
 //      Policy::balancer from the default Stealing balancer to the Average
 //      balancer when a queue pile-up persists *after* the steal-policy
 //      relief, and back once the pile-up drains. Switches route through
-//      Scheduler::adapt_policy, which rebuilds the balancer tree at the
-//      epoch boundary; a dedicated BalancerGovernor (dwell + lifetime cap)
-//      paces them because a swap is the most disruptive actuator.
+//      Scheduler::adapt_policy at the epoch boundary, as one field write; a
+//      dedicated BalancerGovernor (dwell + lifetime cap) paces them because
+//      a swap is the most disruptive actuator.
 //
 // Actuators 3 and 4 are policy moves: a knob, the value to set and a reason.
 // Every one goes through move(), which admits it on its governor, edits the

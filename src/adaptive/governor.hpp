@@ -68,8 +68,9 @@ class Governor {
 };
 
 /// Governor specialised for balancer-policy switches. A balancer swap is the
-/// most disruptive actuator — it rebuilds the per-level balancer tree and
-/// changes the probe order of every later steal — so on top of the plain
+/// most disruptive actuator — it changes what every later idle acquire does
+/// (Average moves whole batches of queued work where Stealing probes for one
+/// task or set) — so on top of the plain
 /// Governor's confirm/cooldown gate it enforces two extra dampers:
 ///
 ///   * dwell — at least `dwell_epochs` epochs must separate any two admitted

@@ -40,9 +40,10 @@ struct AdaptPolicy {
   bool enable_hints = true;
   bool enable_steal_policy = true;
   /// Fourth actuator: switch the scheduler's balancer policy (Policy::
-  /// balancer) at epoch boundaries. Off by default — a balancer swap rebuilds
-  /// the per-level balancer tree and changes the probe order of every later
-  /// steal, so it is the most disruptive actuator and must be asked for.
+  /// balancer) at epoch boundaries. Off by default — a balancer swap changes
+  /// what every later idle acquire does (Average moves batches of queued
+  /// work regardless of affinity pins), so it is the most disruptive
+  /// actuator and must be asked for.
   bool enable_balancer = false;
 
   /// Latency-target objective (0 = off, the throughput-only default). When
@@ -67,7 +68,7 @@ struct AdaptPolicy {
   /// Balancer-actuator pacing (only read when enable_balancer): a switch is
   /// admitted at most once per `balancer_dwell_epochs` epochs (on top of the
   /// governor's confirm/cooldown), and at most `balancer_max_switches` times
-  /// per run so a pathological workload cannot thrash the balancer tree.
+  /// per run so a pathological workload cannot thrash the balancer.
   std::uint32_t balancer_dwell_epochs = 6;
   std::uint32_t balancer_max_switches = 4;
 

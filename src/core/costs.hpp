@@ -18,7 +18,6 @@ struct CostModel {
   std::uint64_t mutex_acquire = 20;
   std::uint64_t mutex_release = 10;
   std::uint64_t cond_op = 20;
-  std::uint64_t idle_poll = 50;      ///< Re-check interval when out of work.
 };
 
 }  // namespace cool

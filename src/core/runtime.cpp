@@ -73,9 +73,12 @@ Runtime::Runtime(SystemConfig cfg) : cfg_(cfg) {
     sim_->attach_race(race_.get(), race_.get());
   }
   if (cfg_.req_trace && sim_) {
+    // 2^14 spans per processor ring (on overflow the oldest are dropped and
+    // counted in obs.reqtrace.dropped; the breakdown histograms stay exact),
+    // and the 8 slowest measured requests keep their span chains as
+    // exemplars for the Chrome-trace export.
     reqtrace_ = std::make_unique<obs::RequestTraceRecorder>(
-        cfg_.machine.n_procs, cfg_.req_trace_ring_capacity,
-        cfg_.req_trace_exemplars);
+        cfg_.machine.n_procs, std::size_t{1} << 14, 8);
     sim_->attach_request_trace(reqtrace_.get());
   }
   // Reserve the allocation arena (lazily backed; pages materialise on touch).
@@ -131,11 +134,15 @@ void* Runtime::alloc_bytes(std::size_t bytes, std::int64_t home) {
   const std::size_t page = cfg_.machine.page_bytes;
   const std::size_t rounded = static_cast<std::size_t>(
       util::align_up(bytes, page));
-  // Varying pad: a fixed pad still re-aligns with direct-mapped cache sets
-  // over long allocation sequences (k allocations x fixed stride can be a
-  // multiple of the cache size); cycling the pad length breaks the period.
-  const std::size_t max_pad = std::max<std::size_t>(1, cfg_.alloc_stagger_pages);
-  const std::size_t stagger = page * (1 + (n_allocs_ * 5) % max_pad);
+  // Pad each allocation by 1..13 pages, cycling deterministically. Without
+  // padding, a bump allocator hands out power-of-two (or long-range
+  // periodic) strides and corresponding pieces of different arrays collide
+  // pathologically in the direct-mapped DASH caches; SPLASH codes padded
+  // their arrays for the same reason. The pad varies because a fixed pad
+  // still re-aligns with the cache sets over long allocation sequences (k
+  // allocations x fixed stride can be a multiple of the cache size).
+  constexpr std::size_t kMaxPadPages = 13;
+  const std::size_t stagger = page * (1 + (n_allocs_ * 5) % kMaxPadPages);
   ++n_allocs_;
   COOL_CHECK(arena_used_ + rounded + stagger <= cfg_.arena_bytes,
              "runtime arena exhausted — raise SystemConfig::arena_bytes");

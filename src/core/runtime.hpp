@@ -52,13 +52,6 @@ struct SystemConfig {
   /// with it on — and when off nothing is constructed: the memory system
   /// never sees the observer and the engine pays one null check per dispatch.
   bool req_trace = false;
-  /// Capacity of each per-processor request-span ring; on overflow the
-  /// oldest spans are dropped and counted (obs.reqtrace.dropped). The
-  /// breakdown histograms are O(1) accumulators and stay exact regardless.
-  std::size_t req_trace_ring_capacity = 1 << 14;
-  /// Tail exemplars retained: the K slowest measured requests keep their
-  /// full span chains for the Chrome-trace export.
-  std::size_t req_trace_exemplars = 8;
   /// Attach the locality profiler: attribute every simulated memory access to
   /// the object/region and affinity set it hits (see obs/profiler.hpp). The
   /// tap is passive — simulated cycle counts are identical with it on — and
@@ -85,13 +78,6 @@ struct SystemConfig {
   /// Allocations are bump-allocated from it so simulated addresses are
   /// arena-relative and every run is bit-reproducible.
   std::size_t arena_bytes = 1ull << 30;
-  /// Maximum pages of padding inserted between consecutive allocations (the
-  /// actual pad cycles deterministically through 1..alloc_stagger_pages).
-  /// Without varying padding, a bump allocator hands out power-of-two (or
-  /// long-range periodic) strides and corresponding pieces of different
-  /// arrays collide pathologically in the direct-mapped DASH caches; SPLASH
-  /// codes padded their arrays for the same reason.
-  std::size_t alloc_stagger_pages = 13;
 };
 
 class Runtime {

@@ -37,7 +37,7 @@ enum class EventKind : std::uint8_t {
 };
 
 /// kBalance flag values (which balancer decision the event records).
-constexpr std::uint8_t kBalanceMove = 0;     ///< kMoveTasks executed.
+constexpr std::uint8_t kBalanceMove = 0;     ///< An Average move executed.
 constexpr std::uint8_t kBalanceReserve = 1;  ///< Placement reservation.
 
 /// TaskSpan flag bits.

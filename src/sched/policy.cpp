@@ -65,19 +65,6 @@ void validate_policy(const Policy& policy, const topo::MachineConfig& machine,
         "data hotness and needs --profile attribution (or --adapt under the "
         "simulation engine) — enable profiling or pick another balancer");
   }
-  if (policy.balance_within_clusters &&
-      policy.balancer != BalancerKind::kAverage) {
-    throw util::Error(
-        "invalid scheduler policy: balance_within_clusters scopes the "
-        "average balancer's equalization level and requires "
-        "balancer=average");
-  }
-  if (policy.balance_within_clusters && machine.n_clusters() <= 1) {
-    throw util::Error(
-        "invalid scheduler policy: balance_within_clusters on a machine with "
-        "a single cluster is the machine level under another name — drop the "
-        "flag or use more clusters");
-  }
 }
 
 }  // namespace cool::sched

@@ -1,10 +1,10 @@
-// Scheduling policy knobs (split out of scheduler.hpp so the balancer layer
-// can consume Policy without a circular include).
+// Scheduling policy knobs.
 //
 // Placement and stealing flags follow paper §4/§5; the `balancer` knob
-// selects which hierarchical load-balancing policy (sched/balancer.hpp) the
-// scheduler instantiates over the topology tree. kStealing is the default
-// and reproduces the paper's flat idle-steal scan byte for byte.
+// selects how the scheduler distributes work (sched/scheduler.hpp): the steal
+// loop in Scheduler::acquire, with Average's moves before the probes, or
+// Reserve's hotness-directed placement. kStealing is the default and is the
+// paper's idle-steal scan.
 #pragma once
 
 #include <cstddef>
@@ -14,10 +14,10 @@
 
 namespace cool::sched {
 
-/// Which Balancer policy the scheduler instantiates per topology level.
+/// How the scheduler distributes work.
 enum class BalancerKind : std::uint8_t {
   kStealing,  ///< The paper's idle-steal victim scan (default).
-  kAverage,   ///< Queue-length equalization within a level.
+  kAverage,   ///< Queue-length equalization within each steal pass's scope.
   kReserve,   ///< Hotness-directed placement reservation + steal backstop.
 };
 
@@ -47,14 +47,8 @@ struct Policy {
                                      ///< adaptive runtime sets this when a
                                      ///< steal storm persists.
 
-  /// Hierarchical work-distribution policy (sched/balancer.hpp).
+  /// Work-distribution policy (see BalancerKind).
   BalancerKind balancer = BalancerKind::kStealing;
-  /// kAverage only: equalize queue lengths inside the thief's cluster level
-  /// instead of across the whole machine (the per-level experiment).
-  bool balance_within_clusters = false;
-  /// kReserve only: refresh the data-hotness reservation table every this
-  /// many placements (the profiler's heat evolves during the run).
-  std::uint32_t reserve_refresh_tasks = 64;
   /// Bitmask of processors the Reserve balancer must not redirect work to
   /// (bit p = processor p). Serving workloads set the front-end bit: the
   /// admission pump occupies its processor without sitting in its queue, so
@@ -69,10 +63,9 @@ struct Policy {
 /// silently ignoring flags: steal refinements with stealing disabled,
 /// pinned-set stealing without whole-set stealing, cluster-scoped stealing on
 /// a machine with a single cluster, both cluster modes at once, or a balancer
-/// that cannot work (Reserve without profiler attribution, per-cluster
-/// balancing on a single-cluster machine). `profile_available` says whether
-/// the runtime will attach a locality profiler — the Reserve balancer's heat
-/// source. Called by Runtime at init; direct Scheduler construction (unit
+/// that cannot work (Average or Reserve without stealing, Reserve without
+/// profiler attribution). `profile_available` says whether the runtime will
+/// attach a locality profiler — the Reserve balancer's heat source. Called by Runtime at init; direct Scheduler construction (unit
 /// tests) stays unvalidated on purpose.
 void validate_policy(const Policy& policy, const topo::MachineConfig& machine,
                      bool profile_available = false);

@@ -179,8 +179,10 @@ TrySteal ServerQueues::try_move_tasks(std::vector<TaskDesc*>& out,
     size_.fetch_sub(1, std::memory_order_relaxed);
   };
   // Youngest object-queue tasks first (least likely to be popped soon), then
-  // whole affinity slots from the back so moved sets stay contiguous on the
-  // destination.
+  // the first non-empty affinity slot from its tail, slot after slot. The
+  // first slot is the active set whenever one is set (check_locked), so a
+  // move strips the set the owner is draining back to back: the opposite of
+  // steal_set_locked, which takes the active set last.
   while (out.size() < max_tasks) {
     TaskDesc* t = object_q_.pop_back();
     if (t == nullptr) break;

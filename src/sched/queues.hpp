@@ -90,7 +90,8 @@ class ServerQueues {
 
   /// Non-blocking balancer-move extraction: `try_lock` and pop up to
   /// `max_tasks` tasks — youngest-first from the object queue, then from the
-  /// affinity slots — marking each `moved`. Moves serve the Average
+  /// tail of the first non-empty affinity slot (the active set, when one is
+  /// set), slot after slot — marking each `moved`. Moves serve the Average
   /// balancer's equalization and deliberately ignore affinity pins and
   /// reservations (the balancer decided balance beats locality here). The
   /// caller adopts the batch onto the destination server.

@@ -1,5 +1,7 @@
 #include "sched/scheduler.hpp"
 
+#include <algorithm>
+
 #include "common/check.hpp"
 #include "common/error.hpp"
 
@@ -10,7 +12,7 @@ Scheduler::Scheduler(const topo::MachineConfig& machine, Policy policy,
     : machine_(machine),
       policy_(policy),
       home_(std::move(home)),
-      cmd_scratch_(machine.n_procs),
+      reserve_selected_(policy_.balancer == BalancerKind::kReserve),
       stats_(machine.n_procs),
       run_track_(machine.n_procs) {
   COOL_CHECK(home_ != nullptr, "scheduler needs a home resolver");
@@ -21,37 +23,75 @@ Scheduler::Scheduler(const topo::MachineConfig& machine, Policy policy,
     stats_.shard(p).reserve_hits_by_cluster =
         std::vector<std::atomic<std::uint64_t>>(machine_.n_clusters());
   }
-  levels_ = topo::enumerate_levels(machine_);
-  built_kind_ = policy_.balancer;
-  rebuild_balancers();
-}
-
-void Scheduler::rebuild_balancers() {
-  balancers_.clear();
-  reserve_ = nullptr;
-  balancers_.reserve(levels_.size());
-  for (const topo::TopoLevel& lvl : levels_) {
-    balancers_.push_back(make_balancer(policy_.balancer, lvl, machine_, policy_));
-  }
-  if (policy_.balancer == BalancerKind::kReserve) {
-    reserve_ = static_cast<ReserveBalancer*>(
-        balancers_[topo::kMachineLevel].get());
-    if (hotness_fn_) reserve_->set_hotness(hotness_fn_);
-    reserve_built_ = true;
-  }
 }
 
 void Scheduler::set_hotness_source(HotnessFn fn) {
-  hotness_fn_ = std::move(fn);
-  if (reserve_ != nullptr) reserve_->set_hotness(hotness_fn_);
+  util::MutexLock l(hot_.mu);
+  hot_.source = std::move(fn);
+  hot_.hot.clear();
+  hot_.cache.clear();
+  hot_.placements = 0;
 }
 
 void Scheduler::adapt_policy(const std::function<void(Policy&)>& fn) {
   fn(policy_);
-  if (policy_.balancer != built_kind_) {
-    built_kind_ = policy_.balancer;
-    rebuild_balancers();
+  if (policy_.balancer == BalancerKind::kReserve) reserve_selected_ = true;
+}
+
+std::optional<topo::ProcId> Scheduler::reserve_target(std::uint64_t key_addr) {
+  util::MutexLock l(hot_.mu);
+  if (!hot_.source) return std::nullopt;
+  constexpr std::uint64_t kRefreshPlacements = 16;
+  if (hot_.placements++ % kRefreshPlacements == 0) {
+    hot_.hot = hot_.source();
+    // Heat-descending so the hottest object wins containment ties; address
+    // ascending as the deterministic tie-break.
+    std::stable_sort(hot_.hot.begin(), hot_.hot.end(),
+                     [](const DataHotness& a, const DataHotness& b) {
+                       if (a.heat != b.heat) return a.heat > b.heat;
+                       return a.addr < b.addr;
+                     });
+    constexpr std::size_t kMaxHot = 32;
+    if (hot_.hot.size() > kMaxHot) hot_.hot.resize(kMaxHot);
+    hot_.cache.clear();
   }
+
+  constexpr topo::ProcId kCold = static_cast<topo::ProcId>(~0u);
+  auto [it, fresh] = hot_.cache.try_emplace(key_addr, kCold);
+  if (fresh) {
+    for (const DataHotness& h : hot_.hot) {
+      if (key_addr < h.addr || key_addr >= h.addr + h.bytes) continue;
+      COOL_CHECK(h.home_cluster < machine_.n_clusters(),
+                 "reserve: hot cluster out of range");
+      const std::uint32_t first = h.home_cluster * machine_.procs_per_cluster;
+      const std::uint32_t last =
+          std::min(first + machine_.procs_per_cluster, machine_.n_procs);
+      // reserve_exclude_mask hides processors whose queue length lies about
+      // their availability (a serving front-end: the pump occupies the
+      // processor without being queued on it). If every member is masked
+      // the mask is ignored — stranding the reservation would be worse.
+      const std::uint64_t mask = policy_.reserve_exclude_mask;
+      auto excluded = [&](std::uint32_t m) {
+        return m < 64 && ((mask >> m) & 1u) != 0;
+      };
+      bool all_masked = true;
+      for (std::uint32_t m = first; m < last; ++m) {
+        all_masked = all_masked && excluded(m);
+      }
+      std::size_t best_sz = ~std::size_t{0};
+      for (std::uint32_t m = first; m < last; ++m) {
+        if (!all_masked && excluded(m)) continue;
+        const std::size_t sz = queues_[m].size();
+        if (sz < best_sz) {  // strict: ties go to the lowest id
+          it->second = static_cast<topo::ProcId>(m);
+          best_sz = sz;
+        }
+      }
+      break;
+    }
+  }
+  if (it->second == kCold) return std::nullopt;
+  return it->second;
 }
 
 void Scheduler::check_queues() const {
@@ -137,7 +177,7 @@ topo::ProcId Scheduler::place(TaskDesc* t, topo::ProcId spawner) {
   }
 
   t->reserved = false;
-  if (policy_.balancer == BalancerKind::kReserve && reserve_ != nullptr &&
+  if (policy_.balancer == BalancerKind::kReserve &&
       policy_.honor_affinity && !t->aff.has_processor() &&
       !t->aff.has_multi() && (t->aff.has_object() || t->aff.has_task())) {
     // Hotness-directed reservation: instead of waiting for idleness to
@@ -147,7 +187,7 @@ topo::ProcId Scheduler::place(TaskDesc* t, topo::ProcId spawner) {
     // set lands together).
     const std::uint64_t key =
         t->aff.has_object() ? t->aff.object_obj : t->aff.task_obj;
-    if (const auto target = reserve_->reserve_target(key, queues_)) {
+    if (const auto target = reserve_target(key)) {
       server = *target;
       t->reserved = true;
       st.reserve_hits.fetch_add(1, std::memory_order_relaxed);
@@ -232,27 +272,35 @@ TaskDesc* Scheduler::try_steal(topo::ProcId thief, topo::ProcId victim,
   return nullptr;
 }
 
-TaskDesc* Scheduler::exec_move(topo::ProcId thief, const BalanceCommand& cmd,
-                               bool& busy) {
-  ServerQueues& q = queues_[cmd.src];
-  if (q.empty() || cmd.max_tasks == 0) return nullptr;
-  StatShard& st = stats_.shard(thief);
+TaskDesc* Scheduler::try_move(topo::ProcId thief, topo::ProcId victim,
+                              std::uint32_t max_tasks, bool& busy) {
   std::vector<TaskDesc*> moved;
-  switch (q.try_move_tasks(moved, cmd.max_tasks)) {
+  switch (queues_[victim].try_move_tasks(moved, max_tasks)) {
     case TrySteal::kBusy:
       busy = true;
       return nullptr;
-    case TrySteal::kGot: {
-      st.balance_moves.fetch_add(moved.size(), std::memory_order_relaxed);
+    case TrySteal::kGot:
+      stats_.shard(thief).balance_moves.fetch_add(moved.size(),
+                                                  std::memory_order_relaxed);
       // Like whole-set stealing: adopt the batch and take the first runnable
       // task under one hold of the thief's own lock.
       return queues_[thief].adopt_and_pop(moved, thief);
-    }
     case TrySteal::kEmpty:
       break;
   }
   return nullptr;
 }
+
+namespace {
+
+/// The servers one pass of the steal loop visits.
+enum class Scope : std::uint8_t {
+  kCluster,        ///< The thief's cluster.
+  kMachine,        ///< Every server.
+  kOtherClusters,  ///< Every server outside the thief's cluster.
+};
+
+}  // namespace
 
 Scheduler::Acquired Scheduler::acquire(topo::ProcId proc) {
   COOL_CHECK(proc < machine_.n_procs, "acquire: processor out of range");
@@ -266,66 +314,82 @@ Scheduler::Acquired Scheduler::acquire(topo::ProcId proc) {
   }
   if (!policy_.steal_enabled || machine_.n_procs == 1) return out;
 
-  // Balancer chain for this thief: each level's balancer generates explicit
-  // commands which are executed here in order. The default chain is just the
-  // machine-level balancer (the paper's flat scan); cluster_first runs the
-  // thief's cluster level first and the machine level (which then skips the
-  // thief's cluster) second; cluster_only — and the Average balancer's
-  // balance_within_clusters — never leave the cluster level.
-  std::size_t chain[2];
-  std::size_t chain_len = 0;
-  const std::size_t cl = topo::cluster_level(machine_.cluster_of(proc));
-  if (policy_.cluster_first) {
-    chain[chain_len++] = cl;
-    chain[chain_len++] = topo::kMachineLevel;
-  } else if (policy_.cluster_only) {
-    chain[chain_len++] = cl;
-  } else if (policy_.balancer == BalancerKind::kAverage &&
-             policy_.balance_within_clusters) {
-    chain[chain_len++] = cl;
-  } else {
-    chain[chain_len++] = topo::kMachineLevel;
+  // The steal loop probes the other servers in ring order after the thief:
+  // in one pass over the machine, or over the thief's cluster under
+  // cluster_only; cluster_first makes two passes, the cluster and then the
+  // other clusters. Under the Average balancer each pass first pulls every
+  // over-average member of its scope down to the ceiling average, and probes
+  // only when none is over; Average's second cluster_first pass covers the
+  // whole machine, own cluster included. max_steal_scan caps the probes of
+  // all passes together; a capped loop tries nothing more.
+  const bool average = policy_.balancer == BalancerKind::kAverage;
+  Scope passes[2];
+  std::size_t n_passes = 0;
+  if (policy_.cluster_first || policy_.cluster_only) {
+    passes[n_passes++] = Scope::kCluster;
   }
-
+  if (policy_.cluster_first) {
+    passes[n_passes++] = average ? Scope::kMachine : Scope::kOtherClusters;
+  } else if (!policy_.cluster_only) {
+    passes[n_passes++] = Scope::kMachine;
+  }
+  const std::uint32_t P = machine_.n_procs;
+  const std::uint64_t cap = policy_.max_steal_scan != 0
+                                ? policy_.max_steal_scan
+                                : ~std::uint64_t{0};
   bool busy = false;
-  std::uint64_t probed = 0;  ///< kTrySteal commands executed (scan length).
-  bool capped = false;
-  for (std::size_t c = 0; c < chain_len && !capped; ++c) {
-    std::vector<BalanceCommand>& cmds = cmd_scratch_[proc].cmds;
-    cmds.clear();
-    balancers_[chain[c]]->generate(proc, queues_, cmds);
-    for (const BalanceCommand& cmd : cmds) {
-      if (policy_.max_steal_scan != 0 && probed >= policy_.max_steal_scan) {
-        capped = true;
-        break;
+  std::uint64_t probed = 0;  ///< Victims probed (the scan length).
+  auto found = [&](TaskDesc* t) {
+    st.steal_scan.observe(probed);
+    note_run(proc, t->aff_key);
+    out.task = t;
+    return out;
+  };
+  for (std::size_t i = 0; i < n_passes && probed < cap; ++i) {
+    const Scope scope = passes[i];
+    auto in_scope = [&](topo::ProcId v) {
+      return scope == Scope::kMachine ||
+             machine_.same_cluster(proc, v) == (scope == Scope::kCluster);
+    };
+    bool over = false;
+    if (average) {
+      std::size_t total = 0;
+      std::size_t members = 0;
+      for (topo::ProcId v = 0; v < P; ++v) {
+        if (!in_scope(v)) continue;
+        total += queues_[v].size();
+        ++members;
       }
-      st.balance_commands.fetch_add(1, std::memory_order_relaxed);
-      TaskDesc* t = nullptr;
-      if (cmd.op == BalanceCommand::Op::kTrySteal) {
-        ++probed;
-        t = try_steal(proc, cmd.src, busy);
-        if (t != nullptr) {
-          st.steals.fetch_add(1, std::memory_order_relaxed);
-          out.stolen = true;
-          const bool same = machine_.same_cluster(proc, cmd.src);
-          out.stolen_remote_cluster = !same;
-          out.victim = cmd.src;
-          if (!same) {
-            st.remote_cluster_steals.fetch_add(1, std::memory_order_relaxed);
-          }
-        }
-      } else {
-        t = exec_move(proc, cmd, busy);
-        if (t != nullptr) {
+      const std::size_t avg = (total + members - 1) / members;
+      for (std::uint32_t k = 1; k < P; ++k) {
+        const auto v = static_cast<topo::ProcId>((proc + k) % P);
+        const std::size_t sz = queues_[v].size();
+        if (!in_scope(v) || sz <= avg) continue;
+        over = true;
+        st.balance_commands.fetch_add(1, std::memory_order_relaxed);
+        if (TaskDesc* t =
+                try_move(proc, v, static_cast<std::uint32_t>(sz - avg), busy)) {
           out.moved = true;
-          out.victim = cmd.src;
+          out.victim = v;
+          return found(t);
         }
       }
-      if (t != nullptr) {
-        st.steal_scan.observe(probed);
-        note_run(proc, t->aff_key);
-        out.task = t;
-        return out;
+    }
+    if (over) continue;
+    for (std::uint32_t k = 1; k < P && probed < cap; ++k) {
+      const auto v = static_cast<topo::ProcId>((proc + k) % P);
+      if (!in_scope(v)) continue;
+      st.balance_commands.fetch_add(1, std::memory_order_relaxed);
+      ++probed;
+      if (TaskDesc* t = try_steal(proc, v, busy)) {
+        st.steals.fetch_add(1, std::memory_order_relaxed);
+        out.stolen = true;
+        out.stolen_remote_cluster = !machine_.same_cluster(proc, v);
+        out.victim = v;
+        if (out.stolen_remote_cluster) {
+          st.remote_cluster_steals.fetch_add(1, std::memory_order_relaxed);
+        }
+        return found(t);
       }
     }
   }
@@ -393,7 +457,9 @@ void Scheduler::AtomicHist::fold_into(obs::HistData& h) const noexcept {
 
 SchedDetail Scheduler::detail() const {
   SchedDetail d;
-  if (reserve_built_) d.reserve_hits_by_cluster.resize(machine_.n_clusters());
+  if (reserve_selected_) {
+    d.reserve_hits_by_cluster.resize(machine_.n_clusters());
+  }
   return stats_.aggregate(std::move(d), [](SchedDetail& acc,
                                            const StatShard& s) {
     s.steal_scan.fold_into(acc.steal_scan_victims);

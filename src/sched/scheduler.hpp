@@ -14,7 +14,9 @@
 // last resort (or never, by policy); `cluster_first` restricts the first
 // round of victims to the thief's own cluster — the Panel Cholesky
 // "Distr+Aff+ClusterStealing" experiment; `cluster_only` forbids stealing
-// outside the cluster entirely.
+// outside the cluster entirely. One loop in acquire() runs the scan, and the
+// `balancer` policy varies it: Average moves work from over-average queues
+// before it probes, and Reserve pre-places hot work in place().
 //
 // Concurrency: the scheduler is internally synchronised — place/acquire/
 // enqueue_* may be called from any number of threads with no external lock.
@@ -33,20 +35,32 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <memory>
+#include <optional>
+#include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
 #include "common/stats.hpp"
 #include "common/thread_annotations.hpp"
 #include "obs/metrics.hpp"
-#include "sched/balancer.hpp"
 #include "sched/policy.hpp"
 #include "sched/queues.hpp"
-#include "topology/levels.hpp"
 #include "topology/machine.hpp"
 
 namespace cool::sched {
+
+/// One profiled data object's heat, as fed to the Reserve balancer: where the
+/// object's misses are served from and how much stall time it caused.
+struct DataHotness {
+  std::uint64_t addr = 0;   ///< Object base address (runtime address space).
+  std::uint64_t bytes = 0;  ///< Object extent.
+  topo::ClusterId home_cluster = 0;  ///< Cluster homing the hot pages.
+  std::uint64_t heat = 0;   ///< Stall cycles attributed to the object.
+};
+
+/// Pulls the current hotness table (typically from obs::LocalityProfiler).
+/// Must be safe to call from any thread that places tasks.
+using HotnessFn = std::function<std::vector<DataHotness>()>;
 
 /// Aggregated scheduler counters. This is a point-in-time snapshot: the
 /// scheduler accumulates into per-server shards and `Scheduler::stats()`
@@ -66,8 +80,8 @@ struct SchedStats {
   std::uint64_t remote_cluster_steals = 0;
   std::uint64_t failed_steal_scans = 0;
   std::uint64_t resumes = 0;
-  std::uint64_t balance_commands = 0;  ///< Balancer commands executed.
-  std::uint64_t balance_moves = 0;     ///< Tasks relocated by move commands.
+  std::uint64_t balance_commands = 0;  ///< Probes and Average moves tried.
+  std::uint64_t balance_moves = 0;     ///< Tasks relocated by Average moves.
   std::uint64_t reserve_hits = 0;      ///< Placements redirected by Reserve.
 };
 
@@ -79,7 +93,7 @@ struct SchedDetail {
   obs::HistData steal_scan_victims;   ///< Victims probed per steal scan.
   obs::HistData affinity_run_length;  ///< Back-to-back runs of one set.
   /// Placements the Reserve balancer redirected, by target cluster; empty
-  /// until a Reserve balancer has been built.
+  /// until Reserve has been selected.
   std::vector<std::uint64_t> reserve_hits_by_cluster;
 };
 
@@ -112,8 +126,8 @@ class Scheduler {
     TaskDesc* task = nullptr;
     bool stolen = false;
     bool stolen_remote_cluster = false;
-    /// Task arrived via a balancer kMoveTasks command (Average policy);
-    /// `victim` names the source server, `stolen` stays false.
+    /// Task arrived via an Average move; `victim` names the source server,
+    /// `stolen` stays false.
     bool moved = false;
     topo::ProcId victim = 0;  ///< Who the task was stolen from (when stolen).
     /// A steal scan skipped at least one victim whose lock was busy. The
@@ -167,27 +181,14 @@ class Scheduler {
   /// the scheduling fast paths, so this is only safe when no concurrent
   /// place/acquire runs — the single-threaded simulation engine between
   /// task dispatches. The adaptive runtime is sim-only for exactly this
-  /// reason. A change of `Policy::balancer` rebuilds the per-level balancer
-  /// instances (the epoch-boundary policy switch under --adapt).
+  /// reason. A change of `Policy::balancer` (the epoch-boundary switch
+  /// under --adapt) takes effect at the next place() or acquire().
   void adapt_policy(const std::function<void(Policy&)>& fn);
 
-  // --- Balancer layer -------------------------------------------------------
-
   /// Install the Reserve balancer's heat source (typically the locality
-  /// profiler). A no-op under other balancer kinds, but the source is
-  /// remembered so an adaptive switch to Reserve picks it up.
+  /// profiler) and empty the hotness table. place() reads it only under
+  /// Reserve.
   void set_hotness_source(HotnessFn fn);
-
-  /// The topology levels balancers are instantiated over (machine root
-  /// first, then clusters in id order).
-  [[nodiscard]] const std::vector<topo::TopoLevel>& levels() const noexcept {
-    return levels_;
-  }
-
-  /// The balancer serving `level` (index into levels()).
-  [[nodiscard]] const Balancer& balancer_at(std::size_t level) const {
-    return *balancers_.at(level);
-  }
 
  private:
   /// A log2 histogram (obs::HistData's buckets) of relaxed atomics.
@@ -240,44 +241,44 @@ class Scheduler {
     std::uint64_t len = 0;
   };
 
-  /// Per-processor scratch buffer for balancer command generation; touched
-  /// only by the owning processor's acquire() calls (like RunTrack), so the
-  /// vector's capacity is reused scan after scan with no synchronisation.
-  struct alignas(64) CmdScratch {
-    std::vector<BalanceCommand> cmds;
+  /// Reserve's hotness table (zsim-ndp's DataHotness shape): the hottest
+  /// profiled objects, refreshed from `source` every 16 placements so
+  /// reservations track the profile as it accumulates.
+  struct HotTable {
+    util::Mutex mu;  ///< Guards every field below.
+    HotnessFn source COOL_GUARDED_BY(mu);
+    /// Heat-descending, truncated.
+    std::vector<DataHotness> hot COOL_GUARDED_BY(mu);
+    /// Per-affinity-key target cache: one lookup per key between refreshes,
+    /// so a whole task-affinity set lands on one server. Probed, never
+    /// iterated — lookup order cannot leak into placement decisions.
+    std::unordered_map<std::uint64_t, topo::ProcId> cache COOL_GUARDED_BY(mu);
+    std::uint64_t placements COOL_GUARDED_BY(mu) = 0;
   };
 
   /// Close the current affinity run (if any) and start one for `key`.
   void note_run(topo::ProcId proc, std::uint64_t key);
 
   TaskDesc* try_steal(topo::ProcId thief, topo::ProcId victim, bool& busy);
-  /// Execute one kMoveTasks command: extract up to max_tasks from the source
-  /// queue, adopt them on the thief, and return the first runnable one.
-  TaskDesc* exec_move(topo::ProcId thief, const BalanceCommand& cmd,
-                      bool& busy);
-  /// (Re)instantiate one balancer per topology level for the current
-  /// policy's kind. Single-threaded callers only (construction, and
-  /// adapt_policy under the simulation engine).
-  void rebuild_balancers();
+  /// An Average move: extract up to `max_tasks` tasks from `victim`'s queue,
+  /// adopt them on the thief, and return the first runnable one.
+  TaskDesc* try_move(topo::ProcId thief, topo::ProcId victim,
+                     std::uint32_t max_tasks, bool& busy);
+  /// Where should a task keyed by affinity object `key_addr` go under
+  /// Reserve? The least-loaded member (ties: lowest id) of the cluster
+  /// homing the hot object containing `key_addr`, or nullopt when the
+  /// address is cold or no heat source is installed. Thread-safe.
+  std::optional<topo::ProcId> reserve_target(std::uint64_t key_addr);
 
   const topo::MachineConfig& machine_;
   Policy policy_;
   HomeFn home_;
   std::deque<ServerQueues> queues_;  // deque: ServerQueues is not movable
 
-  // Balancer layer: one balancer per topology level, rebuilt when the
-  // policy's kind changes. `reserve_` aliases the machine-level instance
-  // under kReserve (the placement path consults it); levels_ outlives and is
-  // referenced by every balancer.
-  std::vector<topo::TopoLevel> levels_;
-  std::vector<std::unique_ptr<Balancer>> balancers_;
-  BalancerKind built_kind_ = BalancerKind::kStealing;
-  ReserveBalancer* reserve_ = nullptr;
-  /// A Reserve balancer has been built at some point: detail() reports the
+  HotTable hot_;
+  /// Reserve has been selected at some point: detail() reports the
   /// per-cluster hits from then on, and never under another balancer alone.
-  bool reserve_built_ = false;
-  HotnessFn hotness_fn_;
-  std::vector<CmdScratch> cmd_scratch_;  ///< One per processor.
+  bool reserve_selected_ = false;
 
   util::Sharded<StatShard> stats_;   // per-server shards, summed on read
   std::atomic<std::uint64_t> rr_next_{0};  ///< Base-mode round-robin cursor.

@@ -87,7 +87,6 @@ TEST(ObsSnapshotGolden, ReserveBalancerWithProfile) {
   SystemConfig sc = sim_config(8);
   sc.profile = true;
   sc.policy.balancer = sched::BalancerKind::kReserve;
-  sc.policy.reserve_refresh_tasks = 16;
   const std::string got = run_snapshot(sc);
   EXPECT_NE(got.find("\"sched.balance.reserve_hits.cluster1\""),
             std::string::npos);

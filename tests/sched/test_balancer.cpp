@@ -1,17 +1,16 @@
-// The hierarchical balancer layer: level enumeration, per-policy command
-// generation, reserve-directed placement with cross-cluster protection, and
-// schedule determinism across repeated runs.
-#include "sched/balancer.hpp"
-
+// The steal loop in Scheduler::acquire under each balancer: ring order and
+// cluster passes, Average's moves, reserve-directed placement with
+// cross-cluster protection, the adaptive balancer switch, and schedule
+// determinism across repeated runs.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdint>
+#include <deque>
 #include <vector>
 
 #include "core/cool.hpp"
 #include "sched/scheduler.hpp"
-#include "topology/levels.hpp"
 
 namespace cool::sched {
 namespace {
@@ -20,76 +19,118 @@ topo::ProcId flat_home(std::uint64_t addr, std::uint32_t n_procs) {
   return static_cast<topo::ProcId>((addr >> 12) % n_procs);
 }
 
-std::deque<ServerQueues> empty_queues(std::uint32_t n, std::size_t slots) {
-  std::deque<ServerQueues> q;
-  for (std::uint32_t i = 0; i < n; ++i) q.emplace_back(slots);
-  return q;
-}
-
-TEST(TopoLevels, EnumerationCoversMachineThenClusters) {
-  const topo::MachineConfig m = topo::MachineConfig::dash(8);
-  ASSERT_GT(m.n_clusters(), 1u);
-  const std::vector<topo::TopoLevel> levels = topo::enumerate_levels(m);
-  ASSERT_EQ(levels.size(), 1 + m.n_clusters());
-  EXPECT_EQ(levels[topo::kMachineLevel].kind, topo::TopoLevel::Kind::kMachine);
-  EXPECT_EQ(levels[topo::kMachineLevel].members.size(), m.n_procs);
-  for (topo::ClusterId c = 0; c < m.n_clusters(); ++c) {
-    const topo::TopoLevel& lvl = levels[topo::cluster_level(c)];
-    EXPECT_EQ(lvl.kind, topo::TopoLevel::Kind::kCluster);
-    EXPECT_EQ(lvl.cluster, c);
-    EXPECT_EQ(lvl.members.size(), m.procs_per_cluster);
-    for (const topo::ProcId p : lvl.members) {
-      EXPECT_EQ(m.cluster_of(p), c);
-      EXPECT_TRUE(lvl.contains(p));
-    }
+/// Puts one hint-free task on every server but `thief` (each lands on its
+/// spawner's queue), then checks that `thief`'s acquires take them from
+/// `want` in order, probing the emptied servers again each time, and that
+/// the failed scan after them probes every other server once.
+void expect_scan(Scheduler& s, topo::ProcId thief,
+                 const std::vector<topo::ProcId>& want) {
+  const std::uint32_t P = s.machine().n_procs;
+  std::deque<TaskDesc> tasks;
+  for (topo::ProcId p = 0; p < P; ++p) {
+    if (p != thief) s.place(&tasks.emplace_back(), p);
   }
-}
-
-TEST(StealingBalancer, EmitsTheClassicRingScan) {
-  const topo::MachineConfig m = topo::MachineConfig::dash(8);
-  const Policy pol;
-  const auto levels = topo::enumerate_levels(m);
-  const auto b = make_balancer(BalancerKind::kStealing,
-                               levels[topo::kMachineLevel], m, pol);
-  const auto queues = empty_queues(m.n_procs, pol.affinity_array_size);
-  std::vector<BalanceCommand> cmds;
-  b->generate(3, queues, cmds);
-  ASSERT_EQ(cmds.size(), m.n_procs - 1);
-  const topo::ProcId want[] = {4, 5, 6, 7, 0, 1, 2};
-  for (std::size_t i = 0; i < cmds.size(); ++i) {
-    EXPECT_EQ(cmds[i].op, BalanceCommand::Op::kTrySteal);
-    EXPECT_EQ(cmds[i].src, want[i]) << "ring position " << i;
+  std::uint64_t probes = 0;
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    const auto acq = s.acquire(thief);
+    ASSERT_TRUE(acq.stolen) << "acquire " << i;
+    EXPECT_EQ(acq.victim, want[i]) << "acquire " << i;
+    probes += i + 1;
+    EXPECT_EQ(s.stats().balance_commands, probes) << "acquire " << i;
+    EXPECT_EQ(s.detail().steal_scan_victims.sum, probes) << "acquire " << i;
   }
+  EXPECT_EQ(s.acquire(thief).task, nullptr);
+  EXPECT_EQ(s.stats().failed_steal_scans, 1u);
+  EXPECT_EQ(s.stats().balance_commands, probes + P - 1);
+  EXPECT_EQ(s.detail().steal_scan_victims.sum, probes + P - 1);
 }
 
-TEST(StealingBalancer, ClusterFirstSplitsTheScanAcrossLevels) {
+TEST(StealLoop, ProbesInRingOrderAfterTheThief) {
+  const topo::MachineConfig m = topo::MachineConfig::dash(8);
+  Scheduler s(m, Policy{}, [&](std::uint64_t a, topo::ProcId) {
+    return flat_home(a, m.n_procs);
+  });
+  expect_scan(s, 3, {4, 5, 6, 7, 0, 1, 2});
+}
+
+TEST(StealLoop, ClusterFirstProbesTheClusterThenEachOtherServerOnce) {
   const topo::MachineConfig m = topo::MachineConfig::dash(8);
   Policy pol;
   pol.cluster_first = true;
-  const auto levels = topo::enumerate_levels(m);
-  const auto queues = empty_queues(m.n_procs, pol.affinity_array_size);
+  Scheduler s(m, pol, [&](std::uint64_t a, topo::ProcId) {
+    return flat_home(a, m.n_procs);
+  });
+  // Thief 1's cluster is {0, 1, 2, 3}: its pass runs first, and the machine
+  // pass probes only the other cluster.
+  expect_scan(s, 1, {2, 3, 0, 4, 5, 6, 7});
+}
 
-  // Cluster pass: only the thief's cluster-mates, ring order.
-  const topo::ClusterId tc = m.cluster_of(1);
-  const auto cl = make_balancer(BalancerKind::kStealing,
-                                levels[topo::cluster_level(tc)], m, pol);
-  std::vector<BalanceCommand> cmds;
-  cl->generate(1, queues, cmds);
-  for (const BalanceCommand& c : cmds) {
-    EXPECT_EQ(m.cluster_of(c.src), tc);
-    EXPECT_NE(c.src, 1u);
+TEST(StealLoop, AverageClusterOnlyMovesWorkOnlyWithinTheCluster) {
+  const topo::MachineConfig m = topo::MachineConfig::dash(8);
+  Policy pol;
+  pol.balancer = BalancerKind::kAverage;
+  pol.cluster_only = true;
+  Scheduler s(m, pol, [&](std::uint64_t a, topo::ProcId) {
+    return flat_home(a, m.n_procs);
+  });
+  // 40 pinned tasks on server 5 (cluster 1) and 8 on server 1 (cluster 0).
+  std::vector<TaskDesc> tasks(48);
+  for (std::size_t i = 0; i < tasks.size(); ++i) {
+    const topo::ProcId server = i < 40 ? 5 : 1;
+    tasks[i].aff = Affinity::processor(static_cast<int>(server));
+    s.place(&tasks[i], server);
   }
-  ASSERT_EQ(cmds.size(), m.procs_per_cluster - 1);
 
-  // Machine pass under cluster_first: cluster-mates skipped (already probed).
-  const auto mc = make_balancer(BalancerKind::kStealing,
-                                levels[topo::kMachineLevel], m, pol);
-  cmds.clear();
-  mc->generate(1, queues, cmds);
-  ASSERT_EQ(cmds.size(), m.n_procs - m.procs_per_cluster);
-  for (const BalanceCommand& c : cmds) {
-    EXPECT_NE(m.cluster_of(c.src), tc);
+  // Thief 2's cluster holds 8 tasks, a ceiling average of 2, so the thief
+  // pulls server 1 down to 2. Over the machine the average would be 6 and
+  // server 5 would come first in ring order (3, 4, 5, ...).
+  const auto acq = s.acquire(2);
+  ASSERT_NE(acq.task, nullptr);
+  EXPECT_TRUE(acq.moved);
+  EXPECT_EQ(acq.victim, 1u);
+  EXPECT_EQ(s.stats().balance_moves, 6u);
+
+  // Cluster 0 drains its own 8 tasks; cluster 1's work never moves.
+  std::size_t got = 1;
+  for (int round = 0; round < 100 && got < 8; ++round) {
+    for (topo::ProcId p = 0; p < m.procs_per_cluster; ++p) {
+      if (s.acquire(p).task != nullptr) ++got;
+    }
   }
+  EXPECT_EQ(got, 8u);
+  const std::uint64_t before = s.stats().balance_commands;
+  EXPECT_EQ(s.acquire(2).task, nullptr);
+  EXPECT_EQ(s.stats().balance_commands - before, m.procs_per_cluster - 1)
+      << "the failed scan probes only the thief's cluster";
+  EXPECT_EQ(s.queues(5).size(), 40u);
+  EXPECT_EQ(s.stats().remote_cluster_steals, 0u);
+}
+
+TEST(StealLoop, AdaptPolicySwitchChangesWhatAcquireReturns) {
+  const topo::MachineConfig m = topo::MachineConfig::dash(8);
+  Scheduler s(m, Policy{}, [&](std::uint64_t a, topo::ProcId) {
+    return flat_home(a, m.n_procs);
+  });
+  std::vector<TaskDesc> tasks(40);
+  for (auto& t : tasks) {
+    t.aff = Affinity::processor(0);
+    s.place(&t, 0);
+  }
+  // Stealing leaves pinned work where it is.
+  EXPECT_EQ(s.acquire(5).task, nullptr);
+
+  // Average moves it regardless of the pins: ceil(40/8) = 5 stay.
+  s.adapt_policy([](Policy& p) { p.balancer = BalancerKind::kAverage; });
+  const auto acq = s.acquire(5);
+  ASSERT_NE(acq.task, nullptr);
+  EXPECT_TRUE(acq.moved);
+  EXPECT_EQ(acq.victim, 0u);
+  EXPECT_EQ(s.stats().balance_moves, 35u);
+
+  // Back on Stealing, the pinned tasks on servers 0 and 5 stay put again.
+  s.adapt_policy([](Policy& p) { p.balancer = BalancerKind::kStealing; });
+  EXPECT_EQ(s.acquire(6).task, nullptr);
+  EXPECT_EQ(s.stats().balance_moves, 35u);
 }
 
 TEST(AverageBalancer, DrainsOverAverageQueuesInOneGrab) {
@@ -107,8 +148,8 @@ TEST(AverageBalancer, DrainsOverAverageQueuesInOneGrab) {
     s.place(&t, 0);
   }
 
-  // One idle acquire from processor 5 executes a kMoveTasks command that
-  // pulls queue 0 down to the ceiling average in a single grab.
+  // One idle acquire from processor 5 makes one move that pulls queue 0
+  // down to the ceiling average in a single grab.
   const auto acq = s.acquire(5);
   ASSERT_NE(acq.task, nullptr);
   EXPECT_TRUE(acq.moved);
@@ -132,7 +173,6 @@ TEST(ReserveBalancer, PlacesHotKeysOnTheOwningClusterAndProtectsThem) {
   Policy pol;
   pol.balancer = BalancerKind::kReserve;
   pol.steal_object_tasks = true;  // Reservation, not exemption, must protect.
-  pol.reserve_refresh_tasks = 1;
   Scheduler s(m, pol, [&](std::uint64_t, topo::ProcId) {
     return static_cast<topo::ProcId>(0);  // Everything homes on proc 0.
   });
@@ -171,7 +211,6 @@ TEST(ReserveBalancer, ColdSourceLeavesPlacementUntouched) {
   const topo::MachineConfig m = topo::MachineConfig::dash(8);
   Policy pol;
   pol.balancer = BalancerKind::kReserve;
-  pol.reserve_refresh_tasks = 1;
   Scheduler s(m, pol, [&](std::uint64_t a, topo::ProcId) {
     return flat_home(a, m.n_procs);
   });
@@ -182,26 +221,6 @@ TEST(ReserveBalancer, ColdSourceLeavesPlacementUntouched) {
   EXPECT_FALSE(t.reserved);
   EXPECT_EQ(t.server, flat_home(0x100400, m.n_procs));
   EXPECT_EQ(s.stats().reserve_hits, 0u);
-}
-
-TEST(Scheduler, AdaptPolicyRebuildsBalancersOnKindChange) {
-  const topo::MachineConfig m = topo::MachineConfig::dash(8);
-  Policy pol;
-  Scheduler s(m, pol, [&](std::uint64_t a, topo::ProcId) {
-    return flat_home(a, m.n_procs);
-  });
-  ASSERT_EQ(s.levels().size(), 1 + m.n_clusters());
-  EXPECT_NE(dynamic_cast<const StealingBalancer*>(
-                &s.balancer_at(topo::kMachineLevel)),
-            nullptr);
-  s.adapt_policy([](Policy& p) { p.balancer = BalancerKind::kAverage; });
-  EXPECT_NE(dynamic_cast<const AverageBalancer*>(
-                &s.balancer_at(topo::kMachineLevel)),
-            nullptr);
-  s.adapt_policy([](Policy& p) { p.balancer = BalancerKind::kStealing; });
-  EXPECT_EQ(dynamic_cast<const AverageBalancer*>(
-                &s.balancer_at(topo::kMachineLevel)),
-            nullptr);
 }
 
 }  // namespace
@@ -255,8 +274,8 @@ RunDigest run_once(const sched::Policy& pol, bool profile) {
           ss.reserve_hits};
 }
 
-/// Identical runs must produce identical schedules — the balancer layer adds
-/// no nondeterminism under the single-threaded simulation engine.
+/// Identical runs must produce identical schedules — no balancer adds
+/// nondeterminism under the single-threaded simulation engine.
 TEST(BalancerDeterminism, RepeatedRunsProduceIdenticalSchedules) {
   for (const sched::BalancerKind kind :
        {sched::BalancerKind::kStealing, sched::BalancerKind::kAverage,
@@ -264,7 +283,6 @@ TEST(BalancerDeterminism, RepeatedRunsProduceIdenticalSchedules) {
     sched::Policy pol;
     pol.balancer = kind;
     pol.steal_object_tasks = true;
-    pol.reserve_refresh_tasks = 16;
     const bool profile = kind == sched::BalancerKind::kReserve;
     const RunDigest a = run_once(pol, profile);
     const RunDigest b = run_once(pol, profile);

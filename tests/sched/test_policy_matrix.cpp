@@ -75,7 +75,7 @@ std::vector<PolicyCase> policy_matrix() {
   {
     auto p = base;
     p.balancer = sched::BalancerKind::kAverage;
-    p.balance_within_clusters = true;
+    p.cluster_only = true;
     cases.push_back({"average_clustered", p});
   }
   {

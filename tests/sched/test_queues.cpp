@@ -184,6 +184,51 @@ TEST(ServerQueues, StealSetTakesLastEligibleSet) {
   }
 }
 
+// An Average move takes the object queue youngest first, then the first
+// non-empty affinity slot from its tail, slot after slot. The first slot is
+// the set the owner is draining, so the move strips it before the sets
+// queued behind it, unlike a set steal.
+TEST(ServerQueues, MoveTakesObjectQueueThenFrontSlotFromItsTail) {
+  ServerQueues q(8);
+  std::uint64_t next = 1;
+  const auto key_in = [&](std::size_t slot) {
+    while (q.slot_of(next) != slot) ++next;
+    return next++;
+  };
+  const std::uint64_t key_a = key_in(0);
+  const std::uint64_t key_b = key_in(1);
+  std::deque<TaskDesc> tasks;
+  const auto add = [&](std::uint64_t seq, std::uint64_t key) {
+    TaskDesc& t = tasks.emplace_back();
+    t.seq = seq;
+    if (key != 0) {
+      t.aff = Affinity::task(reinterpret_cast<const void*>(key * 16));
+      t.aff_key = key;
+    }
+    q.push(&t);
+  };
+  add(1, key_a);  // a1 a2 a3: set A, pushed first
+  add(2, key_a);
+  add(3, key_a);
+  add(4, key_b);  // b1 b2: set B
+  add(5, key_b);
+  add(6, 0);      // o1 o2: the object queue
+  add(7, 0);
+  ASSERT_EQ(q.pop()->seq, 1u);  // The owner starts draining set A.
+
+  std::vector<TaskDesc*> out;
+  ASSERT_EQ(q.try_move_tasks(out, 5), TrySteal::kGot);
+  std::vector<std::uint64_t> seqs;
+  for (const TaskDesc* t : out) {
+    EXPECT_TRUE(t->moved);
+    seqs.push_back(t->seq);
+  }
+  EXPECT_EQ(seqs, (std::vector<std::uint64_t>{7, 6, 3, 2, 5}));
+  EXPECT_EQ(q.pop()->seq, 4u);
+  EXPECT_TRUE(q.empty());
+  q.validate();
+}
+
 TEST(ServerQueues, StealObjectTaskFromBack) {
   ServerQueues q(8);
   TaskDesc a = make_task(1), b = make_task(2);

@@ -287,8 +287,8 @@ TEST(SchedStress, ParanoidCheckingSurvivesConcurrentChurn) {
   EXPECT_FALSE(s.any_work());
 }
 
-// The same producer/consumer mix under the Average balancer: kMoveTasks
-// batches race with concurrent placers and thieves, and still every task is
+// The same producer/consumer mix under the Average balancer: move batches
+// race with concurrent placers and thieves, and still every task is
 // acquired exactly once. (This is the TSan contract for the move path.)
 TEST(SchedStress, ConcurrentAverageBalancerExactlyOnce) {
   constexpr std::uint32_t kProcs = 4;
@@ -363,7 +363,6 @@ TEST(SchedStress, ConcurrentReserveBalancerExactlyOnce) {
   Policy pol;
   pol.balancer = BalancerKind::kReserve;
   pol.steal_object_tasks = true;
-  pol.reserve_refresh_tasks = 64;
   Scheduler s(machine, pol, [&](std::uint64_t a, topo::ProcId) {
     return flat_home(a, kProcs);
   });

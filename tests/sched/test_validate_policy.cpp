@@ -77,18 +77,6 @@ TEST(ValidatePolicy, ReserveNeedsProfileAttribution) {
   EXPECT_NO_THROW(validate_policy(p, two_clusters(), /*profile=*/true));
 }
 
-TEST(ValidatePolicy, WithinClusterBalancingNeedsAverageAndClusters) {
-  Policy p;
-  p.balance_within_clusters = true;
-  // Meaningless for the stealing (and reserve) balancers.
-  EXPECT_THROW(validate_policy(p, two_clusters()), util::Error);
-  p.balancer = BalancerKind::kAverage;
-  EXPECT_NO_THROW(validate_policy(p, two_clusters()));
-  // On one cluster "within the cluster" is the machine level under another
-  // name — reject the no-op request.
-  EXPECT_THROW(validate_policy(p, one_cluster()), util::Error);
-}
-
 TEST(ValidatePolicy, RuntimeInitRejectsReserveWithoutProfile) {
   SystemConfig sc;
   sc.machine = two_clusters();
