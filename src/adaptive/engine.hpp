@@ -60,7 +60,7 @@
 #include "adaptive/governor.hpp"
 #include "adaptive/policy.hpp"
 #include "obs/advisor_rules.hpp"
-#include "obs/latency_hist.hpp"
+#include "obs/hist.hpp"
 #include "obs/profiler.hpp"
 #include "obs/request_trace.hpp"
 #include "sched/scheduler.hpp"

@@ -32,7 +32,7 @@
 #include "core/cool.hpp"
 #include "load/arrivals.hpp"
 #include "load/driver.hpp"
-#include "obs/latency_hist.hpp"
+#include "obs/hist.hpp"
 #include "obs/request_trace.hpp"
 
 namespace cool::apps::txn {

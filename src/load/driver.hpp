@@ -38,7 +38,7 @@
 #include <vector>
 
 #include "core/cool.hpp"
-#include "obs/latency_hist.hpp"
+#include "obs/hist.hpp"
 #include "obs/request_trace.hpp"
 
 namespace cool::load {

@@ -1,8 +1,5 @@
 #include "obs/metrics.hpp"
 
-#include <algorithm>
-#include <cmath>
-
 #include "obs/json.hpp"
 
 namespace cool::obs {
@@ -42,22 +39,6 @@ bool NaturalKeyLess::operator()(const std::string& a,
   return i >= a.size() && j < b.size();
 }
 
-std::uint64_t HistData::quantile(double q) const noexcept {
-  if (count == 0) return 0;
-  q = std::clamp(q, 0.0, 1.0);
-  // Nearest rank, as in LatencyHist::quantile: the ceil(q*n)-th sample.
-  const auto rank = std::max<std::uint64_t>(
-      1, static_cast<std::uint64_t>(std::ceil(q * static_cast<double>(count))));
-  std::uint64_t seen = 0;
-  for (std::size_t b = 0; b < kHistBuckets; ++b) {
-    seen += buckets[b];
-    if (seen >= rank) {
-      return b == 0 ? 0 : (1ull << (b < 64 ? b : 63));
-    }
-  }
-  return 1ull << (kHistBuckets - 1);
-}
-
 std::string Snapshot::to_json() const {
   json::Writer w;
   w.begin_object();
@@ -67,12 +48,12 @@ std::string Snapshot::to_json() const {
   w.key("hists").begin_object();
   for (const auto& [name, h] : hists) {
     w.key(name).begin_object();
-    w.key("count").uint_value(h.count);
-    w.key("sum").uint_value(h.sum);
+    w.key("count").uint_value(h.count());
+    w.key("sum").uint_value(h.sum());
     w.key("mean").number_value(h.mean());
     w.key("p50").uint_value(h.quantile(0.50));
     w.key("p95").uint_value(h.quantile(0.95));
-    w.key("max").uint_value(h.quantile(1.0));
+    w.key("max").uint_value(h.max());
     w.end_object();
   }
   w.end_object();

@@ -176,10 +176,10 @@ BreakdownSummary RequestTraceRecorder::summary() const {
   out.mean_service = m.service.mean();
   out.mean_memory_stall = m.memory_stall.mean();
   out.mean_steal_penalty = m.steal_penalty.mean();
-  out.p99_queue_wait = m.queue_wait.p99();
-  out.p99_service = m.service.p99();
-  out.p99_memory_stall = m.memory_stall.p99();
-  out.p99_steal_penalty = m.steal_penalty.p99();
+  out.p99_queue_wait = m.queue_wait.quantile(0.99);
+  out.p99_service = m.service.quantile(0.99);
+  out.p99_memory_stall = m.memory_stall.quantile(0.99);
+  out.p99_steal_penalty = m.steal_penalty.quantile(0.99);
   out.dropped = total_dropped();
   std::uint64_t k = measured_;
   if (k > n_exemplars_) k = n_exemplars_;

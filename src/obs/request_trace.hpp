@@ -48,7 +48,7 @@
 #include <vector>
 
 #include "memsim/access_observer.hpp"
-#include "obs/latency_hist.hpp"
+#include "obs/hist.hpp"
 #include "obs/trace.hpp"
 #include "topology/machine.hpp"
 

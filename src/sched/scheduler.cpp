@@ -447,12 +447,14 @@ SchedStats Scheduler::stats() const {
   });
 }
 
-void Scheduler::AtomicHist::fold_into(obs::HistData& h) const noexcept {
-  h.count += count.load(std::memory_order_relaxed);
-  h.sum += sum.load(std::memory_order_relaxed);
-  for (std::size_t b = 0; b < obs::kHistBuckets; ++b) {
-    h.buckets[b] += buckets[b].load(std::memory_order_relaxed);
+void Scheduler::AtomicHist::fold_into(Hist& h) const noexcept {
+  Hist::Counts counts{};
+  for (std::size_t b = 0; b < Hist::kBuckets; ++b) {
+    counts[b] = buckets[b].load(std::memory_order_relaxed);
   }
+  h.merge(counts, count.load(std::memory_order_relaxed),
+          sum.load(std::memory_order_relaxed),
+          max.load(std::memory_order_relaxed));
 }
 
 SchedDetail Scheduler::detail() const {

@@ -42,7 +42,7 @@
 
 #include "common/stats.hpp"
 #include "common/thread_annotations.hpp"
-#include "obs/metrics.hpp"
+#include "obs/hist.hpp"
 #include "sched/policy.hpp"
 #include "sched/queues.hpp"
 #include "topology/machine.hpp"
@@ -90,8 +90,8 @@ struct SchedStats {
 /// cluster. Scheduler::detail() folds them; Runtime::obs_snapshot() names
 /// them.
 struct SchedDetail {
-  obs::HistData steal_scan_victims;   ///< Victims probed per steal scan.
-  obs::HistData affinity_run_length;  ///< Back-to-back runs of one set.
+  obs::Hist<0> steal_scan_victims;   ///< Victims probed per steal scan.
+  obs::Hist<0> affinity_run_length;  ///< Back-to-back runs of one set.
   /// Placements the Reserve balancer redirected, by target cluster; empty
   /// until Reserve has been selected.
   std::vector<std::uint64_t> reserve_hits_by_cluster;
@@ -191,19 +191,27 @@ class Scheduler {
   void set_hotness_source(HotnessFn fn);
 
  private:
-  /// A log2 histogram (obs::HistData's buckets) of relaxed atomics.
+  /// An obs::Hist<0> of relaxed atomics, so detail() may read it while
+  /// processors record. The max only grows: a CAS raises it, and a sample
+  /// at or below it costs one load.
   struct AtomicHist {
+    using Hist = obs::Hist<0>;
     std::atomic<std::uint64_t> count{0};
     std::atomic<std::uint64_t> sum{0};
-    std::array<std::atomic<std::uint64_t>, obs::kHistBuckets> buckets{};
+    std::atomic<std::uint64_t> max{0};
+    std::array<std::atomic<std::uint64_t>, Hist::kBuckets> buckets{};
 
     void observe(std::uint64_t v) noexcept {
       count.fetch_add(1, std::memory_order_relaxed);
       sum.fetch_add(v, std::memory_order_relaxed);
-      buckets[obs::HistData::bucket_of(v)].fetch_add(
-          1, std::memory_order_relaxed);
+      buckets[Hist::bucket_of(v)].fetch_add(1, std::memory_order_relaxed);
+      std::uint64_t m = max.load(std::memory_order_relaxed);
+      while (v > m &&
+             !max.compare_exchange_weak(m, v, std::memory_order_relaxed)) {
+      }
     }
-    void fold_into(obs::HistData& h) const noexcept;
+    /// Hist::merge() of a relaxed load of every field.
+    void fold_into(Hist& h) const noexcept;
   };
 
   /// One server's statistics shard; updated with relaxed atomics by whichever

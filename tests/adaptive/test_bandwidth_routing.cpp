@@ -13,7 +13,7 @@
 
 #include "adaptive/engine.hpp"
 #include "adaptive/policy.hpp"
-#include "obs/latency_hist.hpp"
+#include "obs/hist.hpp"
 
 namespace cool::adaptive {
 namespace {

@@ -11,7 +11,7 @@
 
 #include "adaptive/engine.hpp"
 #include "adaptive/policy.hpp"
-#include "obs/latency_hist.hpp"
+#include "obs/hist.hpp"
 #include "obs/request_trace.hpp"
 
 namespace cool::adaptive {

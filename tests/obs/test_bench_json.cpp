@@ -118,10 +118,7 @@ TEST(BenchRecord, ValidatesAgainstSchema) {
   BenchRecord rec = demo_record();
   Snapshot snap;
   snap.values["tasks"] = 42;
-  HistData& run_len = snap.hists["run_len"];
-  run_len.count = 1;
-  run_len.sum = 3;
-  run_len.buckets[HistData::bucket_of(3)] = 1;
+  snap.hists["run_len"].record(3);
   rec.set_obs(snap);
   const std::string text = rec.to_json();
   EXPECT_EQ(validate_bench_json(text), "") << text;

@@ -11,57 +11,10 @@
 namespace cool::obs {
 namespace {
 
-/// Add one sample under HistData's bucket rule.
-void observe(HistData& h, std::uint64_t v) {
-  ++h.count;
-  h.sum += v;
-  ++h.buckets[HistData::bucket_of(v)];
-}
-
-TEST(Histogram, BucketBoundaries) {
-  HistData d;
-  observe(d, 0);  // bucket 0
-  observe(d, 1);  // bucket 1: [1,2)
-  observe(d, 2);  // bucket 2: [2,4)
-  observe(d, 3);  // bucket 2
-  observe(d, 4);  // bucket 3: [4,8)
-  EXPECT_EQ(d.count, 5u);
-  EXPECT_EQ(d.sum, 10u);
-  EXPECT_EQ(d.buckets[0], 1u);
-  EXPECT_EQ(d.buckets[1], 1u);
-  EXPECT_EQ(d.buckets[2], 2u);
-  EXPECT_EQ(d.buckets[3], 1u);
-  // The last bucket takes everything above its lower edge.
-  EXPECT_EQ(HistData::bucket_of(1ull << 46), kHistBuckets - 1);
-  EXPECT_EQ(HistData::bucket_of(~0ull), kHistBuckets - 1);
-}
-
-TEST(Histogram, QuantileReturnsBucketUpperEdge) {
-  HistData d;
-  d.count = 100;
-  d.buckets[3] = 99;  // [4,8)
-  d.buckets[7] = 1;   // [64,128)
-  EXPECT_EQ(d.quantile(0.5), 8u);
-  EXPECT_EQ(d.quantile(0.99), 8u);
-  EXPECT_EQ(d.quantile(1.0), 128u);
-}
-
-TEST(Histogram, QuantileTakesNearestRank) {
-  // The ceil(q*n)-th sample, as LatencyHist does: p50 of {1, 100, 100} is a
-  // 100, and p95 of nine 3s and one 1000 is the 1000.
-  HistData h;
-  for (const std::uint64_t v : {1, 100, 100}) observe(h, v);
-  EXPECT_EQ(h.quantile(0.50), 128u);
-  HistData g;
-  for (int i = 0; i < 9; ++i) observe(g, 3);
-  observe(g, 1000);
-  EXPECT_EQ(g.quantile(0.95), 1024u);
-}
-
 TEST(Snapshot, ToJsonParses) {
   Snapshot s;
   s.values["a \"quoted\" name"] = 3;
-  observe(s.hists["h"], 1000);
+  s.hists["h"].record(1000);
   const std::string text = s.to_json();
   json::Value v;
   std::string err;
@@ -69,7 +22,12 @@ TEST(Snapshot, ToJsonParses) {
   ASSERT_TRUE(v.find("values")->is_object());
   EXPECT_EQ(v.find("values")->find("a \"quoted\" name")->num, 3.0);
   ASSERT_TRUE(v.find("hists")->is_object());
-  EXPECT_EQ(v.find("hists")->find("h")->find("count")->num, 1.0);
+  const json::Value* h = v.find("hists")->find("h");
+  EXPECT_EQ(h->find("count")->num, 1.0);
+  // One sample: every quantile and the max are that sample.
+  for (const char* key : {"p50", "p95", "max"}) {
+    EXPECT_EQ(h->find(key)->num, 1000.0) << key;
+  }
 }
 
 TEST(NaturalKeyLessTest, DigitRunsCompareAsIntegers) {

@@ -47,7 +47,7 @@ TaskFn waves(Objects* objs) {
   }
 }
 
-std::string run_snapshot(SystemConfig sc) {
+obs::Snapshot run_snapshot(SystemConfig sc) {
   Runtime rt(sc);
   Objects objs{};
   for (std::size_t k = 0; k < kObjects; ++k) {
@@ -56,7 +56,7 @@ std::string run_snapshot(SystemConfig sc) {
                         kObjDoubles * sizeof(double));
   }
   rt.run(waves(&objs));
-  return rt.obs_snapshot().to_json();
+  return rt.obs_snapshot();
 }
 
 SystemConfig sim_config(std::uint32_t procs) {
@@ -76,8 +76,22 @@ std::string read_golden(const std::string& name) {
 }
 
 TEST(ObsSnapshotGolden, DefaultPolicy) {
-  EXPECT_EQ(run_snapshot(sim_config(8)),
+  EXPECT_EQ(run_snapshot(sim_config(8)).to_json(),
             read_golden("obs_snapshot_default.json"));
+}
+
+// A histogram reports nothing above its largest sample: a steal scan probes
+// at most the P-1 other servers, so its max is 7 on 8 processors, and no
+// quantile exceeds the max.
+TEST(ObsSnapshotHists, QuantilesStayWithinTheSamples) {
+  const obs::Snapshot s = run_snapshot(sim_config(8));
+  const obs::Hist<0>& scans = s.hists.at("sched.steal_scan_victims");
+  ASSERT_GT(scans.count(), 0u);
+  EXPECT_LE(scans.max(), 7u);
+  for (const auto& [name, h] : s.hists) {
+    EXPECT_LE(h.quantile(0.50), h.quantile(0.95)) << name;
+    EXPECT_LE(h.quantile(0.95), h.max()) << name;
+  }
 }
 
 // The Reserve balancer with the profiler as its heat source: the only
@@ -87,7 +101,7 @@ TEST(ObsSnapshotGolden, ReserveBalancerWithProfile) {
   SystemConfig sc = sim_config(8);
   sc.profile = true;
   sc.policy.balancer = sched::BalancerKind::kReserve;
-  const std::string got = run_snapshot(sc);
+  const std::string got = run_snapshot(sc).to_json();
   EXPECT_NE(got.find("\"sched.balance.reserve_hits.cluster1\""),
             std::string::npos);
   EXPECT_EQ(got, read_golden("obs_snapshot_reserve.json"));

@@ -37,12 +37,12 @@ void expect_scan(Scheduler& s, topo::ProcId thief,
     EXPECT_EQ(acq.victim, want[i]) << "acquire " << i;
     probes += i + 1;
     EXPECT_EQ(s.stats().balance_commands, probes) << "acquire " << i;
-    EXPECT_EQ(s.detail().steal_scan_victims.sum, probes) << "acquire " << i;
+    EXPECT_EQ(s.detail().steal_scan_victims.sum(), probes) << "acquire " << i;
   }
   EXPECT_EQ(s.acquire(thief).task, nullptr);
   EXPECT_EQ(s.stats().failed_steal_scans, 1u);
   EXPECT_EQ(s.stats().balance_commands, probes + P - 1);
-  EXPECT_EQ(s.detail().steal_scan_victims.sum, probes + P - 1);
+  EXPECT_EQ(s.detail().steal_scan_victims.sum(), probes + P - 1);
 }
 
 TEST(StealLoop, ProbesInRingOrderAfterTheThief) {

@@ -120,7 +120,7 @@ TEST(SchedStress, ConcurrentPlaceAcquireExactlyOnce) {
   EXPECT_EQ(ss.pops + ss.steals, kTotal);
   // Each steal scan, successful or not, lands once in its thief's histogram.
   const SchedDetail d = s.detail();
-  EXPECT_EQ(d.steal_scan_victims.count, ss.steals + ss.failed_steal_scans);
+  EXPECT_EQ(d.steal_scan_victims.count(), ss.steals + ss.failed_steal_scans);
   EXPECT_TRUE(d.reserve_hits_by_cluster.empty());
 }
 
@@ -422,7 +422,7 @@ TEST(SchedStress, ConcurrentReserveBalancerExactlyOnce) {
   EXPECT_EQ(ss.spawned, kTotal);
   EXPECT_GT(ss.reserve_hits, 0u) << "the hotness table never fired";
   const SchedDetail d = s.detail();
-  EXPECT_EQ(d.steal_scan_victims.count, ss.steals + ss.failed_steal_scans);
+  EXPECT_EQ(d.steal_scan_victims.count(), ss.steals + ss.failed_steal_scans);
   ASSERT_EQ(d.reserve_hits_by_cluster.size(), machine.n_clusters());
   std::uint64_t by_cluster = 0;
   for (const std::uint64_t hits : d.reserve_hits_by_cluster) {
@@ -469,14 +469,20 @@ TEST_P(SchedDetailConcurrency, ConcurrentScansAreCountedExactly) {
               logs[p]);
     });
   }
+  // A scan probes at most the n_procs - 1 other servers.
+  const std::uint64_t max_probes = n_procs - 1;
   std::uint64_t last_scans = 0;
   std::uint64_t last_runs = 0;
+  std::uint64_t last_max = 0;
   while (acquired.load() < total) {
     const SchedDetail d = s.detail();
-    EXPECT_GE(d.steal_scan_victims.count, last_scans);
-    EXPECT_GE(d.affinity_run_length.count, last_runs);
-    last_scans = d.steal_scan_victims.count;
-    last_runs = d.affinity_run_length.count;
+    EXPECT_GE(d.steal_scan_victims.count(), last_scans);
+    EXPECT_GE(d.affinity_run_length.count(), last_runs);
+    EXPECT_GE(d.steal_scan_victims.max(), last_max);
+    EXPECT_LE(d.steal_scan_victims.max(), max_probes);
+    last_scans = d.steal_scan_victims.count();
+    last_runs = d.affinity_run_length.count();
+    last_max = d.steal_scan_victims.max();
     std::this_thread::yield();
   }
   for (auto& t : threads) t.join();
@@ -487,10 +493,12 @@ TEST_P(SchedDetailConcurrency, ConcurrentScansAreCountedExactly) {
   const SchedStats ss = s.stats();
   const SchedDetail d = s.detail();
   EXPECT_EQ(ss.pops + ss.steals, total);
-  EXPECT_EQ(d.steal_scan_victims.count, ss.steals + ss.failed_steal_scans);
+  EXPECT_EQ(d.steal_scan_victims.count(), ss.steals + ss.failed_steal_scans);
   std::uint64_t in_buckets = 0;
-  for (const std::uint64_t b : d.steal_scan_victims.buckets) in_buckets += b;
-  EXPECT_EQ(in_buckets, d.steal_scan_victims.count);
+  for (const std::uint64_t b : d.steal_scan_victims.buckets()) in_buckets += b;
+  EXPECT_EQ(in_buckets, d.steal_scan_victims.count());
+  EXPECT_GE(d.steal_scan_victims.max(), last_max);
+  EXPECT_LE(d.steal_scan_victims.max(), max_probes);
 }
 
 INSTANTIATE_TEST_SUITE_P(ShardCounts, SchedDetailConcurrency,
