@@ -26,6 +26,7 @@
 // escalation ("escalate=distribute") instead of the migrate gate — spreading
 // pages across channels is the only actuator that relieves a saturated
 // channel.
+#include <algorithm>
 #include <climits>
 #include <cstdio>
 #include <string>
@@ -77,13 +78,8 @@ sched::Policy with_balancer(sched::Policy base, sched::BalancerKind kind) {
   return base;
 }
 
-std::uint64_t value_of(const obs::Snapshot& s, const char* key) {
-  const auto it = s.values.find(key);
-  return it == s.values.end() ? 0 : it->second;
-}
-
 /// Channel-gauge digest of one finished run (all zero under FlatBackend,
-/// which exports no channel gauges).
+/// which reports no channels).
 struct ChanView {
   double peak_busy = 0.0;  ///< Hottest channel's busy share of sim time.
   double row_hit = 0.0;    ///< Row hits / all row outcomes.
@@ -91,26 +87,19 @@ struct ChanView {
 };
 
 ChanView chan_view(const Runtime& rt) {
-  const obs::Snapshot s = rt.obs_snapshot();
+  const obs::advisor::Signals s = rt.advisor_signals();
   ChanView v;
-  const std::uint64_t span = value_of(s, "sim.time");
-  if (span == 0 || value_of(s, "mem.chan.count") == 0) return v;
-  std::uint64_t peak = 0;
-  for (const auto& [key, val] : s.values) {
-    if (key.size() > 21 && key.compare(0, 9, "mem.chan.") == 0 &&
-        key.compare(key.size() - 12, 12, ".busy_cycles") == 0 &&
-        key != "mem.chan.busy_cycles" && val > peak) {
-      peak = val;
-    }
-  }
-  v.peak_busy = static_cast<double>(peak) / static_cast<double>(span);
-  const std::uint64_t hits = value_of(s, "mem.chan.row_hits");
-  const std::uint64_t outcomes = hits + value_of(s, "mem.chan.row_misses") +
-                                 value_of(s, "mem.chan.row_conflicts");
+  if (s.span == 0 || s.chan_busy.empty()) return v;
+  const std::uint64_t peak =
+      *std::max_element(s.chan_busy.begin(), s.chan_busy.end());
+  v.peak_busy = static_cast<double>(peak) / static_cast<double>(s.span);
+  const std::uint64_t outcomes =
+      s.chan_row_hits + s.chan_row_misses + s.chan_row_conflicts;
   if (outcomes > 0) {
-    v.row_hit = static_cast<double>(hits) / static_cast<double>(outcomes);
+    v.row_hit =
+        static_cast<double>(s.chan_row_hits) / static_cast<double>(outcomes);
   }
-  v.queue_full = value_of(s, "mem.chan.queue_full_stalls");
+  v.queue_full = s.chan_queue_full_stalls;
   return v;
 }
 

@@ -41,9 +41,8 @@ AdaptiveEngine::AdaptiveEngine(const topo::MachineConfig& machine,
     : machine_(machine),
       pol_(policy),
       hooks_(std::move(hooks)),
-      gov_(policy.confirm_epochs, policy.cooldown_epochs),
-      bal_gov_(policy.confirm_epochs, policy.cooldown_epochs,
-               policy.balancer_dwell_epochs, policy.balancer_max_switches) {
+      gov_(policy.cooldown_epochs),
+      bal_gov_(policy.cooldown_epochs, policy.balancer_dwell_epochs) {
   COOL_CHECK(hooks_.mutate_policy && hooks_.policy,
              "adaptive engine needs the mutate_policy and policy hooks");
 }
@@ -67,18 +66,18 @@ std::uint64_t AdaptiveEngine::run_epoch(topo::ProcId proc, std::uint64_t now) {
   ++epoch_;
   // The epoch's own activity: the profiler lists only what was touched since
   // its previous read, and the cumulative counters diff field by field.
-  if (hooks_.profile) hooks_.profile(profile_, pol_.rules.min_set_tasks == 0);
+  if (hooks_.profile) hooks_.profile(profile_);
   obs::advisor::Signals cur =
       hooks_.signals ? hooks_.signals() : obs::advisor::Signals{};
   const obs::advisor::Signals sig = cur.since(last_signals_);
   last_signals_ = std::move(cur);
 
   const std::vector<obs::advisor::Finding> findings =
-      obs::advisor::evaluate(profile_, sig, pol_.rules);
+      obs::advisor::evaluate(profile_, sig, kOnlineRules);
 
-  std::uint64_t cost = pol_.epoch_cost_cycles;
+  std::uint64_t cost = kEpochCostCycles;
   std::uint32_t actions = 0;
-  const std::uint64_t rehomes_before = rehomes_since_enable_;
+  const std::uint64_t rehomes_before = rehomes_since_relief_;
   // The latency objective runs before the throughput findings so a serving
   // workload's tail-latency relief is first in line for the action budget.
   latency_objective(sig, now + cost, actions);
@@ -103,8 +102,8 @@ std::uint64_t AdaptiveEngine::run_epoch(topo::ProcId proc, std::uint64_t now) {
   // while a deep queue still sits on the old home. The shared governor key
   // keeps enable/revert at least one cooldown apart; if imbalance returns,
   // the storm rule re-enables.
-  if (pol_.enable_steal_policy && steal_relief_ && rehomes_since_enable_ > 0 &&
-      rehomes_since_enable_ == rehomes_before && drained) {
+  if (steal_relief_ && rehomes_since_relief_ > 0 &&
+      rehomes_since_relief_ == rehomes_before && drained) {
     move(scheduler_finding(obs::AdviceKind::kStealStorm),
          Knob::kStealObjectTasks, false, "data spread", now + cost);
   }
@@ -172,7 +171,7 @@ void AdaptiveEngine::latency_objective(const obs::advisor::Signals& sig,
   // Too few completions to trust a tail estimate: an epoch that completed
   // almost nothing while requests pile up will trip the ladder next epoch,
   // when the queued requests complete with their queueing delay on record.
-  if (epoch.count < pol_.latency_min_samples) return;
+  if (epoch.count < kLatencyMinSamples) return;
   const std::uint64_t p99 = epoch.quantile;
   const std::uint64_t target = pol_.latency_target_cycles;
 
@@ -308,7 +307,7 @@ std::uint64_t AdaptiveEngine::act(const obs::advisor::Finding& f,
     case obs::AdviceKind::kDistributeObject:
       return rehome(f, p.reserve_exclude_mask, proc, now);
     case obs::AdviceKind::kTaskAffinity: {
-      if (!pol_.enable_hints || !hooks_.promote) return 0;
+      if (!hooks_.promote) return 0;
       const std::string done_key = "promote:" + f.subject;
       if (done_.count(done_key) != 0) return 0;
       if (!gov_.admit(done_key, epoch_)) return 0;
@@ -318,7 +317,7 @@ std::uint64_t AdaptiveEngine::act(const obs::advisor::Finding& f,
       return 0;
     }
     case obs::AdviceKind::kWholeSetStealing:
-      if (pol_.enable_steal_policy && p.steal_enabled && !p.steal_whole_sets) {
+      if (p.steal_enabled && !p.steal_whole_sets) {
         move(f, Knob::kStealWholeSets, true, "", now);
       }
       return 0;
@@ -332,10 +331,7 @@ std::uint64_t AdaptiveEngine::act(const obs::advisor::Finding& f,
       // exists but cannot spread. (Serving mode never gets here: the
       // latency ladder owns this knob, because pin-break stealing makes a
       // hot-key tail *worse*.)
-      if (!pol_.enable_steal_policy || !p.steal_enabled ||
-          f.queued_max * 2 < machine_.n_procs) {
-        return 0;
-      }
+      if (!p.steal_enabled || f.queued_max * 2 < machine_.n_procs) return 0;
       if (!p.steal_object_tasks) {
         move(f, Knob::kStealObjectTasks, true, "queue pile-up", now);
       } else if (pol_.enable_balancer &&
@@ -351,7 +347,7 @@ std::uint64_t AdaptiveEngine::act(const obs::advisor::Finding& f,
       }
       return 0;
     case obs::AdviceKind::kStealStorm:
-      if (!pol_.enable_steal_policy || !p.steal_enabled) return 0;
+      if (!p.steal_enabled) return 0;
       if (!p.steal_object_tasks && !serving) {
         // Idle processors scan but find nothing stealable: the usual cause
         // is every task carrying OBJECT affinity (default-steal-exempt).
@@ -380,11 +376,8 @@ std::uint64_t AdaptiveEngine::act(const obs::advisor::Finding& f,
 std::uint64_t AdaptiveEngine::rehome(const obs::advisor::Finding& f,
                                      std::uint64_t excluded, topo::ProcId proc,
                                      std::uint64_t now) {
+  if (!hooks_.migrate) return 0;
   const bool migrate = f.kind == obs::AdviceKind::kMigrateObject;
-  if (!(migrate ? pol_.enable_migrate : pol_.enable_distribute) ||
-      !hooks_.migrate) {
-    return 0;
-  }
   const std::string done_key = "object:" + f.subject;
   if (done_.count(done_key) != 0) return 0;
   if (!gov_.admit((migrate ? "migrate:" : "distribute:") + f.subject, epoch_)) {
@@ -441,7 +434,7 @@ std::uint64_t AdaptiveEngine::rehome(const obs::advisor::Finding& f,
                      : fmt("rehome to proc %u (round-robin)", target);
   }
   done_.insert(done_key);
-  ++rehomes_since_enable_;
+  ++rehomes_since_relief_;
   record(f, std::move(action), now, c);
   return c;
 }
@@ -491,7 +484,7 @@ bool AdaptiveEngine::move(const obs::advisor::Finding& f, Knob knob,
   });
   if (knob == Knob::kStealObjectTasks) {
     steal_relief_ = value != 0;
-    rehomes_since_enable_ = 0;
+    rehomes_since_relief_ = 0;
   }
   if (knob == Knob::kBalancer) switched_balancer_ = value == kAverage;
   std::string action = name + "=" + text;

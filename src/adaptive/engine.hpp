@@ -28,7 +28,7 @@
 // one Policy field and logs "<knob>=<value> (<reason>)". The escalation state
 // is three members — gate_ (serving mode's data-plane gate), steal_relief_
 // and switched_balancer_ (the moves this engine made and may take back) —
-// plus the rehomes_since_enable_ counter; DESIGN §11 tabulates every
+// plus the rehomes_since_relief_ counter; DESIGN §11 tabulates every
 // transition.
 //
 // Epochs are task-count (or sim-cycle) driven, and the rules judge each
@@ -83,12 +83,10 @@ struct Decision {
 /// independent of the concrete runtime/engine types.
 struct Hooks {
   /// Fill `out` with the profile activity since the previous call, one row
-  /// per touched object and set (LocalityProfiler::read_epoch). `all_sets`
-  /// asks for the untouched sets too, with zero counts; the engine sets it
-  /// when its rules judge sets that ran no task in the epoch
-  /// (min_set_tasks == 0). Called exactly once per epoch, always with the
-  /// same `out`, whose views live until the next call.
-  std::function<void(obs::ProfileDelta& out, bool all_sets)> profile;
+  /// per touched object and set (LocalityProfiler::read_epoch). Called
+  /// exactly once per epoch, always with the same `out`, whose views live
+  /// until the next call.
+  std::function<void(obs::ProfileDelta& out)> profile;
   /// Cumulative scheduler and memory-channel counters
   /// (Runtime::advisor_signals); the engine diffs consecutive readings.
   std::function<obs::advisor::Signals()> signals;
@@ -111,6 +109,13 @@ struct Hooks {
 
 class AdaptiveEngine {
  public:
+  /// Cycles charged to the evaluating processor per epoch — the modelled
+  /// cost of reading the profiler shards and running the rules.
+  static constexpr std::uint64_t kEpochCostCycles = 64;
+  /// Completed requests an epoch needs before the latency objective trusts
+  /// its p99.
+  static constexpr std::uint64_t kLatencyMinSamples = 8;
+
   AdaptiveEngine(const topo::MachineConfig& machine, AdaptPolicy policy,
                  Hooks hooks);
 
@@ -148,7 +153,6 @@ class AdaptiveEngine {
   [[nodiscard]] std::string log_json() const;
   [[nodiscard]] std::uint64_t epochs() const noexcept { return epoch_; }
   [[nodiscard]] const AdaptPolicy& policy() const noexcept { return pol_; }
-  [[nodiscard]] const Governor& governor() const noexcept { return gov_; }
   [[nodiscard]] const BalancerGovernor& balancer_governor() const noexcept {
     return bal_gov_;
   }
@@ -186,7 +190,7 @@ class AdaptiveEngine {
                        topo::ProcId proc, std::uint64_t now);
   /// The one path that edits the scheduler policy: admit the move on its
   /// governor, set `knob` to `value`, update the state the move implies
-  /// (steal_relief_ and rehomes_since_enable_, or switched_balancer_), and
+  /// (steal_relief_ and rehomes_since_relief_, or switched_balancer_), and
   /// log "<knob>=<value>", plus " (<why>)" when `why` is not empty. Returns
   /// whether it moved.
   bool move(const obs::advisor::Finding& f, Knob knob, std::uint32_t value,
@@ -213,7 +217,7 @@ class AdaptiveEngine {
   bool switched_balancer_ = false;
   /// Objects rehomed since the steal relief last moved. The throughput-mode
   /// revert waits for an epoch that adds none to a nonzero count.
-  std::uint64_t rehomes_since_enable_ = 0;
+  std::uint64_t rehomes_since_relief_ = 0;
   std::uint64_t epoch_ = 0;
   std::uint64_t tasks_since_ = 0;
   std::uint64_t last_epoch_cycle_ = 0;

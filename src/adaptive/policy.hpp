@@ -1,10 +1,14 @@
 // AdaptPolicy — the knobs of the online adaptation engine.
 //
-// `--adapt` accepts an optional JSON policy file so experiments can vary the
-// epoch length, hysteresis depth, and rule thresholds without recompiling.
-// The defaults are tuned for the paper-scale benches: epochs short enough to
-// react inside one bench run, rule floors lowered from the offline advisor's
-// (which judges a whole run) because the engine judges per-epoch deltas.
+// `--adapt` accepts an optional JSON policy file holding any of the eight
+// knobs below, so experiments can vary the epoch triggers, the cooldown, the
+// action budget, the balancer actuator and the latency objective without
+// recompiling. Everything else the engine uses is a constant: the rule
+// thresholds (kOnlineRules and advisor_rules.cpp), the per-epoch cost
+// (AdaptiveEngine::kEpochCostCycles), the latency objective's sample floor
+// (AdaptiveEngine::kLatencyMinSamples) and the balancer's switch cap
+// (BalancerGovernor::kMaxSwitches). The defaults are tuned for the
+// paper-scale benches: epochs short enough to react inside one bench run.
 #pragma once
 
 #include <cstdint>
@@ -14,6 +18,12 @@
 
 namespace cool::adaptive {
 
+/// The advisor floors the engine applies to each epoch's deltas: the offline
+/// advisor's absolute floors (obs::AdvisorConfig's defaults judge a whole
+/// run) lowered to per-epoch scale.
+inline constexpr obs::AdvisorConfig kOnlineRules{
+    .min_misses = 8, .min_failed_scans = 8, .idle_frac = 0.20};
+
 struct AdaptPolicy {
   /// Epoch triggers: evaluate after this many task dispatches (0 disables),
   /// or after this many sim cycles on the dispatching processor's clock
@@ -21,25 +31,14 @@ struct AdaptPolicy {
   std::uint64_t epoch_tasks = 64;
   std::uint64_t epoch_cycles = 20000;
 
-  /// Hysteresis: a rule must fire on `confirm_epochs` consecutive epochs
-  /// before its actuator runs, and after acting the decision class is frozen
-  /// for `cooldown_epochs` further epochs (see governor.hpp).
-  std::uint32_t confirm_epochs = 1;
+  /// Hysteresis: after acting, a decision class is frozen for
+  /// `cooldown_epochs` further epochs (see governor.hpp).
   std::uint32_t cooldown_epochs = 4;
 
   /// Cap on actuator firings per epoch (highest-weight findings win).
   std::uint32_t max_actions_per_epoch = 8;
 
-  /// Cycles charged to the evaluating processor per epoch — the modelled
-  /// cost of reading the profiler shards and running the rules.
-  std::uint64_t epoch_cost_cycles = 64;
-
-  /// Per-actuator enables (tests use these to isolate one actuator).
-  bool enable_migrate = true;
-  bool enable_distribute = true;
-  bool enable_hints = true;
-  bool enable_steal_policy = true;
-  /// Fourth actuator: switch the scheduler's balancer policy (Policy::
+  /// The balancer actuator: switch the scheduler's balancer policy (Policy::
   /// balancer) at epoch boundaries. Off by default — a balancer swap changes
   /// what every later idle acquire does (Average moves batches of queued
   /// work regardless of affinity pins), so it is the most disruptive
@@ -55,8 +54,6 @@ struct AdaptPolicy {
   /// falls to half the target it reverts its own steal relief. Units are
   /// simulated cycles of per-request latency.
   std::uint64_t latency_target_cycles = 0;
-  /// Minimum completed requests in an epoch before its p99 is trusted.
-  std::uint64_t latency_min_samples = 8;
   /// Peak per-channel busy share of an epoch (hottest mem.chan.<i>.
   /// busy_cycles delta over the cycles the epoch covered) at which a
   /// memory-dominated overshoot routes to the bandwidth escalation
@@ -66,26 +63,9 @@ struct AdaptPolicy {
   double bandwidth_saturation_frac = 0.65;
 
   /// Balancer-actuator pacing (only read when enable_balancer): a switch is
-  /// admitted at most once per `balancer_dwell_epochs` epochs (on top of the
-  /// governor's confirm/cooldown), and at most `balancer_max_switches` times
-  /// per run so a pathological workload cannot thrash the balancer.
+  /// admitted at most once per `balancer_dwell_epochs` epochs, on top of the
+  /// governor's cooldown.
   std::uint32_t balancer_dwell_epochs = 6;
-  std::uint32_t balancer_max_switches = 4;
-
-  /// Rule thresholds, applied to per-epoch deltas. Defaults lower the
-  /// offline advisor's absolute floors to per-epoch scale.
-  obs::AdvisorConfig rules = online_rules();
-
-  static obs::AdvisorConfig online_rules() {
-    obs::AdvisorConfig c;
-    c.min_misses = 8;
-    c.min_failed_scans = 8;
-    c.idle_frac = 0.20;
-    return c;
-  }
-
-  /// Deterministic JSON rendering (round-trips through parse_adapt_policy).
-  [[nodiscard]] std::string to_json() const;
 };
 
 /// Parse a policy from JSON text. Every key is optional; unknown keys throw

@@ -11,7 +11,6 @@
 
 #include <cstdint>
 
-#include "core/costs.hpp"
 #include "topology/machine.hpp"
 
 namespace cool::analysis {
@@ -40,8 +39,6 @@ class Engine {
                           bool is_write) = 0;
   virtual void work(Ctx& c, std::uint64_t cycles) = 0;
   virtual void charge(Ctx& c, std::uint64_t cycles) = 0;
-  /// Scheduling/synchronisation overhead costs (simulated cycles).
-  [[nodiscard]] virtual const CostModel& costs() const = 0;
   [[nodiscard]] virtual std::uint64_t now(const Ctx& c) const = 0;
   virtual std::uint64_t migrate(Ctx& c, std::uint64_t addr,
                                 std::uint64_t bytes, topo::ProcId target) = 0;

@@ -13,14 +13,14 @@ namespace cool {
 
 Runtime::Runtime(SystemConfig cfg) : cfg_(cfg) {
   cfg_.machine.validate();
-  // The Reserve balancer needs profiled heat; --adapt under the simulation
-  // engine constructs the profiler even without --profile.
-  const bool profile_available =
-      cfg_.profile || (cfg_.adapt && cfg_.mode == SystemConfig::Mode::kSim);
-  sched::validate_policy(cfg_.policy, cfg_.machine, profile_available);
+  // The Reserve balancer needs profiled heat. Only the simulation engine
+  // builds the profiler, for --profile or as --adapt's sensor.
+  const bool profiled = cfg_.mode == SystemConfig::Mode::kSim &&
+                        (cfg_.profile || cfg_.adapt);
+  sched::validate_policy(cfg_.policy, cfg_.machine, profiled);
   if (cfg_.mode == SystemConfig::Mode::kSim) {
-    sim_ = std::make_unique<SimEngine>(cfg_.machine, cfg_.policy, cfg_.costs,
-                                       cfg_.trace, cfg_.trace_ring_capacity,
+    sim_ = std::make_unique<SimEngine>(cfg_.machine, cfg_.policy, cfg_.trace,
+                                       cfg_.trace_ring_capacity,
                                        cfg_.mem_channel);
     eng_ = sim_.get();
   } else {
@@ -28,20 +28,14 @@ Runtime::Runtime(SystemConfig cfg) : cfg_(cfg) {
                                           cfg_.trace, cfg_.trace_ring_capacity);
     eng_ = thr_.get();
   }
-  if (cfg_.profile || (cfg_.adapt && sim_)) {
-    // --adapt constructs the profiler as its sensor even without --profile.
+  if (profiled) {
     prof_ = std::make_unique<obs::LocalityProfiler>(cfg_.machine);
-    if (sim_) {
-      sim_->attach_profiler(prof_.get());
-    } else {
-      thr_->attach_profiler(prof_.get());
-    }
+    sim_->attach_profiler(prof_.get());
     // Close the profiler -> scheduler loop for the Reserve balancer: its heat
     // source is the profiler's per-object stall attribution, translated from
     // arena-relative addresses back to the raw pointers place() sees. The
     // cluster homing the most serviced misses owns the object's hot pages.
-    sched::Scheduler& sch = sim_ ? sim_->scheduler() : thr_->scheduler();
-    sch.set_hotness_source([this] {
+    sim_->scheduler().set_hotness_source([this] {
       std::vector<sched::DataHotness> out;
       const obs::ProfileSnapshot snap = prof_->snapshot();
       const std::uint64_t base = reinterpret_cast<std::uint64_t>(arena_);
@@ -89,9 +83,7 @@ Runtime::Runtime(SystemConfig cfg) : cfg_(cfg) {
   eng_->set_addr_base(reinterpret_cast<std::uint64_t>(arena_));
   if (cfg_.adapt && sim_) {
     adaptive::Hooks h;
-    h.profile = [this](obs::ProfileDelta& out, bool all_sets) {
-      prof_->read_epoch(out, all_sets);
-    };
+    h.profile = [this](obs::ProfileDelta& out) { prof_->read_epoch(out); };
     h.signals = [this] { return advisor_signals(); };
     h.migrate = [this](topo::ProcId caller, std::uint64_t addr,
                        std::uint64_t bytes, topo::ProcId target,
@@ -406,57 +398,6 @@ obs::advisor::Signals Runtime::advisor_signals() const {
     s.chan_row_conflicts += cc.row_conflicts;
   }
   return s;
-}
-
-std::string Runtime::report() const {
-  char buf[256];
-  std::string out;
-  auto line = [&](const char* fmt, auto... args) {
-    std::snprintf(buf, sizeof buf, fmt, args...);
-    out += buf;
-    out += '\n';
-  };
-  line("engine: %s, %u processors (%u clusters)",
-       sim_ ? "simulated DASH" : "threads", cfg_.machine.n_procs,
-       cfg_.machine.n_clusters());
-  line("tasks completed: %llu",
-       static_cast<unsigned long long>(tasks_completed()));
-  const auto& ss = sched_stats();
-  line("scheduler: %llu spawned, %llu stolen (%llu whole sets, %llu remote-cluster)",
-       static_cast<unsigned long long>(ss.spawned),
-       static_cast<unsigned long long>(ss.tasks_stolen),
-       static_cast<unsigned long long>(ss.set_steals),
-       static_cast<unsigned long long>(ss.remote_cluster_steals));
-  if (sim_) {
-    line("simulated time: %llu cycles",
-         static_cast<unsigned long long>(sim_time()));
-    const auto mem = monitor()->total();
-    line("memory: %llu accesses, %llu misses (%.1f/1000), %.1f%% local service,"
-         " %llu invalidations, %llu prefetched lines",
-         static_cast<unsigned long long>(mem.accesses()),
-         static_cast<unsigned long long>(mem.misses()),
-         mem.accesses() ? 1000.0 * static_cast<double>(mem.misses()) /
-                              static_cast<double>(mem.accesses())
-                        : 0.0,
-         mem.misses() ? 100.0 * static_cast<double>(mem.local_misses()) /
-                            static_cast<double>(mem.misses())
-                      : 0.0,
-         static_cast<unsigned long long>(mem.invals_sent),
-         static_cast<unsigned long long>(mem.prefetches));
-    const auto util = utilization();
-    std::uint64_t busy = 0;
-    std::uint64_t max_busy = 0;
-    for (const auto& u : util) {
-      busy += u.busy;
-      max_busy = std::max(max_busy, u.busy);
-    }
-    const double avg =
-        static_cast<double>(busy) / static_cast<double>(util.size());
-    line("load balance: avg busy %.1f%% of span, max/avg %.2f",
-         sim_time() ? 100.0 * avg / static_cast<double>(sim_time()) : 0.0,
-         avg > 0.0 ? static_cast<double>(max_busy) / avg : 0.0);
-  }
-  return out;
 }
 
 // --- Ctx spawn glue ----------------------------------------------------------

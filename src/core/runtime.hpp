@@ -1,7 +1,7 @@
 // cool::Runtime — the public entry point of the library.
 //
 // Construct one with a SystemConfig (execution mode, machine description,
-// scheduling policy, cost model), allocate your shared objects through it so
+// scheduling policy), allocate your shared objects through it so
 // the page map knows their homes, then `run()` a root task. All figures in
 // the paper are produced with Mode::kSim (the DASH model); Mode::kThreads
 // executes the identical program on real threads for functional testing.
@@ -14,7 +14,6 @@
 
 #include "adaptive/engine.hpp"
 #include "analysis/race_detector.hpp"
-#include "core/costs.hpp"
 #include "core/sim_engine.hpp"
 #include "core/taskfn.hpp"
 #include "core/thread_engine.hpp"
@@ -30,7 +29,6 @@ struct SystemConfig {
   Mode mode = Mode::kSim;
   topo::MachineConfig machine = topo::MachineConfig::dash();
   sched::Policy policy;
-  CostModel costs;
   /// Memory-timing backend for kSim (see memsim/channel/backend.hpp): the
   /// default flat model reproduces the paper's figures byte-for-byte;
   /// Kind::kDdr adds channel/bank contention, open-row state and bounded
@@ -52,10 +50,12 @@ struct SystemConfig {
   /// with it on — and when off nothing is constructed: the memory system
   /// never sees the observer and the engine pays one null check per dispatch.
   bool req_trace = false;
-  /// Attach the locality profiler: attribute every simulated memory access to
-  /// the object/region and affinity set it hits (see obs/profiler.hpp). The
-  /// tap is passive — simulated cycle counts are identical with it on — and
-  /// when off no profiler is even constructed.
+  /// Attach the locality profiler (kSim only, like race_check): attribute
+  /// every simulated memory access to the object/region and affinity set it
+  /// hits (see obs/profiler.hpp). The tap is passive — simulated cycle counts
+  /// are identical with it on — and when off no profiler is even
+  /// constructed. Under kThreads there is no memory reference to attribute,
+  /// so it is ignored there, and the Reserve balancer is refused.
   bool profile = false;
   /// Attach the happens-before race detector (kSim only — it needs the sim
   /// engine's deterministic interleaving; silently ignored under kThreads,
@@ -71,8 +71,9 @@ struct SystemConfig {
   /// With `adapt` off, nothing is constructed and cycle counts are
   /// byte-identical to a build without the subsystem.
   bool adapt = false;
-  /// Knobs for the adaptation engine (epoch length, hysteresis, thresholds);
-  /// see adaptive/policy.hpp. Loaded from `--adapt=policy.json` by benches.
+  /// Knobs for the adaptation engine (epoch length, cooldown, actions per
+  /// epoch, the balancer actuator and the latency objective); see
+  /// adaptive/policy.hpp. Loaded from `--adapt=policy.json` by benches.
   adaptive::AdaptPolicy adapt_policy;
   /// Size of the runtime's allocation arena (virtual memory, touched lazily).
   /// Allocations are bump-allocated from it so simulated addresses are
@@ -191,9 +192,6 @@ class Runtime {
     return race_.get();
   }
 
-  /// Human-readable post-run summary: completion time, task counts,
-  /// scheduler activity, memory-system behaviour, and load balance.
-  [[nodiscard]] std::string report() const;
   [[nodiscard]] const topo::MachineConfig& machine() const noexcept {
     return cfg_.machine;
   }

@@ -7,17 +7,31 @@
 #include "analysis/invariants.hpp"
 #include "analysis/sync_observer.hpp"
 #include "common/check.hpp"
-#include "core/profile_hook.hpp"
+#include "core/costs.hpp"
 #include "core/sync.hpp"
 
 namespace cool {
+namespace {
+
+// The paper's Table 1 class of a task's hints, and its implicit affinity-set
+// key: tasks naming the same affinity object form a set (for OBJECT-only
+// hints the shared object still groups the tasks for diagnosis); 0 = none.
+obs::HintClass hint_class_of(const sched::Affinity& aff) noexcept {
+  return obs::classify_hint(aff.has_task(), aff.has_object(),
+                            aff.has_processor(), aff.has_multi());
+}
+
+std::uint64_t affinity_set_key(const sched::Affinity& aff) noexcept {
+  return aff.task_obj != 0 ? aff.task_obj : aff.object_obj;
+}
+
+}  // namespace
 
 SimEngine::SimEngine(const topo::MachineConfig& machine,
-                     const sched::Policy& policy, const CostModel& costs,
-                     bool trace_enabled, std::size_t trace_capacity,
+                     const sched::Policy& policy, bool trace_enabled,
+                     std::size_t trace_capacity,
                      const mem::ChannelConfig& mem_channel)
     : machine_(machine),
-      costs_(costs),
       mem_(machine_, mem_channel),
       sched_(machine_, policy,
              [this](std::uint64_t addr, topo::ProcId toucher) {
@@ -150,7 +164,7 @@ void SimEngine::spawn_record(TaskRecord* rec, Ctx* spawner) {
   }
   topo::ProcId from = 0;
   if (spawner != nullptr) {
-    charge(*spawner, costs_.spawn);
+    charge(*spawner, costs::kSpawn);
     from = spawner->proc_;
     rec->desc.ready_time = procs_[from].clock;
   } else {
@@ -209,10 +223,10 @@ void SimEngine::step(topo::ProcId p) {
       park(p);
       return;
     }
-    std::uint64_t overhead = costs_.dispatch;
+    std::uint64_t overhead = costs::kDispatch;
     if (acq.stolen) {
-      overhead = acq.stolen_remote_cluster ? costs_.steal_remote
-                                           : costs_.steal_local;
+      overhead =
+          acq.stolen_remote_cluster ? costs::kStealRemote : costs::kStealLocal;
       ++util_[p].steals;
       if (trace_) {
         trace_->buf(p).record(obs::Event{pr.clock, pr.clock, acq.victim, 1, p,
@@ -220,8 +234,8 @@ void SimEngine::step(topo::ProcId p) {
       }
     } else if (acq.moved) {
       // A balancer move crosses the same interconnect a steal does.
-      overhead = machine_.same_cluster(p, acq.victim) ? costs_.steal_local
-                                                      : costs_.steal_remote;
+      overhead = machine_.same_cluster(p, acq.victim) ? costs::kStealLocal
+                                                      : costs::kStealRemote;
       if (trace_) {
         trace_->buf(p).record(obs::Event{pr.clock, pr.clock, acq.victim, 1, p,
                                          obs::EventKind::kBalance,
@@ -326,8 +340,8 @@ void SimEngine::step(topo::ProcId p) {
 
   switch (disp_) {
     case Disposition::kCompleted: {
-      pr.clock += costs_.complete;
-      util_[p].sched += costs_.complete;
+      pr.clock += costs::kComplete;
+      util_[p].sched += costs::kComplete;
       if (rec->handle.promise().exn && !err_) {
         err_ = rec->handle.promise().exn;
       }

@@ -6,7 +6,8 @@
 // execution interleaving is approximately time-ordered and fully
 // deterministic. Application code runs natively inside coroutines; memory
 // references charge the MemorySystem; scheduling operations charge the
-// CostModel; idle processors park until new work is signalled.
+// constants of core/costs.hpp; idle processors park until new work is
+// signalled.
 #pragma once
 
 #include <cstdint>
@@ -15,7 +16,6 @@
 #include <utility>
 #include <vector>
 
-#include "core/costs.hpp"
 #include "core/engine.hpp"
 #include "core/record.hpp"
 #include "core/taskfn.hpp"
@@ -44,7 +44,7 @@ struct ProcUtil {
 class SimEngine final : public Engine {
  public:
   SimEngine(const topo::MachineConfig& machine, const sched::Policy& policy,
-            const CostModel& costs, bool trace_enabled = false,
+            bool trace_enabled = false,
             std::size_t trace_capacity = 1 << 16,
             const mem::ChannelConfig& mem_channel = {});
   ~SimEngine() override;
@@ -106,7 +106,6 @@ class SimEngine final : public Engine {
                   bool is_write) override;
   void work(Ctx& c, std::uint64_t cycles) override;
   void charge(Ctx& c, std::uint64_t cycles) override;
-  [[nodiscard]] const CostModel& costs() const override { return costs_; }
   [[nodiscard]] std::uint64_t now(const Ctx& c) const override;
   std::uint64_t migrate(Ctx& c, std::uint64_t addr, std::uint64_t bytes,
                         topo::ProcId target) override;
@@ -145,7 +144,6 @@ class SimEngine final : public Engine {
   void destroy_record(TaskRecord* rec);
 
   topo::MachineConfig machine_;
-  CostModel costs_;
   mem::MemorySystem mem_;
   sched::Scheduler sched_;
   std::vector<Proc> procs_;

@@ -3,7 +3,7 @@
 namespace cool {
 
 void Mutex::unlock(Ctx& c) {
-  c.engine()->charge(c, c.engine()->costs().mutex_release);
+  c.engine()->charge(c, costs::kMutexRelease);
   analysis::SyncObserver* so = c.engine()->sync_observer();
   if (so != nullptr) so->on_release(this, c.record()->desc.seq);
   TaskRecord* next = nullptr;
@@ -71,7 +71,7 @@ void Cond::wake(Ctx& c, TaskRecord* rec) {
 }
 
 void Cond::signal(Ctx& c) {
-  c.engine()->charge(c, c.engine()->costs().cond_op);
+  c.engine()->charge(c, costs::kCondOp);
   TaskRecord* rec = nullptr;
   {
     util::MutexLock g(m_);
@@ -86,7 +86,7 @@ void Cond::signal(Ctx& c) {
 }
 
 void Cond::broadcast(Ctx& c) {
-  c.engine()->charge(c, c.engine()->costs().cond_op);
+  c.engine()->charge(c, costs::kCondOp);
   std::vector<TaskRecord*> recs;
   {
     util::MutexLock g(m_);

@@ -29,6 +29,7 @@
 #include "common/thread_annotations.hpp"
 #include "common/error.hpp"
 #include "common/intrusive_list.hpp"
+#include "core/costs.hpp"
 #include "core/ctx.hpp"
 #include "core/record.hpp"
 #include "core/taskfn.hpp"
@@ -113,7 +114,7 @@ struct LockAwaiter {
   bool await_ready() const noexcept { return false; }
   bool await_suspend(TaskFn::Handle) {
     TaskRecord* rec = c.record();
-    c.engine()->charge(c, c.engine()->costs().mutex_acquire);
+    c.engine()->charge(c, costs::kMutexAcquire);
     {
       util::MutexLock g(mu.m_);
       if (mu.held_) {

@@ -4,7 +4,6 @@
 
 #include "analysis/invariants.hpp"
 #include "common/check.hpp"
-#include "core/profile_hook.hpp"
 #include "core/sync.hpp"
 
 namespace cool {
@@ -84,13 +83,6 @@ void ThreadEngine::on_block(Ctx& c) { disp_[c.proc_] = Disposition::kBlocked; }
 void ThreadEngine::on_yield(Ctx& c) { disp_[c.proc_] = Disposition::kYielded; }
 
 void ThreadEngine::execute(topo::ProcId id, TaskRecord* rec) {
-  if (prof_ != nullptr) {
-    const std::uint64_t key = affinity_set_key(rec->desc.aff);
-    prof_->on_task_dispatch(
-        id, hint_class_of(rec->desc.aff),
-        key != 0 ? key - addr_base_ : obs::LocalityProfiler::kNoSet,
-        rec->desc.stolen);
-  }
   rec->ctx.eng_ = this;
   rec->ctx.proc_ = id;
   rec->ctx.rec_ = rec;

@@ -30,13 +30,11 @@
 #include <vector>
 
 #include "common/thread_annotations.hpp"
-#include "core/costs.hpp"
 #include "core/engine.hpp"
 #include "core/idle_gates.hpp"
 #include "core/record.hpp"
 #include "core/taskfn.hpp"
 #include "memsim/pagemap.hpp"
-#include "obs/profiler.hpp"
 #include "obs/trace.hpp"
 #include "sched/scheduler.hpp"
 #include "topology/machine.hpp"
@@ -67,19 +65,11 @@ class ThreadEngine final : public Engine {
   }
   /// The sleep gates, for their sleep/wakeup counts.
   [[nodiscard]] const IdleGates& idle_gates() const noexcept { return idle_; }
-  /// Attach the locality profiler. With no memory model there is nothing to
-  /// tap, but the dispatch hook still attributes tasks to hint classes and
-  /// affinity sets (each worker writes only its own shard).
-  void attach_profiler(obs::LocalityProfiler* prof) { prof_ = prof; }
 
   // --- Engine interface ----------------------------------------------------
   void mem_access(Ctx&, std::uint64_t, std::uint64_t, bool) override {}
   void work(Ctx&, std::uint64_t) override {}
   void charge(Ctx&, std::uint64_t) override {}
-  [[nodiscard]] const CostModel& costs() const override {
-    static const CostModel kDefault;
-    return kDefault;
-  }
   [[nodiscard]] std::uint64_t now(const Ctx&) const override { return 0; }
   std::uint64_t migrate(Ctx& c, std::uint64_t addr, std::uint64_t bytes,
                         topo::ProcId target) override;
@@ -127,7 +117,6 @@ class ThreadEngine final : public Engine {
   std::unique_ptr<obs::TraceCollector> trace_;  ///< Null when tracing is off.
   // cool-lint: allow(determinism): kThreads trace timebase is wall-clock
   std::chrono::steady_clock::time_point trace_t0_;
-  obs::LocalityProfiler* prof_ = nullptr;  ///< Null unless profiling.
   /// Arena base: pages_ is keyed by arena offset, as SimEngine's is.
   std::uint64_t addr_base_ = 0;
 

@@ -122,10 +122,9 @@ Advice render(const advisor::Finding& f) {
 }  // namespace
 
 std::vector<Advice> advise(const ProfileSnapshot& p,
-                           const advisor::Signals& signals,
-                           const AdvisorConfig& cfg) {
+                           const advisor::Signals& signals) {
   const std::vector<advisor::Finding> findings =
-      advisor::evaluate(ProfileDelta::of(p), signals, cfg);
+      advisor::evaluate(ProfileDelta::of(p), signals);
   std::vector<Advice> out;
   out.reserve(findings.size());
   for (const advisor::Finding& f : findings) out.push_back(render(f));

@@ -35,12 +35,11 @@ struct Advice {
 };
 
 /// Run every rule over the profile and the scheduler/channel signals
-/// (Runtime::advisor_signals()), each read as one interval. Returns advice
-/// in advisor::evaluate()'s order: descending weight, ties broken by
-/// subject.
+/// (Runtime::advisor_signals()), each read as one interval, at the
+/// whole-run thresholds (AdvisorConfig's defaults). Returns advice in
+/// advisor::evaluate()'s order: descending weight, ties broken by subject.
 std::vector<Advice> advise(const ProfileSnapshot& p,
-                           const advisor::Signals& signals,
-                           const AdvisorConfig& cfg = {});
+                           const advisor::Signals& signals);
 
 /// Human-readable rendering, one numbered block per advice.
 std::string advice_report(const std::vector<Advice>& advice);

@@ -31,6 +31,18 @@ const char* advice_kind_name(AdviceKind k) {
 namespace advisor {
 namespace {
 
+/// Cluster share of an object's misses that counts as dominant.
+constexpr double kDominantFrac = 0.60;
+/// Remote share of an object's misses worth acting on.
+constexpr double kRemoteFrac = 0.40;
+/// Affinity sets with fewer tasks in the interval are ignored.
+constexpr std::uint64_t kMinSetTasks = 4;
+/// Failed steal scans per successful steal that make a storm.
+constexpr double kStealFailRatio = 4.0;
+/// Busiest channel's busy share of the span at which memory is called
+/// bandwidth-bound. Only a channel backend reports channels.
+constexpr double kBandwidthSatFrac = 0.50;
+
 /// Index of the largest entry and its share of the total (0 if empty).
 struct Dominant {
   std::size_t index = 0;
@@ -60,14 +72,14 @@ void object_rules(const ProfileDelta& p, const AdvisorConfig& cfg,
                               ? 0.0
                               : static_cast<double>(o.s.remote_misses()) /
                                     static_cast<double>(misses);
-    if (remote < cfg.remote_frac) continue;
+    if (remote < kRemoteFrac) continue;
 
     const Dominant user = dominant_of(o.miss_from_cluster);
     const Dominant home = dominant_of(o.miss_home_cluster);
-    const bool migrate = user.share >= cfg.dominant_frac && home.total > 0 &&
+    const bool migrate = user.share >= kDominantFrac && home.total > 0 &&
                          user.index != home.index;
     const bool distribute =
-        user.share < cfg.dominant_frac && home.share >= cfg.dominant_frac;
+        user.share < kDominantFrac && home.share >= kDominantFrac;
     if (!migrate && !distribute) continue;
 
     Finding f;
@@ -87,10 +99,9 @@ void object_rules(const ProfileDelta& p, const AdvisorConfig& cfg,
   }
 }
 
-void set_rules(const ProfileDelta& p, const AdvisorConfig& cfg,
-               std::vector<Finding>& out) {
+void set_rules(const ProfileDelta& p, std::vector<Finding>& out) {
   for (const ProfileDelta::Set& s : p.sets) {
-    if (s.tasks < cfg.min_set_tasks || s.procs.size() <= 1) continue;
+    if (s.tasks < kMinSetTasks || s.procs.size() <= 1) continue;
     Finding f;
     f.kind = hint_has_task_affinity(s.hint) ? AdviceKind::kWholeSetStealing
                                             : AdviceKind::kTaskAffinity;
@@ -112,8 +123,8 @@ void sched_rules(const Signals& m, const AdvisorConfig& cfg,
   const std::uint64_t steals = m.steals;
   if (failed >= cfg.min_failed_scans &&
       static_cast<double>(failed) >=
-          cfg.steal_fail_ratio * static_cast<double>(std::max<std::uint64_t>(
-                                     steals, 1))) {
+          kStealFailRatio * static_cast<double>(std::max<std::uint64_t>(
+                                steals, 1))) {
     Finding f;
     f.kind = AdviceKind::kStealStorm;
     f.subject = "scheduler";
@@ -148,14 +159,13 @@ void sched_rules(const Signals& m, const AdvisorConfig& cfg,
 /// saturates the hot cluster's channels while the rest idle, and the peak
 /// channel is what the tail queues behind). Only a channel backend can fire
 /// this; the flat model reports no channels and the rule stays silent.
-void channel_rules(const Signals& m, const AdvisorConfig& cfg,
-                   std::vector<Finding>& out) {
+void channel_rules(const Signals& m, std::vector<Finding>& out) {
   if (m.chan_busy.empty() || m.span == 0) return;
   const std::uint64_t peak =
       *std::max_element(m.chan_busy.begin(), m.chan_busy.end());
   const double sat =
       static_cast<double>(peak) / static_cast<double>(m.span);
-  if (sat < cfg.bandwidth_sat_frac) return;
+  if (sat < kBandwidthSatFrac) return;
   Finding f;
   f.kind = AdviceKind::kBandwidthBound;
   f.subject = "memory-channels";
@@ -202,9 +212,9 @@ std::vector<Finding> evaluate(const ProfileDelta& p, const Signals& s,
                               const AdvisorConfig& cfg) {
   std::vector<Finding> out;
   object_rules(p, cfg, out);
-  set_rules(p, cfg, out);
+  set_rules(p, out);
   sched_rules(s, cfg, out);
-  channel_rules(s, cfg, out);
+  channel_rules(s, out);
   std::sort(out.begin(), out.end(), [](const Finding& a, const Finding& b) {
     if (a.weight != b.weight) return a.weight > b.weight;
     if (a.subject != b.subject) return a.subject < b.subject;

@@ -33,21 +33,14 @@ enum class AdviceKind : std::uint8_t {
 };
 const char* advice_kind_name(AdviceKind k);
 
-/// Rule thresholds. The defaults suit the paper-scale benches; tests pin
-/// them explicitly where a rule boundary matters. The adaptive engine
-/// evaluates per-epoch deltas, so it lowers the absolute floors.
+/// The rule thresholds that differ between the offline advisor (these
+/// defaults, judging a whole run) and the adaptive engine, which judges
+/// per-epoch deltas and so lowers the floors (adaptive::kOnlineRules). The
+/// rules' other thresholds are constants in advisor_rules.cpp.
 struct AdvisorConfig {
-  std::uint64_t min_misses = 64;    ///< Ignore objects with fewer misses.
-  double dominant_frac = 0.60;      ///< Cluster share that counts as dominant.
-  double remote_frac = 0.40;        ///< Remote-miss share worth acting on.
-  std::uint64_t min_set_tasks = 4;  ///< Ignore smaller affinity sets.
-  double steal_fail_ratio = 4.0;    ///< Failed scans per successful steal.
-  std::uint64_t min_failed_scans = 256;
-  double idle_frac = 0.25;          ///< Idle share of the span worth flagging.
-  /// Busiest channel's busy share of the span (peak mem.chan.<i>.busy_cycles
-  /// over sim.time) at which memory is called bandwidth-bound. Only fires
-  /// when a channel backend exports mem.chan.* gauges.
-  double bandwidth_sat_frac = 0.50;
+  std::uint64_t min_misses = 64;  ///< Ignore objects with fewer misses.
+  std::uint64_t min_failed_scans = 256;  ///< Steal-storm floor.
+  double idle_frac = 0.25;  ///< Idle share of the span worth flagging.
 };
 
 namespace advisor {

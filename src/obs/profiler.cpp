@@ -247,19 +247,13 @@ Record& find_or_add(std::vector<std::unique_ptr<Record>>& records,
 
 }  // namespace
 
-void LocalityProfiler::read_epoch(ProfileDelta& out, bool all_sets) {
+void LocalityProfiler::read_epoch(ProfileDelta& out) {
   ++reads_;
   out.objects.clear();
   out.sets.clear();
   out.cluster_counts.clear();
   const std::size_t nc = machine_.n_clusters();
   bool added = false;
-  const auto view = [](ProfileDelta::Set& row, const SetRecord& rec) {
-    row.key = rec.key;
-    row.label = rec.label;
-    row.hint = rec.hint;
-    row.procs = rec.procs;
-  };
   // Each shard's touched entries, folded into one row per object and set.
   // Shards go in processor order, so a set's entries arrive with ascending
   // processors.
@@ -328,7 +322,10 @@ void LocalityProfiler::read_epoch(ProfileDelta& out, bool all_sets) {
       ss->read_tasks = ss->tasks;
       ss->read_stolen = ss->stolen;
       ss->read_s = ss->s;
-      view(row, rec);
+      row.key = rec.key;
+      row.label = rec.label;
+      row.hint = rec.hint;
+      row.procs = rec.procs;
     }
     sh.touched_objects.clear();
     sh.touched_sets.clear();
@@ -339,12 +336,6 @@ void LocalityProfiler::read_epoch(ProfileDelta& out, bool all_sets) {
     const std::uint64_t* from = &out.cluster_counts[2 * nc * i];
     out.objects[i].miss_from_cluster = {from, nc};
     out.objects[i].miss_home_cluster = {from + nc, nc};
-  }
-  if (all_sets) {
-    for (const auto& r : set_records_) {
-      if (r->read == reads_) continue;
-      view(out.sets.emplace_back(), *r);
-    }
   }
 }
 

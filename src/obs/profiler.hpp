@@ -235,10 +235,8 @@ class LocalityProfiler final : public mem::AccessObserver {
   /// (registered object, anonymous bucket, set key), listing only what was
   /// touched in between. Visits only those entries, builds no map, and
   /// formats a set's label once, when a read first lists the set; each set
-  /// carries its cumulative processor list. `all_sets` also lists every
-  /// untouched set, with zero counts, for rule floors that judge a set with
-  /// no tasks in the interval. Reusing `out` reuses its storage.
-  void read_epoch(ProfileDelta& out, bool all_sets = false);
+  /// carries its cumulative processor list. Reusing `out` reuses its storage.
+  void read_epoch(ProfileDelta& out);
 
   [[nodiscard]] std::size_t n_registered() const noexcept {
     return reg_.size();

@@ -34,18 +34,16 @@ struct ChannelRig {
     AdaptPolicy p;
     p.epoch_tasks = 1;
     p.epoch_cycles = 0;
-    p.confirm_epochs = 1;
     p.cooldown_epochs = 2;
     p.enable_balancer = true;
     p.balancer_dwell_epochs = 2;
     p.latency_target_cycles = 1000;
-    p.latency_min_samples = 8;
     return p;
   }
 
   Hooks hooks() {
     Hooks h;
-    h.profile = [this](obs::ProfileDelta& out, bool) {
+    h.profile = [this](obs::ProfileDelta& out) {
       handed = std::exchange(profile, {});
       out = obs::ProfileDelta::of(handed);
     };

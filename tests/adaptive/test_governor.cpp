@@ -1,4 +1,4 @@
-// Governor: confirmation streaks and cooldown windows per decision class.
+// Governor: cooldown windows per decision class.
 #include "adaptive/governor.hpp"
 
 #include <gtest/gtest.h>
@@ -6,34 +6,8 @@
 namespace cool::adaptive {
 namespace {
 
-TEST(Governor, ConfirmOneAdmitsOnFirstFiring) {
-  Governor g(1, 0);
-  EXPECT_TRUE(g.admit("k", 1));
-}
-
-TEST(Governor, ConfirmTwoNeedsConsecutiveEpochs) {
-  Governor g(2, 0);
-  EXPECT_FALSE(g.admit("k", 1));
-  EXPECT_TRUE(g.admit("k", 2));
-}
-
-TEST(Governor, GapResetsTheStreak) {
-  Governor g(2, 0);
-  EXPECT_FALSE(g.admit("k", 1));
-  // Epoch 2 is silent; the epoch-3 firing starts a fresh streak.
-  EXPECT_FALSE(g.admit("k", 3));
-  EXPECT_TRUE(g.admit("k", 4));
-}
-
-TEST(Governor, SameEpochDoubleFiringDoesNotDoubleCount) {
-  Governor g(2, 0);
-  EXPECT_FALSE(g.admit("k", 1));
-  EXPECT_FALSE(g.admit("k", 1));  // second finding of the class, same epoch
-  EXPECT_TRUE(g.admit("k", 2));
-}
-
 TEST(Governor, CooldownFreezesTheClass) {
-  Governor g(1, 4);
+  Governor g(4);
   EXPECT_TRUE(g.admit("k", 1));
   for (std::uint64_t e = 2; e <= 5; ++e) {
     EXPECT_FALSE(g.admit("k", e)) << "epoch " << e;
@@ -43,20 +17,27 @@ TEST(Governor, CooldownFreezesTheClass) {
 
 TEST(Governor, NoClassFlipFlopsWithinItsCooldown) {
   // The hysteresis pin: however often a rule fires, two admissions of one
-  // decision class are always at least cooldown+1 epochs apart.
-  Governor g(1, 3);
-  std::vector<std::uint64_t> admitted;
-  for (std::uint64_t e = 1; e <= 40; ++e) {
-    if (g.admit("policy:steal_object_tasks", e)) admitted.push_back(e);
-  }
-  ASSERT_GE(admitted.size(), 2u);
-  for (std::size_t i = 1; i < admitted.size(); ++i) {
-    EXPECT_GE(admitted[i] - admitted[i - 1], g.cooldown_epochs() + 1);
+  // decision class are always at least cooldown+1 epochs apart. The rule
+  // fires twice per epoch, so with no cooldown this says a class acts at
+  // most once per epoch.
+  for (const std::uint32_t cooldown : {0u, 3u}) {
+    Governor g(cooldown);
+    std::vector<std::uint64_t> admitted;
+    for (std::uint64_t e = 1; e <= 40; ++e) {
+      for (int k = 0; k < 2; ++k) {
+        if (g.admit("policy:steal_object_tasks", e)) admitted.push_back(e);
+      }
+    }
+    ASSERT_GE(admitted.size(), 2u);
+    for (std::size_t i = 1; i < admitted.size(); ++i) {
+      EXPECT_GE(admitted[i] - admitted[i - 1], g.cooldown_epochs() + 1)
+          << "cooldown " << cooldown;
+    }
   }
 }
 
 TEST(Governor, ClassesAreIndependent) {
-  Governor g(1, 10);
+  Governor g(10);
   EXPECT_TRUE(g.admit("a", 1));
   EXPECT_TRUE(g.admit("b", 1));  // a's cooldown does not freeze b
   EXPECT_FALSE(g.admit("a", 2));
@@ -65,7 +46,7 @@ TEST(Governor, ClassesAreIndependent) {
 TEST(BalancerGovernor, DwellSeparatesSwitchesAcrossClasses) {
   // Unlike the plain governor, the dwell applies across classes: switching
   // to average and straight back to stealing is exactly the thrash it stops.
-  BalancerGovernor g(1, 0, /*dwell=*/5, /*max_switches=*/10);
+  BalancerGovernor g(0, /*dwell=*/5);
   EXPECT_TRUE(g.admit("balancer:average", 1));
   EXPECT_FALSE(g.admit("balancer:stealing", 2));  // inside the dwell window
   EXPECT_FALSE(g.admit("balancer:stealing", 4));
@@ -74,17 +55,18 @@ TEST(BalancerGovernor, DwellSeparatesSwitchesAcrossClasses) {
 }
 
 TEST(BalancerGovernor, LifetimeCapStopsThrash) {
-  BalancerGovernor g(1, 0, /*dwell=*/0, /*max_switches=*/2);
-  EXPECT_TRUE(g.admit("balancer:average", 1));
-  EXPECT_TRUE(g.admit("balancer:stealing", 2));
-  EXPECT_FALSE(g.admit("balancer:average", 3));
-  EXPECT_FALSE(g.admit("balancer:average", 50));
-  EXPECT_EQ(g.switches(), 2u);
+  BalancerGovernor g(0, /*dwell=*/0);
+  const char* keys[] = {"balancer:average", "balancer:stealing"};
+  for (std::uint32_t i = 0; i < BalancerGovernor::kMaxSwitches; ++i) {
+    EXPECT_TRUE(g.admit(keys[i % 2], i + 1)) << "switch " << i;
+  }
+  EXPECT_FALSE(g.admit("balancer:average", 10));
+  EXPECT_FALSE(g.admit("balancer:stealing", 50));
+  EXPECT_EQ(g.switches(), BalancerGovernor::kMaxSwitches);
 }
 
-TEST(BalancerGovernor, BaseConfirmAndCooldownStillApply) {
-  BalancerGovernor g(2, 3, /*dwell=*/0, /*max_switches=*/10);
-  EXPECT_FALSE(g.admit("balancer:average", 1));  // streak 1 < confirm 2
+TEST(BalancerGovernor, BaseCooldownStillApplies) {
+  BalancerGovernor g(3, /*dwell=*/0);
   EXPECT_TRUE(g.admit("balancer:average", 2));
   EXPECT_FALSE(g.admit("balancer:average", 4));  // cooldown
   EXPECT_FALSE(g.admit("balancer:average", 5));

@@ -28,12 +28,10 @@ struct LatencyRig {
     AdaptPolicy p;
     p.epoch_tasks = 1;
     p.epoch_cycles = 0;
-    p.confirm_epochs = 1;
     p.cooldown_epochs = 2;
     p.enable_balancer = true;
     p.balancer_dwell_epochs = 2;
     p.latency_target_cycles = 1000;
-    p.latency_min_samples = 8;
     return p;
   }
 
@@ -131,10 +129,11 @@ TEST(LatencyTarget, HoveringAtTargetDoesNotOscillate) {
 TEST(LatencyTarget, TooFewSamplesIsNotEvidence) {
   LatencyRig rig;
   AdaptiveEngine eng = make_engine(rig, rig.policy());
-  // Huge latencies but below latency_min_samples per epoch: no action (the
+  // Huge latencies but below kLatencyMinSamples per epoch: no action (the
   // queued requests will show up in a later epoch's delta).
   for (std::uint64_t e = 1; e <= 5; ++e) {
-    rig.epoch_completions(50000, /*n=*/4);
+    rig.epoch_completions(
+        50000, static_cast<int>(AdaptiveEngine::kLatencyMinSamples) - 1);
     eng.on_task_dispatch(0, e * 1000);
   }
   EXPECT_EQ(rig.mutations, 0);
@@ -176,13 +175,9 @@ TEST(LatencyTarget, NoSensorMeansNoActions) {
 }
 
 TEST(LatencyTarget, PolicyJsonRoundTripsTheTargetFields) {
-  AdaptPolicy p;
-  p.latency_target_cycles = 12345;
-  p.latency_min_samples = 17;
-  p.balancer_dwell_epochs = 9;
-  const AdaptPolicy q = parse_adapt_policy(p.to_json());
+  const AdaptPolicy q = parse_adapt_policy(
+      R"({"latency_target_cycles": 12345, "balancer_dwell_epochs": 9})");
   EXPECT_EQ(q.latency_target_cycles, 12345u);
-  EXPECT_EQ(q.latency_min_samples, 17u);
   EXPECT_EQ(q.balancer_dwell_epochs, 9u);
   EXPECT_THROW(parse_adapt_policy("{\"latency_target_cycle\": 1}"),
                util::Error);

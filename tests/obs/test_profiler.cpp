@@ -132,9 +132,9 @@ bool all_zero(const std::vector<std::uint64_t>& v) {
 }
 
 /// `fast` lists every row of `ref` with activity, equal to it; a row it
-/// omits must be idle in `ref` (and with `all_sets`, no set may be omitted).
+/// omits must be idle in `ref`.
 void expect_same_activity(const obs::ProfileDelta& fast,
-                          const obs::ProfileSnapshot& ref, bool all_sets) {
+                          const obs::ProfileSnapshot& ref) {
   std::map<std::pair<bool, std::uint64_t>, const obs::ProfileDelta::Object*>
       objects;
   for (const auto& o : fast.objects) {
@@ -171,7 +171,6 @@ void expect_same_activity(const obs::ProfileDelta& fast,
   for (const auto& r : ref.sets) {
     const auto it = sets.find(r.key);
     if (it == sets.end()) {
-      EXPECT_FALSE(all_sets) << r.label;
       EXPECT_EQ(r.tasks, 0u) << r.label;
       EXPECT_EQ(r.stolen, 0u) << r.label;
       EXPECT_EQ(r.s, obs::AccessStats{}) << r.label;
@@ -258,7 +257,7 @@ TEST(LocalityProfiler, EpochReadPairsObjectsByIdentityNotAddress) {
   EXPECT_TRUE(anon.anonymous);
   EXPECT_EQ(anon.addr, 0x100000u);
   EXPECT_EQ(anon.s.reads, 50u);
-  expect_same_activity(d, paired_diff(s2, s1), false);
+  expect_same_activity(d, paired_diff(s2, s1));
 
   // Nothing happened since: an empty read.
   prof.read_epoch(d);
@@ -291,11 +290,6 @@ TEST(LocalityProfiler, EpochReadEqualsPairedSnapshotDiff) {
       obs::HintClass::kNone, obs::HintClass::kObject, obs::HintClass::kTask,
       obs::HintClass::kTaskObject};
 
-  obs::AdvisorConfig online = adaptive::AdaptPolicy::online_rules();
-  obs::AdvisorConfig zero_floor = online;
-  zero_floor.min_set_tasks = 0;
-  zero_floor.min_misses = 0;
-
   util::Rng rng(12345);
   const auto pick = [&rng](std::size_t n) {
     return static_cast<std::size_t>(rng.next_below(n));
@@ -303,7 +297,6 @@ TEST(LocalityProfiler, EpochReadEqualsPairedSnapshotDiff) {
   obs::ProfileSnapshot prev = prof.snapshot();
   obs::ProfileDelta fast;
   std::size_t online_findings = 0;
-  std::size_t idle_set_findings = 0;
   for (int epoch = 0; epoch < 80; ++epoch) {
     const std::size_t events = epoch % 10 == 9 ? 0 : 1 + pick(300);
     for (std::size_t e = 0; e < events; ++e) {
@@ -326,33 +319,21 @@ TEST(LocalityProfiler, EpochReadEqualsPairedSnapshotDiff) {
         prof.on_access(info);
       }
     }
-    const bool all_sets = epoch % 3 == 0;
-    prof.read_epoch(fast, all_sets);
+    prof.read_epoch(fast);
     const obs::ProfileSnapshot cur = prof.snapshot();
     const obs::ProfileSnapshot ref = paired_diff(cur, prev);
     SCOPED_TRACE("epoch " + std::to_string(epoch));
-    expect_same_activity(fast, ref, all_sets);
+    expect_same_activity(fast, ref);
 
     const obs::ProfileDelta whole = obs::ProfileDelta::of(ref);
     const obs::advisor::Signals none;
-    const auto got = obs::advisor::evaluate(fast, none, online);
-    EXPECT_EQ(describe(got),
-              describe(obs::advisor::evaluate(whole, none, online)));
+    const auto got = obs::advisor::evaluate(fast, none, adaptive::kOnlineRules);
+    EXPECT_EQ(describe(got), describe(obs::advisor::evaluate(
+                                 whole, none, adaptive::kOnlineRules)));
     online_findings += got.size();
-    if (all_sets) {
-      // A set that once ran on two processors fires under a zero floor even
-      // in an epoch it ran nothing: the read must still list it.
-      const auto zero = obs::advisor::evaluate(fast, none, zero_floor);
-      EXPECT_EQ(describe(zero),
-                describe(obs::advisor::evaluate(whole, none, zero_floor)));
-      for (const auto& f : zero) {
-        if (f.set_procs > 1 && f.set_tasks == 0) ++idle_set_findings;
-      }
-    }
     prev = cur;
   }
   EXPECT_GT(online_findings, 0u);
-  EXPECT_GT(idle_set_findings, 0u);
 }
 
 // The acceptance scenario: one mis-homed object plus one task-affinity set

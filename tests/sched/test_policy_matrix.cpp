@@ -160,26 +160,5 @@ INSTANTIATE_TEST_SUITE_P(AllPolicies, PolicyMatrix,
                                    .name;
                          });
 
-TEST(PolicyMatrixReport, ReportMentionsKeyNumbers) {
-  SystemConfig sc;
-  sc.machine = topo::MachineConfig::dash(8);
-  Runtime rt(sc);
-  rt.run([]() -> TaskFn {
-    auto& c = co_await self();
-    TaskGroup waitfor;
-    for (int i = 0; i < 16; ++i) {
-      c.spawn(Affinity::none(), waitfor, []() -> TaskFn {
-        auto& cc = co_await self();
-        cc.work(500);
-      }());
-    }
-    co_await c.wait(waitfor);
-  }());
-  const std::string rep = rt.report();
-  EXPECT_NE(rep.find("tasks completed: 17"), std::string::npos) << rep;
-  EXPECT_NE(rep.find("simulated DASH"), std::string::npos);
-  EXPECT_NE(rep.find("load balance"), std::string::npos);
-}
-
 }  // namespace
 }  // namespace cool

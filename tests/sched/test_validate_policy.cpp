@@ -84,6 +84,10 @@ TEST(ValidatePolicy, RuntimeInitRejectsReserveWithoutProfile) {
   EXPECT_THROW(Runtime rt(sc), util::Error);
   sc.profile = true;
   EXPECT_NO_THROW(Runtime rt(sc));
+  // Only the simulation engine builds the profiler, so the real-threads
+  // engine has no heat to reserve by, --profile or not.
+  sc.mode = SystemConfig::Mode::kThreads;
+  EXPECT_THROW(Runtime rt(sc), util::Error);
 }
 
 TEST(ValidatePolicy, RuntimeInitRejectsInvalidPolicy) {
